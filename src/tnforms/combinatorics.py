@@ -104,20 +104,19 @@ def complement(sigma: IncreasingSequence) -> IncreasingSequence:
     return IncreasingSequence(rest, sigma.n)
 
 
-def permutation_sign(sigma: IncreasingSequence, tau: IncreasingSequence) -> int:
-    """Sign of the permutation (sigma(1..m), tau(1..n-m)) of 1..n.
+def inversion_sign(entries: tuple[int, ...]) -> int:
+    """(-1) to the number of inversions of a sequence of distinct integers."""
+    inversions = sum(1 for i, a in enumerate(entries) for b in entries[i + 1 :] if a > b)
+    return -1 if inversions % 2 else 1
 
-    Both inputs are internally increasing, so every inversion pairs an entry
-    of sigma with a smaller entry of tau; counting those gives the sign.
-    """
+
+def permutation_sign(sigma: IncreasingSequence, tau: IncreasingSequence) -> int:
+    """Sign of the permutation (sigma(1..m), tau(1..n-m)) of 1..n."""
     if sigma.n != tau.n:
         raise ValueError("sequences must share the range bound n")
-    n = sigma.n
-    merged = set(sigma.entries) | set(tau.entries)
-    if len(sigma.entries) + len(tau.entries) != n or merged != set(range(1, n + 1)):
+    if sorted(sigma.entries + tau.entries) != list(range(1, sigma.n + 1)):
         raise ValueError("sequences must partition {1, ..., n}")
-    inversions = sum(1 for a in sigma.entries for b in tau.entries if a > b)
-    return -1 if inversions % 2 else 1
+    return inversion_sign(sigma.entries + tau.entries)
 
 
 def subsimplices(f: AbstractSimplex, s: int) -> list[AbstractSimplex]:

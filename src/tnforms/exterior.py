@@ -5,6 +5,15 @@ ordered increasing sequences of length k, always in the ambient positively
 oriented orthonormal frame dx_1, ..., dx_d.  Subspace computations go
 through explicit orthonormal :class:`Frame` objects; the frame's row order
 defines the orientation used by the subspace Hodge star.
+
+Operations never loop over index sequences when called.  Each sign and
+index fact is an integer table cached by degrees and dimension only:
+``_wedge_table(p, q, d)`` holds each disjoint pair of sequences with the
+position and sign of their merge, ``_contraction_table`` each dropped slot
+and ``_hodge_table`` each complement; an operation is one gather and one
+``np.bincount``.  ``compound(A, k)`` holds all k x k minors of A from one
+batched determinant, so evaluation, wedges of 1-forms, restriction to a
+frame (``C_k(F) @ a``) and its pullback (``c @ C_k(F)``) are products.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .combinatorics import IncreasingSequence, binomial, complement, permutation_sign
+from .combinatorics import binomial, inversion_sign
 
 DEFAULT_TOL = 1e-10
 
@@ -88,13 +97,57 @@ def basis_form(d: int, k: int, sigma: tuple[int, ...]) -> AltForm:
     return AltForm(d, k, c)
 
 
-def _merge_sign(sigma: tuple[int, ...], tau: tuple[int, ...]):
-    """Sign and sorted union of two disjoint ascending tuples, or None on overlap."""
-    if set(sigma) & set(tau):
-        return None
-    inversions = sum(1 for a in sigma for b in tau if a > b)
-    merged = tuple(sorted(sigma + tau))
-    return (-1 if inversions % 2 else 1), merged
+def compound(A: np.ndarray, k: int) -> np.ndarray:
+    """The k-th compound matrix of A: all k x k minors from one batched determinant.
+
+    Entry (r, c) is the minor on the r-th row sequence and the c-th column
+    sequence of length k, both in lexicographic order.
+    """
+    A = np.asarray(A, dtype=float)
+    rows, cols = _index_array(k, A.shape[0]), _index_array(k, A.shape[1])
+    return np.linalg.det(A[rows[:, None, :, None], cols[None, :, None, :]])
+
+
+@lru_cache(maxsize=None)
+def _index_array(k: int, d: int) -> np.ndarray:
+    """0-based entries of the length-k sequences in 1..d, one sequence per row."""
+    seqs = sequences(k, d)
+    return np.array(seqs, dtype=np.intp).reshape(len(seqs), k) - 1
+
+
+def _columns(rows) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(p: int, q: int, d: int) -> tuple[np.ndarray, ...]:
+    """(i, j, out, sign): dx_si ^ dx_sj = sign dx_out over every disjoint pair."""
+    pos = sequence_position(p + q, d)
+    return _columns(
+        (i, j, pos[tuple(sorted(si + sj))], inversion_sign(si + sj))
+        for i, si in enumerate(sequences(p, d))
+        for j, sj in enumerate(sequences(q, d))
+        if not set(si) & set(sj)
+    )
+
+
+@lru_cache(maxsize=None)
+def _contraction_table(k: int, d: int) -> tuple[np.ndarray, ...]:
+    """(src, slot, dst, sign): dropping entry i of sequence src leaves dst, sign (-1)^i."""
+    pos = sequence_position(k - 1, d)
+    return _columns(
+        (src, sig[i] - 1, pos[sig[:i] + sig[i + 1 :]], (-1) ** i)
+        for src, sig in enumerate(sequences(k, d))
+        for i in range(k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _hodge_table(k: int, d: int) -> tuple[np.ndarray, ...]:
+    """(dst, sign): the star of the i-th basis k-form is sign[i] times basis form dst[i]."""
+    pos = sequence_position(d - k, d)
+    rests = [tuple(i for i in range(1, d + 1) if i not in sig) for sig in sequences(k, d)]
+    return _columns((pos[rest], inversion_sign(sig + rest)) for sig, rest in zip(sequences(k, d), rests))
 
 
 def wedge(omega: AltForm, eta: AltForm) -> AltForm:
@@ -104,30 +157,22 @@ def wedge(omega: AltForm, eta: AltForm) -> AltForm:
     d, p, q = omega.d, omega.k, eta.k
     if p + q > d:
         raise ValueError(f"wedge degree {p}+{q} exceeds ambient dimension {d}")
-    out = np.zeros(binomial(d, p + q))
-    pos = sequence_position(p + q, d)
-    for i, si in enumerate(sequences(p, d)):
-        a = omega.coeffs[i]
-        if a == 0.0:
-            continue
-        for j, sj in enumerate(sequences(q, d)):
-            b = eta.coeffs[j]
-            if b == 0.0:
-                continue
-            ms = _merge_sign(si, sj)
-            if ms is None:
-                continue
-            sign, merged = ms
-            out[pos[merged]] += sign * a * b
-    return AltForm(d, p + q, out)
+    i, j, out, sign = _wedge_table(p, q, d)
+    coeffs = np.bincount(out, weights=sign * omega.coeffs[i] * eta.coeffs[j], minlength=binomial(d, p + q))
+    return AltForm(d, p + q, coeffs)
 
 
 def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:
-    """Wedge a list of forms left to right; the empty product is the constant 1."""
+    """Wedge a list of forms left to right; the empty product is the constant 1.
+
+    1-forms alone wedge to the maximal minors of their stacked coefficients.
+    """
     if not forms:
         if d is None:
             raise ValueError("ambient dimension needed for the empty wedge")
         return AltForm(d, 0, np.ones(1))
+    if all(w.k == 1 for w in forms):
+        return AltForm(forms[0].d, len(forms), compound(np.vstack([w.coeffs for w in forms]), len(forms))[0])
     acc = forms[0]
     for w in forms[1:]:
         acc = wedge(acc, w)
@@ -140,31 +185,16 @@ def contraction(omega: AltForm, v: np.ndarray) -> AltForm:
         raise ValueError("cannot contract a 0-form")
     d, k = omega.d, omega.k
     v = np.asarray(v, dtype=float).reshape(d)
-    out = np.zeros(binomial(d, k - 1))
-    pos = sequence_position(k - 1, d)
-    for idx, sig in enumerate(sequences(k, d)):
-        a = omega.coeffs[idx]
-        if a == 0.0:
-            continue
-        for i in range(k):
-            sub = sig[:i] + sig[i + 1 :]
-            out[pos[sub]] += a * (-1) ** i * v[sig[i] - 1]
-    return AltForm(d, k - 1, out)
+    src, slot, dst, sign = _contraction_table(k, d)
+    coeffs = np.bincount(dst, weights=sign * omega.coeffs[src] * v[slot], minlength=binomial(d, k - 1))
+    return AltForm(d, k - 1, coeffs)
 
 
 def hodge_star(omega: AltForm) -> AltForm:
     """Hodge star in the ambient positively oriented orthonormal frame."""
     d, k = omega.d, omega.k
-    out = np.zeros(binomial(d, d - k))
-    pos = sequence_position(d - k, d)
-    for idx, sig in enumerate(sequences(k, d)):
-        a = omega.coeffs[idx]
-        if a == 0.0:
-            continue
-        s = IncreasingSequence(sig, d)
-        sc = complement(s)
-        out[pos[sc.entries]] += permutation_sign(s, sc) * a
-    return AltForm(d, d - k, out)
+    dst, sign = _hodge_table(k, d)
+    return AltForm(d, d - k, np.bincount(dst, weights=sign * omega.coeffs, minlength=binomial(d, d - k)))
 
 
 def inner(omega: AltForm, eta: AltForm) -> float:
@@ -192,17 +222,7 @@ def evaluate(omega: AltForm, vectors) -> float:
     vecs = [np.asarray(v, dtype=float).reshape(d) for v in vectors]
     if len(vecs) != k:
         raise ValueError(f"expected {k} vectors, got {len(vecs)}")
-    if k == 0:
-        return float(omega.coeffs[0])
-    V = np.column_stack(vecs)
-    total = 0.0
-    for idx, sig in enumerate(sequences(k, d)):
-        a = omega.coeffs[idx]
-        if a == 0.0:
-            continue
-        rows = [s - 1 for s in sig]
-        total += a * np.linalg.det(V[rows, :])
-    return float(total)
+    return float(compound(np.reshape(vecs, (k, d)), k)[0] @ omega.coeffs)
 
 
 def volume_coefficient(omega: AltForm) -> float:
@@ -256,10 +276,7 @@ def restrict_to_frame(frame: Frame, omega: AltForm) -> AltForm:
         raise ValueError("ambient dimension mismatch")
     if k > ell:
         return zero(ell, ell)  # the restricted space is trivial
-    out = np.empty(binomial(ell, k))
-    for idx, tau in enumerate(sequences(k, ell)):
-        out[idx] = evaluate(omega, [frame.vectors[t - 1] for t in tau])
-    return AltForm(ell, k, out)
+    return AltForm(ell, k, compound(frame.vectors, k) @ omega.coeffs)
 
 
 def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
@@ -274,16 +291,7 @@ def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
     ell = frame.size
     if omega_sub.d != ell:
         raise ValueError("form not expressed over the frame's vectors")
-    k = omega_sub.k
-    d = frame.ambient_dim
-    acc = zero(d, k)
-    for idx, tau in enumerate(sequences(k, ell)):
-        c = omega_sub.coeffs[idx]
-        if c == 0.0:
-            continue
-        factors = [flat(frame.vectors[t - 1]) for t in tau]
-        acc = acc + c * wedge_all(factors, d=d)
-    return acc
+    return AltForm(frame.ambient_dim, omega_sub.k, omega_sub.coeffs @ compound(frame.vectors, omega_sub.k))
 
 
 def hodge_star_in_subspace(frame: Frame, omega: AltForm, tol: float = DEFAULT_TOL) -> AltForm:

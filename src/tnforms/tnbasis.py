@@ -92,15 +92,20 @@ def _face_difference(f: AbstractSimplex, e: AbstractSimplex) -> tuple[int, ...]:
     return tuple(i for i in f.vertices if i not in e.vertices)
 
 
+def _hodge_factors(
+    T: GeometricSimplex, e: AbstractSimplex, f: AbstractSimplex, sigma: IncreasingSequence
+) -> list[AltForm]:
+    """Flats of e's sigma tangents, then of the gradients of the face opposite f."""
+    rest = opposite(f, T.dim).vertices if f.dim < T.dim else ()
+    return _tangent_flats(T, e, sigma) + [flat(barycentric_gradient_of(T, j)) for j in rest]
+
+
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
     """The constant-coefficient form of a basis element, in ambient coordinates."""
     d = T.dim
     e, f = elem.e, elem.f
     if elem.flavor == "hodge":
-        rest = opposite(f, d).vertices if f.dim < d else ()
-        factors = _tangent_flats(T, e, elem.sigma)
-        factors += [flat(barycentric_gradient_of(T, j)) for j in rest]
-        return hodge_star(wedge_all(factors, d=d))
+        return hodge_star(wedge_all(_hodge_factors(T, e, f, elem.sigma), d=d))
     factors = _tangent_flats(T, e, elem.sigma)
     for j in _face_difference(f, e):
         if elem.flavor == "primal":
@@ -113,9 +118,7 @@ def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
 
 
 def barycentric_gradient_of(T: GeometricSimplex, label: int) -> np.ndarray:
-    from .simplex import barycentric_gradients
-
-    return barycentric_gradients(T)[T.labels.index(label)]
+    return T._gradients[T.labels.index(label)].copy()
 
 
 def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarray:
@@ -124,13 +127,7 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     With both lists in the canonical order the matrix is diagonal with
     nonzero diagonal: the two families are scaled dual bases.
     """
-    primal = [realize(el, T) for el in decompose_altk(T, e, k, "primal")]
-    dual = [realize(el, T) for el in decompose_altk(T, e, k, "dual")]
-    out = np.empty((len(primal), len(dual)))
-    for i, w in enumerate(primal):
-        for j, v in enumerate(dual):
-            out[i, j] = inner(w, v)
-    return out
+    return realize_all(T, e, k, "primal") @ realize_all(T, e, k, "dual").T
 
 
 def hodge_coefficient(
@@ -145,14 +142,10 @@ def hodge_coefficient(
     """
     if elem.flavor != "dual":
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
-    d = T.dim
     dual_form = realize(elem, T)
     sigma_c = complement(elem.sigma)
     partner = TnBasisElement(elem.e, elem.f, sigma_c, "hodge")
-    rest = opposite(elem.f, d).vertices if elem.f.dim < d else ()
-    inner_factors = _tangent_flats(T, elem.e, sigma_c)
-    inner_factors += [flat(barycentric_gradient_of(T, j)) for j in rest]
-    partner_inner = wedge_all(inner_factors, d=d)
+    partner_inner = wedge_all(_hodge_factors(T, elem.e, elem.f, sigma_c), d=T.dim)
 
     denominator = volume_coefficient(wedge(dual_form, partner_inner))
     if abs(denominator) < 1e-14 * max(1.0, dual_form.norm() * partner_inner.norm()):

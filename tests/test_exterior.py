@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from tnforms.combinatorics import IncreasingSequence, binomial, complement, permutation_sign
 from tnforms.exterior import (
     AltForm,
     Frame,
     basis_form,
+    compound,
     contraction,
     evaluate,
     flat,
@@ -13,11 +15,13 @@ from tnforms.exterior import (
     inner,
     pullback_embed,
     restrict_to_frame,
+    sequence_position,
     sequences,
     sharp,
     standard_frame,
     volume_coefficient,
     wedge,
+    wedge_all,
     zero,
 )
 
@@ -25,9 +29,189 @@ RNG = np.random.default_rng(1234)
 
 
 def random_form(d, k, rng=RNG):
-    from tnforms.combinatorics import binomial
-
     return AltForm(d, k, rng.standard_normal(binomial(d, k)))
+
+
+# Reference loops over index sequences, one per table-driven operation:
+# the oracle that the cached tables and compound matrices are checked against.
+
+
+def _ref_merge_sign(sigma, tau):
+    """Sign and sorted union of two disjoint ascending tuples, or None on overlap."""
+    if set(sigma) & set(tau):
+        return None
+    inversions = sum(1 for a in sigma for b in tau if a > b)
+    merged = tuple(sorted(sigma + tau))
+    return (-1 if inversions % 2 else 1), merged
+
+
+def _ref_wedge(omega, eta):
+    d, p, q = omega.d, omega.k, eta.k
+    out = np.zeros(binomial(d, p + q))
+    pos = sequence_position(p + q, d)
+    for i, si in enumerate(sequences(p, d)):
+        a = omega.coeffs[i]
+        if a == 0.0:
+            continue
+        for j, sj in enumerate(sequences(q, d)):
+            b = eta.coeffs[j]
+            if b == 0.0:
+                continue
+            ms = _ref_merge_sign(si, sj)
+            if ms is None:
+                continue
+            sign, merged = ms
+            out[pos[merged]] += sign * a * b
+    return AltForm(d, p + q, out)
+
+
+def _ref_contraction(omega, v):
+    d, k = omega.d, omega.k
+    out = np.zeros(binomial(d, k - 1))
+    pos = sequence_position(k - 1, d)
+    for idx, sig in enumerate(sequences(k, d)):
+        a = omega.coeffs[idx]
+        if a == 0.0:
+            continue
+        for i in range(k):
+            sub = sig[:i] + sig[i + 1 :]
+            out[pos[sub]] += a * (-1) ** i * v[sig[i] - 1]
+    return AltForm(d, k - 1, out)
+
+
+def _ref_hodge_star(omega):
+    d, k = omega.d, omega.k
+    out = np.zeros(binomial(d, d - k))
+    pos = sequence_position(d - k, d)
+    for idx, sig in enumerate(sequences(k, d)):
+        a = omega.coeffs[idx]
+        if a == 0.0:
+            continue
+        s = IncreasingSequence(sig, d)
+        sc = complement(s)
+        out[pos[sc.entries]] += permutation_sign(s, sc) * a
+    return AltForm(d, d - k, out)
+
+
+def _ref_evaluate(omega, vectors):
+    k, d = omega.k, omega.d
+    if k == 0:
+        return float(omega.coeffs[0])
+    V = np.column_stack(vectors)
+    total = 0.0
+    for idx, sig in enumerate(sequences(k, d)):
+        a = omega.coeffs[idx]
+        if a == 0.0:
+            continue
+        rows = [s - 1 for s in sig]
+        total += a * np.linalg.det(V[rows, :])
+    return float(total)
+
+
+def _ref_restrict_to_frame(frame, omega):
+    ell, k = frame.size, omega.k
+    if k > ell:
+        return zero(ell, ell)
+    out = np.empty(binomial(ell, k))
+    for idx, tau in enumerate(sequences(k, ell)):
+        out[idx] = _ref_evaluate(omega, [frame.vectors[t - 1] for t in tau])
+    return AltForm(ell, k, out)
+
+
+def _ref_pullback_embed(frame, omega_sub):
+    ell, k, d = frame.size, omega_sub.k, frame.ambient_dim
+    acc = zero(d, k)
+    for idx, tau in enumerate(sequences(k, ell)):
+        c = omega_sub.coeffs[idx]
+        if c == 0.0:
+            continue
+        term = AltForm(d, 0, np.ones(1))
+        for t in tau:
+            term = _ref_wedge(term, flat(frame.vectors[t - 1]))
+        acc = acc + c * term
+    return acc
+
+
+def random_frame(ell, d, rng=RNG):
+    """ell orthonormal rows in R^d."""
+    return Frame(np.linalg.qr(rng.standard_normal((d, d)))[0][:ell])
+
+
+def assert_matches(got, ref, rtol=1e-13):
+    assert (got.d, got.k) == (ref.d, ref.k)
+    assert np.linalg.norm(got.coeffs - ref.coeffs) <= rtol * np.linalg.norm(ref.coeffs)
+
+
+DIMS = range(1, 7)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_wedge(self, d):
+        for p in range(d + 1):
+            for q in range(d - p + 1):
+                w, e = random_form(d, p), random_form(d, q)
+                assert_matches(wedge(w, e), _ref_wedge(w, e))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_wedge_all_of_one_forms(self, d):
+        for k in range(d + 1):
+            factors = [random_form(d, 1) for _ in range(k)]
+            chained = AltForm(d, 0, np.ones(1))
+            for w in factors:
+                chained = wedge(chained, w)
+            assert_matches(wedge_all(factors, d=d), chained)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_contraction(self, d):
+        for k in range(1, d + 1):
+            w, v = random_form(d, k), RNG.standard_normal(d)
+            assert_matches(contraction(w, v), _ref_contraction(w, v))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_hodge_star(self, d):
+        for k in range(d + 1):
+            w = random_form(d, k)
+            assert_matches(hodge_star(w), _ref_hodge_star(w))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_evaluate(self, d):
+        for k in range(d + 1):
+            w, vecs = random_form(d, k), list(RNG.standard_normal((k, d)))
+            ref = _ref_evaluate(w, vecs)
+            assert abs(evaluate(w, vecs) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_restrict_and_pullback(self, d):
+        for ell in range(1, d + 1):
+            frame = random_frame(ell, d)
+            for k in range(d + 1):
+                w = random_form(d, k)
+                assert_matches(restrict_to_frame(frame, w), _ref_restrict_to_frame(frame, w))
+                if k <= ell:
+                    w_sub = random_form(ell, k)
+                    assert_matches(pullback_embed(frame, w_sub), _ref_pullback_embed(frame, w_sub))
+
+
+class TestCompound:
+    def test_orders_minors_lexicographically(self):
+        A = RNG.standard_normal((3, 4))
+        C = compound(A, 2)
+        assert C.shape == (3, 6)
+        for r, rows in enumerate(sequences(2, 3)):
+            for c, cols in enumerate(sequences(2, 4)):
+                assert abs(C[r, c] - np.linalg.det(A[np.ix_(np.subtract(rows, 1), np.subtract(cols, 1))])) < 1e-14
+
+    def test_edge_degrees(self):
+        A = RNG.standard_normal((3, 4))
+        assert np.array_equal(compound(A, 0), np.ones((1, 1)))
+        assert np.allclose(compound(A, 1), A)
+        assert compound(A, 4).shape == (0, 1)
+
+    def test_cauchy_binet(self):
+        A, B = RNG.standard_normal((4, 5)), RNG.standard_normal((5, 3))
+        for k in range(4):
+            assert np.allclose(compound(A @ B, k), compound(A, k) @ compound(B, k), atol=1e-12)
 
 
 class TestWedge:

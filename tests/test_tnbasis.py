@@ -3,9 +3,10 @@ import pytest
 
 from tnforms.combinatorics import binomial, simplex, subsimplices
 from tnforms.exterior import basis_form, inner
-from tnforms.simplex import all_subsimplices, random_simplex, reference_simplex
+from tnforms.simplex import all_subsimplices, barycentric_gradients, random_simplex, reference_simplex
 from tnforms.tnbasis import (
     TnBasisElement,
+    barycentric_gradient_of,
     decompose_altk,
     hodge_coefficient,
     pairing_matrix,
@@ -139,6 +140,26 @@ class TestPairing:
                     off = np.abs(p - np.diag(np.diag(p)))
                     assert np.max(off, initial=0.0) < 1e-12
                     assert np.min(np.abs(np.diag(p))) > 1e-12
+
+
+    def test_matches_gram_of_inner_products(self):
+        T = random_simplex(6, RNG)
+        for e in (simplex(0), simplex(1, 4), simplex(0, 2, 3, 5)):
+            for k in range(7):
+                primal = [realize(el, T) for el in decompose_altk(T, e, k, "primal")]
+                dual = [realize(el, T) for el in decompose_altk(T, e, k, "dual")]
+                want = np.array([[inner(w, v) for v in dual] for w in primal])
+                assert np.abs(pairing_matrix(T, e, k) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestGradientOf:
+    def test_returns_a_copy_of_one_row(self):
+        T = random_simplex(3, RNG, scale=2.0)
+        before = barycentric_gradients(T)
+        g = barycentric_gradient_of(T, 2)
+        assert np.array_equal(g, before[2])
+        g[:] = 0.0
+        assert np.array_equal(barycentric_gradients(T), before)
 
 
 class TestHodgeCoefficient:
