@@ -34,7 +34,6 @@ from .simplex import (
     random_simplex,
     reference_simplex,
     surface_gradient,
-    tn_frames,
 )
 from .poly import (
     BernsteinPoly,

@@ -234,20 +234,21 @@ def volume_coefficient(omega: AltForm) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Ordered frame of vectors spanning a subspace of R^d (one vector per row).
+    """Ordered orthonormal frame of a subspace of R^d, one vector per row.
 
-    ``oriented`` records that the row order is meaningful: it fixes the
-    orientation used by the subspace Hodge star.
+    The row order is meaningful: it fixes the orientation used by the
+    subspace Hodge star.  Rows whose Gram matrix is off the identity by more
+    than ``DEFAULT_TOL`` are rejected.
     """
 
     vectors: np.ndarray
-    orthonormal: bool = True
-    oriented: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2:
             raise ValueError("frame vectors must form a 2-D array (rows = vectors)")
+        if np.abs(v @ v.T - np.eye(v.shape[0])).max(initial=0.0) > DEFAULT_TOL:
+            raise ValueError("frame vectors are not orthonormal")
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -257,12 +258,6 @@ class Frame:
     @property
     def ambient_dim(self) -> int:
         return self.vectors.shape[1]
-
-    def validate(self, tol: float = DEFAULT_TOL):
-        if self.orthonormal:
-            g = self.vectors @ self.vectors.T
-            if np.max(np.abs(g - np.eye(self.size))) > tol:
-                raise ValueError("frame marked orthonormal fails the Gram check")
 
 
 def standard_frame(d: int) -> Frame:
@@ -282,12 +277,10 @@ def restrict_to_frame(frame: Frame, omega: AltForm) -> AltForm:
 def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
     """Embed a form given in frame coordinates back into the ambient space.
 
-    For an orthonormal frame this is the pullback along the orthogonal
-    projection onto the frame's span: the result agrees with ``omega_sub``
-    on tangential vectors and annihilates the orthogonal complement.
+    This is the pullback along the orthogonal projection onto the frame's
+    span: the result agrees with ``omega_sub`` on tangential vectors and
+    annihilates the orthogonal complement.
     """
-    if not frame.orthonormal:
-        raise ValueError("embedding requires an orthonormal frame")
     ell = frame.size
     if omega_sub.d != ell:
         raise ValueError("form not expressed over the frame's vectors")
@@ -301,8 +294,6 @@ def hodge_star_in_subspace(frame: Frame, omega: AltForm, tol: float = DEFAULT_TO
     dimension and orientation, and re-embedded into ambient coordinates.
     Raises if omega has a component orthogonal to the span.
     """
-    if not (frame.orthonormal and frame.oriented):
-        raise ValueError("subspace Hodge star needs an oriented orthonormal frame")
     restricted = restrict_to_frame(frame, omega)
     back = pullback_embed(frame, restricted)
     scale = max(1.0, omega.norm())

@@ -1,25 +1,40 @@
 """Geometric simplices: barycentric gradients, tangential-normal frames.
 
 A :class:`GeometricSimplex` may be full-dimensional (a cell) or embedded
-(a sub-simplex of a cell, carrying its own vertex coordinates).  All frame
-constructions are deterministic: tangent frames come from modified
-Gram-Schmidt applied to edge vectors in ascending vertex-label order, so
-two cells sharing a sub-simplex derive identical frames from it.
+(a sub-simplex of a cell, carrying its own vertex coordinates).  Every
+tangent, gradient and volume comes from one face table per simplex, built
+lazily on first use.  Per face dimension, one batched QR of the face edge
+rows v_j - v_0 (ascending vertex labels), with the diagonal of R made
+positive, gives the face's orthonormal tangent rows, the rows Gram-Schmidt
+would give; a triangular solve with R gives its barycentric gradients.
+The table's arrays are read-only.  An entry depends only on the
+coordinates of the face's own vertices in ascending label order, so two
+cells sharing a face derive identical frames from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import AbstractSimplex, opposite, subsimplices
+from .combinatorics import AbstractSimplex, subsimplices
 from .errors import DegenerateSimplexError
 from .exterior import Frame
 
 DEGENERACY_RTOL = 1e-12
+
+
+class _Face(NamedTuple):
+    """One face: orthonormal tangent rows, barycentric gradients in its plane, volume."""
+
+    tangents: np.ndarray
+    gradients: np.ndarray
+    volume: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,25 +82,35 @@ class GeometricSimplex:
         """Columns v_i - v_0 for i = 1..m."""
         return (self.vertices[1:] - self.vertices[0]).T
 
-    @cached_property
+    @property
     def volume(self) -> float:
         """Euclidean m-volume; a vertex has volume 1 so point moments reduce to evaluation."""
-        if self.dim == 0:
-            return 1.0
-        e = self.edge_matrix
-        gram = e.T @ e
-        return float(np.sqrt(max(np.linalg.det(gram), 0.0))) / factorial(self.dim)
+        return self._faces[self.labels].volume
+
+    @property
+    def _gradients(self) -> np.ndarray:
+        return self._faces[self.labels].gradients
 
     @cached_property
-    def _gradients(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((1, self.ambient_dim))
-        e = self.edge_matrix
-        g = e @ np.linalg.inv(e.T @ e)  # columns: gradients of lambda_1..lambda_m
-        grads = np.empty((self.dim + 1, self.ambient_dim))
-        grads[1:] = g.T
-        grads[0] = -g.sum(axis=1)
-        return grads
+    def _faces(self) -> dict[tuple[int, ...], _Face]:
+        """Every face keyed by its labels, from one batched QR per face dimension.
+
+        With edge rows E = R^T Q, the gradients of lambda_1..lambda_s are the
+        rows of R^{-1} Q, and |det R| / s! is the volume.
+        """
+        table = {}
+        for s in range(self.dim + 1):
+            idx = np.array(list(combinations(range(self.dim + 1), s + 1)))
+            pts = self.vertices[idx]
+            q, r = _orthonormal_rows(pts[:, 1:] - pts[:, :1])
+            grads = np.empty(pts.shape)
+            grads[:, 1:] = np.linalg.solve(r, q)
+            grads[:, 0] = -grads[:, 1:].sum(axis=1)
+            vols = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) / factorial(s)
+            q.flags.writeable = grads.flags.writeable = False
+            for j, face in enumerate(idx):
+                table[tuple(self.labels[i] for i in face)] = _Face(q[j], grads[j], float(vols[j]))
+        return table
 
     def as_abstract(self) -> AbstractSimplex:
         return AbstractSimplex(self.labels)
@@ -139,27 +164,32 @@ def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _orthonormal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR of a stack of row sets: rows = R^T Q, Q orthonormal rows, diag(R) > 0.
+
+    Raises when a diagonal entry of R is at most DEGENERACY_RTOL times the
+    largest entry of its matrix: the rows are (nearly) linearly dependent.
+    """
+    if rows.shape[-2] > rows.shape[-1]:
+        raise DegenerateSimplexError("more vectors than dimensions in frame build")
+    q, r = np.linalg.qr(np.swapaxes(rows, -1, -2))
+    sign = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    q *= sign[..., None, :]
+    r *= sign[..., :, None]
+    floor = DEGENERACY_RTOL * np.abs(rows).max(axis=(-2, -1), initial=0.0)
+    if np.any(np.diagonal(r, axis1=-2, axis2=-1) <= floor[..., None]):
+        raise DegenerateSimplexError("linearly dependent vectors in frame build")
+    return np.swapaxes(q, -1, -2), r
+
+
 def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt; raises on (near) linear dependence."""
-    v = np.array(vectors, dtype=float)
-    scale = np.max(np.abs(v)) if v.size else 1.0
-    for i in range(v.shape[0]):
-        for j in range(i):
-            v[i] -= np.dot(v[i], v[j]) * v[j]
-        norm = np.linalg.norm(v[i])
-        if norm <= DEGENERACY_RTOL * max(scale, 1.0):
-            raise DegenerateSimplexError("linearly dependent vectors in frame build")
-        v[i] /= norm
-    return v
+    """The orthonormal rows Gram-Schmidt makes of ``vectors``; raises on (near) dependence."""
+    return _orthonormal_rows(np.asarray(vectors, dtype=float))[0]
 
 
 def tangent_basis(T: GeometricSimplex, e: AbstractSimplex) -> np.ndarray:
-    """Orthonormal tangent vectors of a subsimplex, (s, d), from ascending edges."""
-    idx = [T.labels.index(i) for i in e.vertices]
-    pts = T.vertices[idx]
-    if len(idx) == 1:
-        return np.zeros((0, T.ambient_dim))
-    return gram_schmidt(pts[1:] - pts[0])
+    """Orthonormal tangent rows of a subsimplex, (s, d), from its ascending edges; read-only."""
+    return T._faces[e.vertices].tangents
 
 
 def oriented_subframe(T: GeometricSimplex, f: AbstractSimplex) -> Frame:
@@ -170,16 +200,19 @@ def oriented_subframe(T: GeometricSimplex, f: AbstractSimplex) -> Frame:
     """
     if f.dim < 1:
         raise ValueError("oriented frame needs a subsimplex of dimension >= 1")
-    return Frame(tangent_basis(T, f), orthonormal=True, oriented=True)
+    return Frame(tangent_basis(T, f))
+
+
+def _face_gradient(T: GeometricSimplex, face: tuple[int, ...], i: int) -> np.ndarray:
+    """Gradient of lambda_i within the plane of a face containing i; read-only."""
+    return T._faces[face].gradients[face.index(i)]
 
 
 def surface_gradient(T: GeometricSimplex, f: AbstractSimplex, i: int) -> np.ndarray:
-    """Orthogonal projection of grad lambda_i onto the tangent plane of f."""
-    gi = T._gradients[T.labels.index(i)]
-    if f.dim == 0:
+    """Tangential part of grad lambda_i on f: f's own gradient if i is in f, else zero."""
+    if i not in f.vertices:
         return np.zeros(T.ambient_dim)
-    basis = tangent_basis(T, f)
-    return basis.T @ (basis @ gi)
+    return _face_gradient(T, f.vertices, i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,47 +244,23 @@ class TnFrameSet:
             raise ValueError("tangential-normal pairing is not diagonal")
 
 
-def tn_frames(T: GeometricSimplex, e: AbstractSimplex) -> TnFrameSet:
-    """Tangent frame of e plus the two dual bases of its normal plane in T."""
-    d = T.dim
-    star_labels = () if e.dim == d else opposite(e, d).vertices
-    grads = T._gradients
-    face = np.array([grads[T.labels.index(i)] for i in star_labels]).reshape(len(star_labels), T.ambient_dim)
-    tn = np.array(
-        [
-            surface_gradient(T, AbstractSimplex(tuple(sorted(e.vertices + (i,)))), i)
-            for i in star_labels
-        ]
-    ).reshape(len(star_labels), T.ambient_dim)
-    out = TnFrameSet(
-        e=e,
-        tangents=tangent_basis(T, e),
-        normal_labels=star_labels,
-        normals_face=face,
-        normals_tn=tn,
-    )
-    out.validate()
-    return out
-
-
 def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> TnFrameSet:
-    """Dual bases of the normal plane of e inside the tangent plane of f."""
-    if not (e.issubset(f) and e.dim < f.dim):
-        raise ValueError("need e strictly contained in f")
+    """Dual bases of the normal plane of e inside the tangent plane of f.
+
+    With f the cell these are the t-n frames of e; with e == f the normal
+    families are empty.
+    """
+    if not e.issubset(f):
+        raise ValueError("need e contained in f")
     rest = tuple(i for i in f.vertices if i not in e.vertices)
-    face = np.array([surface_gradient(T, f, i) for i in rest])
-    tn = np.array(
-        [
-            surface_gradient(T, AbstractSimplex(tuple(sorted(e.vertices + (i,)))), i)
-            for i in rest
-        ]
-    )
+    face = T._faces[f.vertices].gradients[[f.vertices.index(i) for i in rest]]
+    tn = [_face_gradient(T, tuple(sorted(e.vertices + (i,))), i) for i in rest]
     out = TnFrameSet(
         e=e,
         tangents=tangent_basis(T, e),
         normal_labels=rest,
         normals_face=face,
-        normals_tn=tn,
+        normals_tn=np.array(tn).reshape(len(rest), T.ambient_dim),
     )
     out.validate()
     return out
@@ -281,7 +290,7 @@ def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Fr
     rows = tangent_basis(T, facet).copy()
     if np.linalg.det(np.vstack([n, rows])) < 0:
         rows[-1] = -rows[-1]
-    return Frame(rows, orthonormal=True, oriented=True), n
+    return Frame(rows), n
 
 
 def all_subsimplices(T: GeometricSimplex) -> list[AbstractSimplex]:

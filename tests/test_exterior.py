@@ -376,6 +376,19 @@ class TestSubspaceHodge:
             hodge_star_in_subspace(self.xy_frame(), basis_form(3, 1, (3,)))
 
 
+class TestFrame:
+    def test_orthonormal_rows_accepted(self):
+        rows = np.linalg.qr(RNG.standard_normal((4, 4)))[0][:2]
+        assert Frame(rows).size == 2
+
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [[2.0, 0.0, 0.0]], [[1.0, 1e-4, 0.0]]]
+    )
+    def test_non_orthonormal_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            Frame(np.array(rows))
+
+
 class TestEmbedding:
     def test_full_dimension_identity(self):
         w = random_form(3, 2)

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from tnforms.combinatorics import simplex, subsimplices, opposite
 from tnforms.errors import DegenerateSimplexError
 from tnforms.simplex import (
+    DEGENERACY_RTOL,
     GeometricSimplex,
     all_subsimplices,
     barycentric_coordinates,
     barycentric_gradients,
+    gram_schmidt,
     induced_facet_frame,
     nef_frames,
     oriented_subframe,
@@ -17,10 +21,132 @@ from tnforms.simplex import (
     subsimplex_geometry,
     surface_gradient,
     tangent_basis,
-    tn_frames,
 )
 
 RNG = np.random.default_rng(7)
+
+
+# Reference geometry: the modified Gram-Schmidt loop, normal-equation
+# gradients and projected surface gradients the face table replaced.
+
+
+def _ref_gram_schmidt(vectors):
+    v = np.array(vectors, dtype=float)
+    scale = np.max(np.abs(v)) if v.size else 1.0
+    for i in range(v.shape[0]):
+        for j in range(i):
+            v[i] -= np.dot(v[i], v[j]) * v[j]
+        norm = np.linalg.norm(v[i])
+        if norm <= DEGENERACY_RTOL * max(scale, 1.0):
+            raise DegenerateSimplexError("linearly dependent vectors in frame build")
+        v[i] /= norm
+    return v
+
+
+def _ref_gradients(T):
+    e = T.edge_matrix
+    g = e @ np.linalg.inv(e.T @ e)
+    grads = np.empty((T.dim + 1, T.ambient_dim))
+    grads[1:] = g.T
+    grads[0] = -g.sum(axis=1)
+    return grads
+
+
+def _ref_tangents(T, f):
+    pts = T.vertices[[T.labels.index(i) for i in f.vertices]]
+    return _ref_gram_schmidt(pts[1:] - pts[0])
+
+
+def _ref_surface_gradient(T, f, i):
+    gi = _ref_gradients(T)[T.labels.index(i)]
+    if f.dim == 0:
+        return np.zeros(T.ambient_dim)
+    basis = _ref_tangents(T, f)
+    return basis.T @ (basis @ gi)
+
+
+def _ref_volume(T):
+    e = T.edge_matrix
+    return math.sqrt(max(np.linalg.det(e.T @ e), 0.0)) / math.factorial(T.dim)
+
+
+def _faces(T):
+    cell = simplex(*T.labels)
+    return [f for s in range(T.dim + 1) for f in subsimplices(cell, s)]
+
+
+def _flatten_last_vertex(v, flatness):
+    """Move the last vertex to height flatness * diameter above the opposite facet."""
+    base = v[:-1]
+    q, _ = np.linalg.qr((base[1:] - base[0]).T, mode="complete")
+    normal = q[:, -1]
+    height = float(np.dot(v[-1] - base[0], normal))
+    diameter = max(np.linalg.norm(a - b) for a in v for b in v)
+    out = v.copy()
+    out[-1] = v[-1] + (math.copysign(flatness * diameter, height) - height) * normal
+    return out
+
+
+def _reference_cells():
+    cells = [random_simplex(d, np.random.default_rng(d)) for d in range(1, 7)]
+    embedded = np.random.default_rng(11).standard_normal((3, 4))
+    return cells + [GeometricSimplex(embedded, labels=(2, 5, 7))]
+
+
+class TestFaceTableAgainstReference:
+    @pytest.mark.parametrize("T", _reference_cells(), ids=lambda T: f"{T.dim}in{T.ambient_dim}")
+    def test_every_face(self, T):
+        g_ref = _ref_gradients(T)
+        assert np.abs(barycentric_gradients(T) - g_ref).max() <= 1e-11 * np.abs(g_ref).max()
+        assert abs(T.volume - _ref_volume(T)) <= 1e-13 * _ref_volume(T)
+        for f in _faces(T):
+            assert np.abs(tangent_basis(T, f) - _ref_tangents(T, f)).max(initial=0.0) <= 1e-13
+            for i, gi in zip(T.labels, g_ref):
+                err = np.linalg.norm(surface_gradient(T, f, i) - _ref_surface_gradient(T, f, i))
+                assert err <= 1e-11 * np.linalg.norm(gi)
+
+    def test_table_is_read_only(self):
+        T = random_simplex(3, RNG)
+        with pytest.raises(ValueError):
+            tangent_basis(T, simplex(0, 2))[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            T._gradients[0, 0] = 1.0
+        barycentric_gradients(T)[0, 0] = 1.0  # the public copy stays writable
+
+
+class TestScaleAndSlivers:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_tiny_cell_builds_every_frame(self, d):
+        unit = random_simplex(d, np.random.default_rng(100 + d))
+        T = GeometricSimplex(1e-14 * unit.vertices)
+        faces = _faces(T)
+        for f in faces:
+            assert np.abs(tangent_basis(T, f) - tangent_basis(unit, f)).max(initial=0.0) < 1e-13
+        for f in faces:
+            for e in faces:
+                if e.issubset(f):
+                    fr = nef_frames(T, f, e)
+                    ref = nef_frames(unit, f, e)
+                    assert np.allclose(1e-14 * fr.normals_face, ref.normals_face, rtol=1e-11, atol=0)
+                    assert np.allclose(1e-14 * fr.normals_tn, ref.normals_tn, rtol=1e-11, atol=0)
+        for F in subsimplices(T.full_simplex(), d - 1):
+            frame, n = induced_facet_frame(T, F)
+            assert abs(np.linalg.det(np.vstack([n, frame.vectors])) - 1.0) < 1e-12
+
+    def test_gram_schmidt_floor_is_relative(self):
+        rows = RNG.standard_normal((3, 5))
+        assert np.abs(gram_schmidt(1e-14 * rows) - gram_schmidt(rows)).max() < 1e-13
+        with pytest.raises(DegenerateSimplexError):
+            gram_schmidt(1e-14 * np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sliver_gradient_identity(self, d):
+        rng = np.random.default_rng(200 + d)
+        for _ in range(5):
+            v = _flatten_last_vertex(random_simplex(d, rng).vertices.copy(), 1e-7)
+            g = barycentric_gradients(GeometricSimplex(v))
+            expected = np.vstack([-np.ones(d), np.eye(d)])
+            assert np.abs(g @ (v[1:] - v[0]).T - expected).max() <= 1e-8
 
 
 class TestBarycentricGradients:
@@ -113,7 +239,7 @@ class TestSurfaceGradient:
 class TestTnFrames:
     def test_vertex_anchor_gives_edge_tangents(self):
         T = random_simplex(3, RNG)
-        fs = tn_frames(T, simplex(0))
+        fs = nef_frames(T, T.full_simplex(), simplex(0))
         for row, i in zip(fs.normals_tn, fs.normal_labels):
             edge = T.vertices[i] - T.vertices[0]
             cosine = row @ edge / (np.linalg.norm(row) * np.linalg.norm(edge))
@@ -121,7 +247,7 @@ class TestTnFrames:
 
     def test_edge_anchor_of_tetrahedron(self):
         T = random_simplex(3, RNG)
-        fs = tn_frames(T, simplex(0, 1))
+        fs = nef_frames(T, T.full_simplex(), simplex(0, 1))
         assert fs.normal_labels == (2, 3)
         p = fs.pairing()
         assert np.all(np.abs(np.diag(p)) > 0)
@@ -132,7 +258,7 @@ class TestTnFrames:
         for _ in range(10):
             T = random_simplex(d, RNG)
             for e in all_subsimplices(T):
-                fs = tn_frames(T, e)
+                fs = nef_frames(T, T.full_simplex(), e)
                 p = fs.pairing()
                 if p.size == 0:
                     continue
@@ -142,7 +268,7 @@ class TestTnFrames:
     def test_diagonal_is_squared_norm(self):
         T = random_simplex(3, RNG)
         for e in all_subsimplices(T):
-            fs = tn_frames(T, e)
+            fs = nef_frames(T, T.full_simplex(), e)
             p = fs.pairing()
             for idx in range(p.shape[0]):
                 assert abs(p[idx, idx] - np.linalg.norm(fs.normals_tn[idx]) ** 2) < 1e-11
@@ -150,7 +276,7 @@ class TestTnFrames:
     def test_tangents_span_edge_vectors(self):
         T = random_simplex(4, RNG)
         e = simplex(0, 2, 3)
-        tang = tn_frames(T, e).tangents
+        tang = nef_frames(T, T.full_simplex(), e).tangents
         for i in (2, 3):
             v = T.vertices[i] - T.vertices[0]
             residual = v - tang.T @ (tang @ v)
@@ -159,12 +285,18 @@ class TestTnFrames:
 
 class TestNefFrames:
     def test_full_face_reduces_to_tn(self):
+        # with f the cell, the face normals are the cell's barycentric gradients
         T = random_simplex(3, RNG)
-        e = simplex(0, 1)
-        full = simplex(0, 1, 2, 3)
-        a, b = nef_frames(T, full, e), tn_frames(T, e)
-        assert np.allclose(a.normals_face, b.normals_face)
-        assert np.allclose(a.normals_tn, b.normals_tn)
+        g = barycentric_gradients(T)
+        for e in all_subsimplices(T):
+            fr = nef_frames(T, T.full_simplex(), e)
+            assert np.array_equal(fr.normals_face, g[list(fr.normal_labels)].reshape(-1, 3))
+
+    def test_equal_faces_give_empty_normals(self):
+        T = random_simplex(3, RNG)
+        fr = nef_frames(T, simplex(0, 2), simplex(0, 2))
+        assert fr.normal_labels == () and fr.normals_face.shape == fr.normals_tn.shape == (0, 3)
+        assert np.array_equal(fr.tangents, tangent_basis(T, simplex(0, 2)))
 
     def test_codimension_one_parallel(self):
         T = random_simplex(3, RNG)
