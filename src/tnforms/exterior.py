@@ -25,8 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .combinatorics import binomial, inversion_sign
-
-DEFAULT_TOL = 1e-10
+from .errors import ORTHONORMAL_RTOL
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +237,7 @@ class Frame:
 
     The row order is meaningful: it fixes the orientation used by the
     subspace Hodge star.  Rows whose Gram matrix is off the identity by more
-    than ``DEFAULT_TOL`` are rejected.
+    than ``ORTHONORMAL_RTOL`` are rejected.
     """
 
     vectors: np.ndarray
@@ -247,7 +246,7 @@ class Frame:
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2:
             raise ValueError("frame vectors must form a 2-D array (rows = vectors)")
-        if np.abs(v @ v.T - np.eye(v.shape[0])).max(initial=0.0) > DEFAULT_TOL:
+        if np.abs(v @ v.T - np.eye(v.shape[0])).max(initial=0.0) > ORTHONORMAL_RTOL:
             raise ValueError("frame vectors are not orthonormal")
         object.__setattr__(self, "vectors", v)
 
@@ -287,16 +286,15 @@ def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
     return AltForm(frame.ambient_dim, omega_sub.k, omega_sub.coeffs @ compound(frame.vectors, omega_sub.k))
 
 
-def hodge_star_in_subspace(frame: Frame, omega: AltForm, tol: float = DEFAULT_TOL) -> AltForm:
+def hodge_star_in_subspace(frame: Frame, omega: AltForm) -> AltForm:
     """Hodge star of a tangential form taken inside the frame's span.
 
     The form is converted to frame coordinates, starred in the frame's
     dimension and orientation, and re-embedded into ambient coordinates.
-    Raises if omega has a component orthogonal to the span.
+    Raises if omega's part orthogonal to the span exceeds ORTHONORMAL_RTOL |omega|.
     """
     restricted = restrict_to_frame(frame, omega)
-    back = pullback_embed(frame, restricted)
-    scale = max(1.0, omega.norm())
-    if (back - omega).norm() > tol * scale:
-        raise ValueError("form is not tangential to the frame's span")
+    residual = (pullback_embed(frame, restricted) - omega).norm()
+    if residual > ORTHONORMAL_RTOL * omega.norm():
+        raise ValueError(f"form not tangential to the span: relative residual {residual / omega.norm():.3e}")
     return pullback_embed(frame, hodge_star(restricted))

@@ -17,6 +17,7 @@ from math import factorial
 import numpy as np
 
 from .combinatorics import AbstractSimplex, binomial
+from .errors import MAX_CONDITION
 from .simplex import GeometricSimplex, barycentric_coordinates
 
 MAX_DEGREE = 10
@@ -198,7 +199,7 @@ def nodal_vandermonde(dim: int, r: int) -> np.ndarray:
 def nodal_to_bernstein(dim: int, r: int) -> np.ndarray:
     """Inverse Vandermonde: Bernstein coefficients from nodal values."""
     V = nodal_vandermonde(dim, r)
-    if np.linalg.cond(V) > 1e13:
+    if np.linalg.cond(V) > MAX_CONDITION:
         raise ValueError(f"nodal/Bernstein conversion ill-conditioned at (dim={dim}, r={r})")
     out = np.linalg.inv(V)
     out.setflags(write=False)

@@ -23,10 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import AbstractSimplex, subsimplices
-from .errors import DegenerateSimplexError
+from .errors import DEGENERACY_RTOL, PAIRING_RTOL, DegenerateSimplexError
 from .exterior import Frame
-
-DEGENERACY_RTOL = 1e-12
 
 
 class _Face(NamedTuple):
@@ -62,12 +60,9 @@ class GeometricSimplex:
         if len(labels) != m + 1:
             raise ValueError("one label per vertex required")
         object.__setattr__(self, "labels", labels)
-        if m >= 1:
-            svals = np.linalg.svd(self.edge_matrix, compute_uv=False)
-            if svals[-1] <= DEGENERACY_RTOL * svals[0]:
-                raise DegenerateSimplexError(
-                    f"singular value ratio {svals[-1]:.3e}/{svals[0]:.3e} below threshold"
-                )
+        svals = np.linalg.svd(self.edge_matrix, compute_uv=False) if m >= 1 else np.ones(1)
+        if svals[-1] <= DEGENERACY_RTOL * svals[0]:
+            raise DegenerateSimplexError(f"singular values {svals[-1]:.3e} <= {DEGENERACY_RTOL} * {svals[0]:.3e}")
 
     @property
     def ambient_dim(self) -> int:
@@ -220,9 +215,9 @@ class TnFrameSet:
     """Dual pair of bases for the normal plane of a subsimplex e (within f).
 
     ``normals_face`` holds the face-normal vectors and ``normals_tn`` the
-    tangential-normal vectors, row i belonging to ``normal_labels[i]``; the
-    two families pair diagonally.  ``tangents`` is an orthonormal basis of
-    the tangent plane of e.
+    tangential-normal vectors, row i belonging to ``normal_labels[i]``; they
+    pair diagonally, off-diagonals at most PAIRING_RTOL times the least
+    (positive) diagonal.  ``tangents`` is an orthonormal basis of e's plane.
     """
 
     e: AbstractSimplex
@@ -234,14 +229,14 @@ class TnFrameSet:
     def pairing(self) -> np.ndarray:
         return self.normals_tn @ self.normals_face.T
 
-    def validate(self, rtol: float = 1e-8):
+    def validate(self):
         p = self.pairing()
-        if p.size == 0:
-            return
-        diag = np.abs(np.diag(p))
-        off = np.abs(p - np.diag(np.diag(p)))
-        if np.any(diag <= 0.0) or np.max(off, initial=0.0) > rtol * max(diag.max(), 1.0):
-            raise ValueError("tangential-normal pairing is not diagonal")
+        diag = p.diagonal().copy()
+        np.fill_diagonal(p, 0.0)
+        ratio = np.abs(p).max(initial=0.0) / diag.min(initial=np.inf) if np.all(diag > 0.0) else np.inf
+        if ratio > PAIRING_RTOL:
+            f = tuple(sorted(self.e.vertices + self.normal_labels))
+            raise ValueError(f"pairing at e={self.e.vertices}, f={f} not diagonal: ratio {ratio:.3e} > {PAIRING_RTOL}")
 
 
 def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> TnFrameSet:

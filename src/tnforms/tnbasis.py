@@ -24,6 +24,7 @@ from .combinatorics import (
     opposite,
     supersimplices,
 )
+from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
 from .simplex import GeometricSimplex, surface_gradient, tangent_basis
 
@@ -130,15 +131,13 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     return realize_all(T, e, k, "primal") @ realize_all(T, e, k, "dual").T
 
 
-def hodge_coefficient(
-    T: GeometricSimplex, elem: TnBasisElement, tol: float = 1e-8
-) -> tuple[float, TnBasisElement]:
+def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
     """Proportionality constant linking a dual element to its starred partner.
 
     The ambient Hodge star sends the dual-flavor form to a multiple of the
     complementary primal-style form built from sigma-complement tangents and
-    the gradients of the opposite face.  Returns (c, partner) and checks the
-    collinearity numerically.
+    the gradients of the opposite face.  Returns (c, partner), raising when the
+    pairing or collinearity fails its tolerance in :mod:`tnforms.errors`.
     """
     if elem.flavor != "dual":
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
@@ -146,16 +145,18 @@ def hodge_coefficient(
     sigma_c = complement(elem.sigma)
     partner = TnBasisElement(elem.e, elem.f, sigma_c, "hodge")
     partner_inner = wedge_all(_hodge_factors(T, elem.e, elem.f, sigma_c), d=T.dim)
+    at = f"e={elem.e.vertices}, f={elem.f.vertices}, sigma={elem.sigma.entries}, d={T.dim}, k={dual_form.k}"
 
     denominator = volume_coefficient(wedge(dual_form, partner_inner))
-    if abs(denominator) < 1e-14 * max(1.0, dual_form.norm() * partner_inner.norm()):
-        raise ValueError("degenerate pairing while computing the Hodge coefficient")
+    scale = dual_form.norm() * partner_inner.norm()
+    if abs(denominator) <= DEGENERACY_RTOL * scale:
+        raise ValueError(f"degenerate Hodge pairing at {at}: {abs(denominator):.3e} <= {DEGENERACY_RTOL} * {scale:.3e}")
     c = inner(dual_form, dual_form) / denominator
 
     starred = hodge_star(dual_form)
-    residual = (starred - c * partner_inner).norm()
-    if residual > tol * max(1.0, starred.norm()):
-        raise ValueError(f"Hodge collinearity residual {residual:.3e} exceeds tolerance")
+    residual = (starred - c * partner_inner).norm() / starred.norm()
+    if residual > PAIRING_RTOL:
+        raise ValueError(f"Hodge collinearity at {at}: relative residual {residual:.3e} > {PAIRING_RTOL}")
     return c, partner
 
 

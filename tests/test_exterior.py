@@ -375,6 +375,14 @@ class TestSubspaceHodge:
         with pytest.raises(ValueError):
             hodge_star_in_subspace(self.xy_frame(), basis_form(3, 1, (3,)))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_tangentiality_is_relative(self, scale):
+        # a normal part of 1e-5 relative to the form is rejected at every size
+        dx1, dx3 = basis_form(3, 1, (1,)), basis_form(3, 1, (3,))
+        hodge_star_in_subspace(self.xy_frame(), scale * dx1)
+        with pytest.raises(ValueError, match=r"relative residual 1\.000e-05"):
+            hodge_star_in_subspace(self.xy_frame(), scale * dx1 + 1e-5 * scale * dx3)
+
 
 class TestFrame:
     def test_orthonormal_rows_accepted(self):

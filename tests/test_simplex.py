@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -316,6 +317,20 @@ class TestNefFrames:
         T = random_simplex(3, RNG)
         with pytest.raises(ValueError):
             nef_frames(T, simplex(0, 1), simplex(2))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+    def test_validate_is_relative_to_the_diagonal(self, scale):
+        # an off-diagonal entry of 3e-3 times the diagonal is rejected at every size
+        T = GeometricSimplex(scale * random_simplex(3, np.random.default_rng(11)).vertices)
+        fr = nef_frames(T, T.full_simplex(), simplex(0, 1))
+        shift = np.linalg.pinv(fr.normals_face) @ np.array([0.0, 3e-3 * fr.pairing().diagonal().min()])
+        bad = dataclasses.replace(fr, normals_tn=fr.normals_tn + np.outer([1.0, 0.0], shift))
+        p = bad.pairing()
+        assert abs(p[0, 1]) / p.diagonal().min() == pytest.approx(3e-3, rel=1e-6)
+        with pytest.raises(ValueError, match=r"e=\(0, 1\), f=\(0, 1, 2, 3\) not diagonal: ratio 3\.000e-03"):
+            bad.validate()
+        with pytest.raises(ValueError, match="ratio inf"):
+            dataclasses.replace(fr, normals_tn=-fr.normals_tn).validate()
 
 
 class TestOrientedSubframe:

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from tnforms.combinatorics import binomial, simplex, subsimplices
-from tnforms.exterior import basis_form, inner
-from tnforms.simplex import all_subsimplices, barycentric_gradients, random_simplex, reference_simplex
+from tnforms.exterior import basis_form, hodge_star, inner
+from tnforms.simplex import (
+    GeometricSimplex,
+    all_subsimplices,
+    barycentric_gradients,
+    random_simplex,
+    reference_simplex,
+)
 from tnforms.tnbasis import (
     TnBasisElement,
     barycentric_gradient_of,
@@ -180,9 +186,28 @@ class TestHodgeCoefficient:
             for e in all_subsimplices(T):
                 for k in range(d + 1):
                     for el in decompose_altk(T, e, k, "dual"):
-                        c, partner = hodge_coefficient(T, el, tol=1e-11)
+                        c, partner = hodge_coefficient(T, el)
                         assert abs(c) > 1e-12
                         assert partner.e == el.e and partner.f == el.f
+                        # the realized partner is star(pi), so pi = (-1)^(k(d-k)) star(realized partner)
+                        starred = hodge_star(realize(el, T))
+                        pi = hodge_star(realize(partner, T)) * (-1) ** (k * (d - k))
+                        assert (starred - c * pi).norm() <= 1e-11 * starred.norm()
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_scaled_cells_match_unit_cell(self, d):
+        # The dual form carries dim f - dim e gradients and its partner the
+        # d - dim f gradients of the opposite face, each scaling as 1/s, so c
+        # scales as s^(d + dim e - 2 dim f) and the partner does not change.
+        unit = random_simplex(d, np.random.default_rng(50 + d))
+        elems = [decompose_altk(unit, e, k, "dual")[0] for e in all_subsimplices(unit) for k in range(d + 1)]
+        want = [hodge_coefficient(unit, el) for el in elems]
+        for scale in (1e-6, 1e3, 1e6):
+            T = GeometricSimplex(scale * unit.vertices)
+            for el, (c0, partner0) in zip(elems, want):
+                c, partner = hodge_coefficient(T, el)
+                assert partner == partner0
+                assert abs(c / c0 * scale ** (2 * el.f.dim - d - el.e.dim) - 1.0) < 1e-10
 
     def test_requires_dual_flavor(self):
         T = random_simplex(2, RNG)
