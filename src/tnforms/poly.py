@@ -90,22 +90,22 @@ def bernstein_eval(p: BernsteinPoly, x: np.ndarray, T: GeometricSimplex) -> floa
     if T.dim != p.dim:
         raise ValueError("simplex dimension mismatch")
     lam = barycentric_coordinates(T, x)
-    return float(p.coeffs @ _monomial_values(p.dim, p.r, lam))
-
-
-def _monomial_values(dim: int, r: int, lam: np.ndarray) -> np.ndarray:
-    """Values of every lambda^alpha at given barycentric coordinates."""
-    idx = np.array(_lattice(dim, r), dtype=int)
-    if idx.size == 0:
-        return np.zeros(0)
-    with np.errstate(invalid="ignore"):
-        vals = np.prod(np.power(lam[None, :], idx), axis=1)
-    return vals
+    return float(p.coeffs @ monomial_values_at(p.dim, p.r, lam)[0])
 
 
 def monomial_values_at(dim: int, r: int, lams: np.ndarray) -> np.ndarray:
-    """Matrix of lambda^alpha values, one row per barycentric-coordinate row."""
-    return np.array([_monomial_values(dim, r, lam) for lam in np.atleast_2d(lams)])
+    """Matrix of lambda^alpha values, one row per barycentric-coordinate row.
+
+    Built one barycentric column at a time, which keeps the working set at
+    the size of the result.
+    """
+    lams = np.atleast_2d(lams)
+    idx = np.array(_lattice(dim, r), dtype=int).reshape(-1, dim + 1)
+    vals = np.ones((lams.shape[0], idx.shape[0]))
+    with np.errstate(invalid="ignore"):
+        for i in range(dim + 1):
+            vals *= lams[:, i, None] ** idx[None, :, i]
+    return vals
 
 
 def lagrange_eval(alpha: LatticeIndex, x: np.ndarray, T: GeometricSimplex) -> float:

@@ -107,12 +107,9 @@ class GeometricSimplex:
                 table[tuple(self.labels[i] for i in face)] = _Face(q[j], grads[j], float(vols[j]))
         return table
 
-    def as_abstract(self) -> AbstractSimplex:
-        return AbstractSimplex(self.labels)
-
     def full_simplex(self) -> AbstractSimplex:
-        """The abstract simplex on this cell's local labels 0..dim."""
-        return AbstractSimplex(tuple(range(self.dim + 1)))
+        """The abstract simplex on this cell's vertex labels."""
+        return AbstractSimplex(self.labels)
 
 
 def reference_simplex(d: int) -> GeometricSimplex:

@@ -1,10 +1,12 @@
 """Tangential-normal bases of alternating forms anchored at a subsimplex.
 
-Fixing an anchor e of dimension s, the space of constant k-forms splits
-over the faces f containing e.  Each basis element wedges flats of e's
-orthonormal tangent vectors with either full barycentric gradients (primal
-flavor), the tangential-normal vectors dual to them (dual flavor), or an
-ambient Hodge star of the complementary data (hodge flavor).  Elements are
+For an anchor e of dimension s in a d-cell, ``nef_frames(T, T.full_simplex(), e)``
+gives a d x d frame matrix: e's s orthonormal tangents, then one normal per
+label outside e, ascending; the normals are the barycentric gradients
+(primal and hodge flavors) or the t-n vectors (dual flavor).  Each basis
+k-form wedges k rows, so a basis is the k-th compound of the frame matrix:
+sigma's tangents and the normals of f minus e, or, for a hodge element, the
+star of sigma's tangents wedged with the normals outside f.  Elements are
 ordered by face dimension, then face, then tangential sequence, which makes
 downstream degree-of-freedom matrices block lower triangular.
 """
@@ -21,12 +23,11 @@ from .combinatorics import (
     binomial,
     complement,
     increasing_sequences,
-    opposite,
     supersimplices,
 )
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
-from .exterior import AltForm, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
-from .simplex import GeometricSimplex, surface_gradient, tangent_basis
+from .exterior import AltForm, compound, flat, hodge_star, inner, sequence_position, volume_coefficient, wedge, wedge_all
+from .simplex import GeometricSimplex, nef_frames
 
 FLAVORS = ("primal", "dual", "hodge")
 
@@ -53,12 +54,6 @@ class TnBasisElement:
         if self.sigma.n != self.e.dim:
             raise ValueError("sequence range must equal the anchor dimension")
 
-    def form_degree(self, ambient_dim: int) -> int:
-        ell, s = self.f.dim, self.e.dim
-        if self.flavor == "hodge":
-            return ell - len(self.sigma)
-        return len(self.sigma) + (ell - s)
-
 
 def decompose_altk(
     T: GeometricSimplex, e: AbstractSimplex, k: int, flavor: str = "primal"
@@ -75,6 +70,10 @@ def decompose_altk(
         raise ValueError(f"need 0 <= k <= d, got k={k}")
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
+    if T.labels != tuple(range(d + 1)):
+        raise ValueError(f"faces are enumerated over labels 0..{d}, the cell has labels {T.labels}")
+    if not e.issubset(T.full_simplex()):
+        raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {T.labels}")
     out = []
     for ell in range(max(s, k), min(k + s, d) + 1):
         for f in supersimplices(e, ell, d):
@@ -84,51 +83,50 @@ def decompose_altk(
     return out
 
 
-def _tangent_flats(T: GeometricSimplex, e: AbstractSimplex, sigma: IncreasingSequence) -> list[AltForm]:
-    basis = tangent_basis(T, e)
-    return [flat(basis[i - 1]) for i in sigma]
+def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.ndarray]:
+    """The primal and dual frame matrices of anchor e, (d, d) each."""
+    fs = nef_frames(T, T.full_simplex(), e)
+    return np.vstack([fs.tangents, fs.normals_face]), np.vstack([fs.tangents, fs.normals_tn])
 
 
-def _face_difference(f: AbstractSimplex, e: AbstractSimplex) -> tuple[int, ...]:
-    return tuple(i for i in f.vertices if i not in e.vertices)
+def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The 1-based, increasing frame rows an element wedges, given the cell's labels.
+
+    Its sigma tangents, then the normals of f minus e, or, for the hodge
+    flavor, of the vertices outside f.
+    """
+    normals = [j for j in labels if j not in elem.e]
+    picked = [j for j in normals if (j in elem.f) != (elem.flavor == "hodge")]
+    return elem.sigma.entries + tuple(elem.e.dim + 1 + normals.index(j) for j in picked)
 
 
-def _hodge_factors(
-    T: GeometricSimplex, e: AbstractSimplex, f: AbstractSimplex, sigma: IncreasingSequence
-) -> list[AltForm]:
-    """Flats of e's sigma tangents, then of the gradients of the face opposite f."""
-    rest = opposite(f, T.dim).vertices if f.dim < T.dim else ()
-    return _tangent_flats(T, e, sigma) + [flat(barycentric_gradient_of(T, j)) for j in rest]
+def _wedge_rows(T: GeometricSimplex, elem: TnBasisElement) -> AltForm:
+    """The wedge of an element's frame rows; a hodge element's form before the star."""
+    primal, dual = _frames(T, elem.e)
+    frame = dual if elem.flavor == "dual" else primal
+    return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, T.labels)], d=T.dim)
 
 
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
     """The constant-coefficient form of a basis element, in ambient coordinates."""
-    d = T.dim
-    e, f = elem.e, elem.f
-    if elem.flavor == "hodge":
-        return hodge_star(wedge_all(_hodge_factors(T, e, f, elem.sigma), d=d))
-    factors = _tangent_flats(T, e, elem.sigma)
-    for j in _face_difference(f, e):
-        if elem.flavor == "primal":
-            vec = barycentric_gradient_of(T, j)
-        else:
-            g = AbstractSimplex(tuple(sorted(e.vertices + (j,))))
-            vec = surface_gradient(T, g, j)
-        factors.append(flat(vec))
-    return wedge_all(factors, d=d)
-
-
-def barycentric_gradient_of(T: GeometricSimplex, label: int) -> np.ndarray:
-    return T._gradients[T.labels.index(label)].copy()
+    form = _wedge_rows(T, elem)
+    return hodge_star(form) if elem.flavor == "hodge" else form
 
 
 def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarray:
     """Gram matrix of the primal elements against the dual elements.
 
-    With both lists in the canonical order the matrix is diagonal with
-    nonzero diagonal: the two families are scaled dual bases.
+    Both families are k-th compounds of their frame matrices, so by
+    Cauchy-Binet the Gram matrix is the k-th compound of the d x d product
+    of the primal frame with the dual one, in element order.  That product
+    is block diagonal (the identity on e's tangents, the diagonal n-e-f
+    pairing on its normals), so the matrix is diagonal with nonzero
+    diagonal: the two families are scaled dual bases.
     """
-    return realize_all(T, e, k, "primal") @ realize_all(T, e, k, "dual").T
+    pos = sequence_position(k, T.dim)
+    idx = [pos[_row_index(el, T.labels)] for el in decompose_altk(T, e, k)]
+    primal, dual = _frames(T, e)
+    return compound(primal @ dual.T, k)[np.ix_(idx, idx)]
 
 
 def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
@@ -142,9 +140,8 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     if elem.flavor != "dual":
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
     dual_form = realize(elem, T)
-    sigma_c = complement(elem.sigma)
-    partner = TnBasisElement(elem.e, elem.f, sigma_c, "hodge")
-    partner_inner = wedge_all(_hodge_factors(T, elem.e, elem.f, sigma_c), d=T.dim)
+    partner = TnBasisElement(elem.e, elem.f, complement(elem.sigma), "hodge")
+    partner_inner = _wedge_rows(T, partner)
     at = f"e={elem.e.vertices}, f={elem.f.vertices}, sigma={elem.sigma.entries}, d={T.dim}, k={dual_form.k}"
 
     denominator = volume_coefficient(wedge(dual_form, partner_inner))

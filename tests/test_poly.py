@@ -238,6 +238,25 @@ class TestProductsAndConversions:
         assert restrict_lattice_index(embed_lattice_index(beta, f, 5), f) == beta
 
 
+def _ref_monomial_values(dim, r, lams):
+    """The per-point product loop that monomial_values_at replaced."""
+    idx = np.array(lattice(dim, r), dtype=int).reshape(-1, dim + 1)
+    rows = [np.prod(np.power(lam[None, :], idx), axis=1) for lam in np.atleast_2d(lams)]
+    return np.array(rows).reshape(len(rows), len(idx))
+
+
+class TestMonomialValues:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_per_point_loop(self, dim):
+        inside = RNG.dirichlet(np.ones(dim + 1), size=32)
+        outside = RNG.standard_normal((8, dim + 1))
+        for lams in (inside, outside, inside[0]):
+            for r in range(-1, 8):
+                got = monomial_values_at(dim, r, lams)
+                assert got.shape == (len(np.atleast_2d(lams)), lattice_dimension(dim, r))
+                assert np.array_equal(got, _ref_monomial_values(dim, r, lams))
+
+
 class TestLagrangeDecomposition:
     def test_quadratic_triangle(self):
         table = lagrange_decomposition_dims(2, 2)

@@ -380,6 +380,15 @@ class TestHelpers:
         assert g.labels == (1, 3)
         assert np.array_equal(g.vertices[0], T.vertices[1])
 
+    def test_labelled_subsimplex_builds_every_face(self):
+        T = random_simplex(4, RNG)
+        g = subsimplex_geometry(T, simplex(1, 2, 3))
+        assert g.full_simplex() == simplex(1, 2, 3)
+        faces = all_subsimplices(g)
+        assert len(faces) == 7
+        for f in faces:
+            assert np.array_equal(tangent_basis(g, f), tangent_basis(T, f))
+
     def test_random_simplex_deterministic(self):
         a = random_simplex(3, np.random.default_rng(5)).vertices
         b = random_simplex(3, np.random.default_rng(5)).vertices

@@ -1,18 +1,22 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from tnforms.combinatorics import binomial, simplex, subsimplices
-from tnforms.exterior import basis_form, hodge_star, inner
+from tnforms.combinatorics import binomial, opposite, simplex, subsimplices
+from tnforms.exterior import AltForm, basis_form, flat, hodge_star, inner, wedge
 from tnforms.simplex import (
     GeometricSimplex,
     all_subsimplices,
     barycentric_gradients,
     random_simplex,
     reference_simplex,
+    surface_gradient,
+    tangent_basis,
 )
 from tnforms.tnbasis import (
+    FLAVORS,
     TnBasisElement,
-    barycentric_gradient_of,
     decompose_altk,
     hodge_coefficient,
     pairing_matrix,
@@ -21,6 +25,29 @@ from tnforms.tnbasis import (
 )
 
 RNG = np.random.default_rng(2024)
+
+
+# Reference realization: the per-element factor loop the frame matrix
+# replaced, wedging by chained pairwise products.
+
+
+def _ref_realize(elem, T):
+    d, e, f = T.dim, elem.e, elem.f
+    grads = barycentric_gradients(T)
+    one = AltForm(d, 0, np.ones(1))
+    factors = [flat(tangent_basis(T, e)[i - 1]) for i in elem.sigma]
+    if elem.flavor == "hodge":
+        rest = opposite(f, d).vertices if f.dim < d else ()
+        return hodge_star(reduce(wedge, factors + [flat(grads[j]) for j in rest], one))
+    for j in f.vertices:
+        if j not in e:
+            vec = grads[j] if elem.flavor == "primal" else surface_gradient(T, simplex(*e.vertices, j), j)
+            factors.append(flat(vec))
+    return reduce(wedge, factors, one)
+
+
+def _ref_realize_all(T, e, k, flavor):
+    return np.array([_ref_realize(el, T).coeffs for el in decompose_altk(T, e, k, flavor)])
 
 
 class TestDecomposition:
@@ -73,6 +100,20 @@ class TestDecomposition:
                     assert len(per_face) == expected_faces
                     assert all(c == binomial(s, ell - k) for c in per_face.values())
 
+    def test_anchor_outside_cell_rejected(self):
+        T = random_simplex(3, RNG)
+        for e in (simplex(7), simplex(2, 9)):
+            with pytest.raises(ValueError, match=r"e=\(.*\) is not a face of the cell with labels \(0, 1, 2, 3\)"):
+                decompose_altk(T, e, 1)
+            with pytest.raises(ValueError, match="is not a face of the cell"):
+                pairing_matrix(T, e, 1)
+
+    def test_relabelled_cell_rejected(self):
+        # faces are enumerated over 0..d, so other labels would name foreign faces
+        T = GeometricSimplex(random_simplex(3, RNG).vertices, labels=(1, 2, 3, 4))
+        with pytest.raises(ValueError, match=r"labels 0\.\.3, the cell has labels \(1, 2, 3, 4\)"):
+            decompose_altk(T, simplex(1), 1)
+
     def test_flavor_validation(self):
         T = random_simplex(2, RNG)
         with pytest.raises(ValueError):
@@ -112,6 +153,20 @@ class TestRealization:
         elems = decompose_altk(T, simplex(1), 0)
         assert len(elems) == 1
         assert np.allclose(realize(elems[0], T).coeffs, [1.0])
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_anchor_degree_and_flavor(self, d):
+        T = random_simplex(d, np.random.default_rng(70 + d))
+        for e in all_subsimplices(T):
+            for k in range(d + 1):
+                want = {flavor: _ref_realize_all(T, e, k, flavor) for flavor in FLAVORS}
+                for flavor in FLAVORS:
+                    got = realize_all(T, e, k, flavor)
+                    assert np.abs(got - want[flavor]).max() <= 1e-13 * np.abs(want[flavor]).max()
+                gram = want["primal"] @ want["dual"].T
+                assert np.abs(pairing_matrix(T, e, k) - gram).max() <= 1e-13 * np.abs(gram).max()
 
 
 class TestPairing:
@@ -156,16 +211,6 @@ class TestPairing:
                 dual = [realize(el, T) for el in decompose_altk(T, e, k, "dual")]
                 want = np.array([[inner(w, v) for v in dual] for w in primal])
                 assert np.abs(pairing_matrix(T, e, k) - want).max() <= 1e-13 * np.abs(want).max()
-
-
-class TestGradientOf:
-    def test_returns_a_copy_of_one_row(self):
-        T = random_simplex(3, RNG, scale=2.0)
-        before = barycentric_gradients(T)
-        g = barycentric_gradient_of(T, 2)
-        assert np.array_equal(g, before[2])
-        g[:] = 0.0
-        assert np.array_equal(barycentric_gradients(T), before)
 
 
 class TestHodgeCoefficient:
