@@ -7,11 +7,9 @@ from .combinatorics import (
     binomial,
     complement,
     increasing_sequences,
-    opposite,
     permutation_sign,
     simplex,
     subsimplices,
-    vandermonde_identity_check,
 )
 from .exterior import (
     AltForm,

@@ -2,7 +2,8 @@
 
 Two labeling conventions coexist on purpose:
 
-* abstract simplex vertices are 0-based labels inside ``{0, ..., d}``;
+* abstract simplex vertices are non-negative labels, and a face is named
+  by the labels of the cell it lies in;
 * increasing sequences are 1-based, strictly increasing maps into
   ``{1, ..., n}``, and index components of alternating forms.
 
@@ -126,40 +127,13 @@ def subsimplices(f: AbstractSimplex, s: int) -> list[AbstractSimplex]:
     return [AbstractSimplex(c) for c in combinations(f.vertices, s + 1)]
 
 
-def opposite(f: AbstractSimplex, ambient_dim: int) -> AbstractSimplex:
-    """The complementary subsimplex f* with f and f* partitioning {0, ..., d}."""
-    full = set(range(ambient_dim + 1))
-    if not set(f.vertices) <= full:
-        raise ValueError(f"{f.vertices} not inside 0..{ambient_dim}")
-    rest = tuple(sorted(full - set(f.vertices)))
-    if not rest:
-        raise ValueError("the full simplex has no opposite subsimplex")
-    return AbstractSimplex(rest)
-
-
-def supersimplices(e: AbstractSimplex, ell: int, ambient_dim: int) -> list[AbstractSimplex]:
-    """All ell-dimensional subsimplices of {0..d} containing e, lexicographically sorted."""
-    if ell < e.dim or ell > ambient_dim:
-        raise ValueError(f"need dim e <= ell <= d, got {ell}")
-    others = [i for i in range(ambient_dim + 1) if i not in e.vertices]
+def supersimplices(e: AbstractSimplex, ell: int, cell: AbstractSimplex) -> list[AbstractSimplex]:
+    """All ell-dimensional faces of cell containing e, lexicographically sorted."""
+    if ell < e.dim or ell > cell.dim:
+        raise ValueError(f"need dim e <= ell <= dim cell, got {ell}")
+    others = [i for i in cell.vertices if i not in e.vertices]
     out = []
     for extra in combinations(others, ell - e.dim):
         out.append(AbstractSimplex(tuple(sorted(e.vertices + extra))))
     out.sort()
     return out
-
-
-def vandermonde_identity_check(d: int, k: int, s: int) -> bool:
-    """Check C(d,k) against the split over dimensions of faces containing an anchor.
-
-    The right-hand side counts, for each intermediate dimension ell, the faces
-    f of dimension ell containing a fixed s-dimensional anchor, times the
-    tangential choices on the anchor; out-of-range binomials vanish.
-    """
-    if not (0 <= k <= d) or not (0 <= s <= d):
-        raise ValueError(f"need 0 <= k, s <= d, got k={k}, s={s}, d={d}")
-    total = sum(
-        binomial(d - s, ell - s) * binomial(s, k - (ell - s))
-        for ell in range(max(s, k), min(k + s, d) + 1)
-    )
-    return total == binomial(d, k)

@@ -1,14 +1,17 @@
 """Tangential-normal bases of alternating forms anchored at a subsimplex.
 
-For an anchor e of dimension s in a d-cell, ``nef_frames(T, T.full_simplex(), e)``
-gives a d x d frame matrix: e's s orthonormal tangents, then one normal per
-label outside e, ascending; the normals are the barycentric gradients
-(primal and hodge flavors) or the t-n vectors (dual flavor).  Each basis
-k-form wedges k rows, so a basis is the k-th compound of the frame matrix:
-sigma's tangents and the normals of f minus e, or, for a hodge element, the
-star of sigma's tangents wedged with the normals outside f.  Elements are
-ordered by face dimension, then face, then tangential sequence, which makes
-downstream degree-of-freedom matrices block lower triangular.
+Anchors and faces are named by the cell's own vertex labels, so two cells
+that share a face name it, and the elements on it, alike.  The cell is
+full-dimensional, a d-simplex in R^d.  For an anchor e of dimension s,
+``nef_frames(T, T.full_simplex(), e)`` gives a d x d frame matrix: e's s
+orthonormal tangents, then one normal per label outside e, ascending; the
+normals are the barycentric gradients (primal and hodge flavors) or the
+t-n vectors (dual flavor).  Each basis k-form wedges k rows, so a basis is
+the k-th compound of the frame matrix: sigma's tangents and the normals of
+f minus e, or, for a hodge element, the star of sigma's tangents wedged
+with the normals outside f.  Elements are ordered by face dimension, then
+face, then tangential sequence, which makes downstream degree-of-freedom
+matrices block lower triangular.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ import numpy as np
 from .combinatorics import (
     AbstractSimplex,
     IncreasingSequence,
-    binomial,
     complement,
     increasing_sequences,
     supersimplices,
 )
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
-from .exterior import AltForm, compound, flat, hodge_star, inner, sequence_position, volume_coefficient, wedge, wedge_all
+from .exterior import AltForm, _hodge_table, compound, flat, hodge_star, inner, sequence_position, volume_coefficient, wedge, wedge_all
 from .simplex import GeometricSimplex, nef_frames
 
 FLAVORS = ("primal", "dual", "hodge")
@@ -66,17 +68,16 @@ def decompose_altk(
     """
     d = T.dim
     s = e.dim
+    cell = T.full_simplex()
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}")
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if T.labels != tuple(range(d + 1)):
-        raise ValueError(f"faces are enumerated over labels 0..{d}, the cell has labels {T.labels}")
-    if not e.issubset(T.full_simplex()):
+    if not e.issubset(cell):
         raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {T.labels}")
     out = []
     for ell in range(max(s, k), min(k + s, d) + 1):
-        for f in supersimplices(e, ell, d):
+        for f in supersimplices(e, ell, cell):
             for sig in increasing_sequences(s + k - ell, s):
                 stored = complement(sig) if flavor == "hodge" else sig
                 out.append(TnBasisElement(e, f, stored, flavor))
@@ -84,7 +85,9 @@ def decompose_altk(
 
 
 def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.ndarray]:
-    """The primal and dual frame matrices of anchor e, (d, d) each."""
+    """The primal and dual frame matrices of anchor e, (d, d) each, on a d-cell in R^d."""
+    if T.dim != T.ambient_dim:
+        raise ValueError(f"t-n bases need a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
     fs = nef_frames(T, T.full_simplex(), e)
     return np.vstack([fs.tangents, fs.normals_face]), np.vstack([fs.tangents, fs.normals_tn])
 
@@ -100,16 +103,16 @@ def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]
     return elem.sigma.entries + tuple(elem.e.dim + 1 + normals.index(j) for j in picked)
 
 
-def _wedge_rows(T: GeometricSimplex, elem: TnBasisElement) -> AltForm:
-    """The wedge of an element's frame rows; a hodge element's form before the star."""
-    primal, dual = _frames(T, elem.e)
+def _wedge_rows(frames: tuple[np.ndarray, np.ndarray], elem: TnBasisElement, labels: tuple[int, ...]) -> AltForm:
+    """The wedge of an element's rows of its anchor's frames; a hodge element's form before the star."""
+    primal, dual = frames
     frame = dual if elem.flavor == "dual" else primal
-    return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, T.labels)], d=T.dim)
+    return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, labels)], d=len(frame))
 
 
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
     """The constant-coefficient form of a basis element, in ambient coordinates."""
-    form = _wedge_rows(T, elem)
+    form = _wedge_rows(_frames(T, elem.e), elem, T.labels)
     return hodge_star(form) if elem.flavor == "hodge" else form
 
 
@@ -134,14 +137,15 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
 
     The ambient Hodge star sends the dual-flavor form to a multiple of the
     complementary primal-style form built from sigma-complement tangents and
-    the gradients of the opposite face.  Returns (c, partner), raising when the
+    the gradients of the vertices outside f.  Returns (c, partner), raising when the
     pairing or collinearity fails its tolerance in :mod:`tnforms.errors`.
     """
     if elem.flavor != "dual":
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
-    dual_form = realize(elem, T)
+    frames = _frames(T, elem.e)
+    dual_form = _wedge_rows(frames, elem, T.labels)
     partner = TnBasisElement(elem.e, elem.f, complement(elem.sigma), "hodge")
-    partner_inner = _wedge_rows(T, partner)
+    partner_inner = _wedge_rows(frames, partner, T.labels)
     at = f"e={elem.e.vertices}, f={elem.f.vertices}, sigma={elem.sigma.entries}, d={T.dim}, k={dual_form.k}"
 
     denominator = volume_coefficient(wedge(dual_form, partner_inner))
@@ -160,6 +164,20 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
 def realize_all(
     T: GeometricSimplex, e: AbstractSimplex, k: int, flavor: str = "primal"
 ) -> np.ndarray:
-    """Stacked coefficient matrix of the realized basis, one form per row."""
-    elems = decompose_altk(T, e, k, flavor)
-    return np.array([realize(el, T).coeffs for el in elems]).reshape(len(elems), binomial(T.dim, k))
+    """Stacked coefficient matrix of the realized basis, one form per row.
+
+    Row i is the minor of the anchor's frame matrix on element i's rows, so
+    the whole basis is gathered from one compound; hodge rows are minors of
+    degree d - k, then starred.
+    """
+    m = T.dim - k if flavor == "hodge" else k
+    pos = sequence_position(m, T.dim)
+    idx = [pos[_row_index(el, T.labels)] for el in decompose_altk(T, e, k, flavor)]
+    primal, dual = _frames(T, e)
+    rows = compound(dual if flavor == "dual" else primal, m)[idx]
+    if flavor != "hodge":
+        return rows
+    dst, sign = _hodge_table(m, T.dim)
+    starred = np.empty_like(rows)
+    starred[:, dst] = sign * rows
+    return starred

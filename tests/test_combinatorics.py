@@ -8,12 +8,10 @@ from tnforms.combinatorics import (
     binomial,
     complement,
     increasing_sequences,
-    opposite,
     permutation_sign,
     simplex,
     subsimplices,
     supersimplices,
-    vandermonde_identity_check,
 )
 
 
@@ -121,18 +119,12 @@ class TestSimplices:
         with pytest.raises(ValueError):
             subsimplices(simplex(0, 1), 2)
 
-    def test_opposite(self):
-        assert opposite(simplex(0), 3).vertices == (1, 2, 3)
-        assert opposite(simplex(0, 1), 3).vertices == (2, 3)
-        assert opposite(simplex(1, 3), 4).vertices == (0, 2, 4)
-
-    def test_opposite_of_full_fails(self):
-        with pytest.raises(ValueError):
-            opposite(simplex(0, 1, 2), 2)
-
     def test_supersimplices(self):
-        got = supersimplices(simplex(1), 1, 3)
+        got = supersimplices(simplex(1), 1, simplex(0, 1, 2, 3))
         assert [g.vertices for g in got] == [(0, 1), (1, 2), (1, 3)]
+        # faces are named by the cell's own labels
+        got = supersimplices(simplex(5, 9), 2, simplex(2, 5, 7, 9))
+        assert [g.vertices for g in got] == [(2, 5, 9), (5, 7, 9)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,18 +133,36 @@ class TestSimplices:
             AbstractSimplex(())
 
 
+def _split_count(cell, e, k):
+    """C(d, k) split by the dimension ell of the faces through an s-dimensional anchor e.
+
+    Each ell-face containing e carries C(s, k - (ell - s)) tangential choices.
+    """
+    s = e.dim
+    return sum(
+        len(supersimplices(e, ell, cell)) * binomial(s, k - (ell - s))
+        for ell in range(max(s, k), min(k + s, cell.dim) + 1)
+    )
+
+
 class TestVandermonde:
+    # the faces that supersimplices enumerates satisfy the Vandermonde
+    # identity C(d, k) = sum_ell C(d - s, ell - s) C(s, k - ell + s)
+
     def test_d3_k1_s1(self):
-        # expands to 1*1 + 2*1 = 3
-        assert vandermonde_identity_check(3, 1, 1)
+        # the edge itself times 1 plus its 2 triangles times 1
+        assert _split_count(simplex(0, 1, 2, 3), simplex(1, 2), 1) == 3
 
     @pytest.mark.parametrize("d", range(7))
     def test_s_zero_single_term(self, d):
+        cell = AbstractSimplex(tuple(range(5, 6 + d)))
         for k in range(d + 1):
-            assert vandermonde_identity_check(d, k, 0)
+            assert len(supersimplices(simplex(5 + d), k, cell)) == binomial(d, k)
 
     def test_exhaustive(self):
         for d in range(7):
+            cell = AbstractSimplex(tuple(range(1, 2 * d + 2, 2)))
             for k in range(d + 1):
                 for s in range(d + 1):
-                    assert vandermonde_identity_check(d, k, s)
+                    for e in subsimplices(cell, s):
+                        assert _split_count(cell, e, k) == binomial(d, k)

@@ -3,12 +3,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from tnforms.combinatorics import binomial, opposite, simplex, subsimplices
+from tnforms.combinatorics import binomial, simplex, subsimplices
 from tnforms.exterior import AltForm, basis_form, flat, hodge_star, inner, wedge
 from tnforms.simplex import (
     GeometricSimplex,
     all_subsimplices,
     barycentric_gradients,
+    nef_frames,
     random_simplex,
     reference_simplex,
     surface_gradient,
@@ -33,11 +34,11 @@ RNG = np.random.default_rng(2024)
 
 def _ref_realize(elem, T):
     d, e, f = T.dim, elem.e, elem.f
-    grads = barycentric_gradients(T)
+    grads = dict(zip(T.labels, barycentric_gradients(T)))
     one = AltForm(d, 0, np.ones(1))
     factors = [flat(tangent_basis(T, e)[i - 1]) for i in elem.sigma]
     if elem.flavor == "hodge":
-        rest = opposite(f, d).vertices if f.dim < d else ()
+        rest = [j for j in T.labels if j not in f]
         return hodge_star(reduce(wedge, factors + [flat(grads[j]) for j in rest], one))
     for j in f.vertices:
         if j not in e:
@@ -51,7 +52,7 @@ def _ref_realize_all(T, e, k, flavor):
 
 
 class TestDecomposition:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", range(1, 7))
     def test_element_count(self, d):
         T = random_simplex(d, RNG)
         for e in all_subsimplices(T):
@@ -108,11 +109,63 @@ class TestDecomposition:
             with pytest.raises(ValueError, match="is not a face of the cell"):
                 pairing_matrix(T, e, 1)
 
-    def test_relabelled_cell_rejected(self):
-        # faces are enumerated over 0..d, so other labels would name foreign faces
-        T = GeometricSimplex(random_simplex(3, RNG).vertices, labels=(1, 2, 3, 4))
-        with pytest.raises(ValueError, match=r"labels 0\.\.3, the cell has labels \(1, 2, 3, 4\)"):
-            decompose_altk(T, simplex(1), 1)
+    def test_relabelled_cell_matches_default_labels(self):
+        # labels only name the faces: under the label map a relabelled cell has
+        # the same elements, bases and pairings, bit for bit
+        base = random_simplex(3, RNG)
+        T = GeometricSimplex(base.vertices, labels=(2, 5, 7, 9))
+        to = dict(zip(base.labels, T.labels))
+
+        def mapped(g):
+            return simplex(*(to[i] for i in g))
+
+        for e in all_subsimplices(base):
+            for k in range(4):
+                for flavor in FLAVORS:
+                    got = [(el.e, el.f, el.sigma) for el in decompose_altk(T, mapped(e), k, flavor)]
+                    want = [(mapped(el.e), mapped(el.f), el.sigma) for el in decompose_altk(base, e, k, flavor)]
+                    assert got == want
+                    assert np.array_equal(realize_all(T, mapped(e), k, flavor), realize_all(base, e, k, flavor))
+                assert np.array_equal(pairing_matrix(T, mapped(e), k), pairing_matrix(base, e, k))
+
+    def test_shared_facet_gives_identical_dual_rows(self):
+        # two cells sharing facet F derive identical frames from it, so every
+        # dual element whose face lies in F has the same row on both
+        A = random_simplex(3, RNG)
+        p = A.vertices
+        B = GeometricSimplex(np.vstack([p[1:], 2 * p[1:].mean(axis=0) - p[0]]), labels=(1, 2, 3, 4))
+        F = simplex(1, 2, 3)
+        matched = 0
+        for e in [g for s in range(3) for g in subsimplices(F, s)]:
+            for k in range(4):
+                a, b = (
+                    {
+                        (el.f, el.sigma): row
+                        for el, row in zip(decompose_altk(T, e, k, "dual"), realize_all(T, e, k, "dual"))
+                        if el.f.issubset(F)
+                    }
+                    for T in (A, B)
+                )
+                assert a.keys() == b.keys()
+                for key in a:
+                    assert np.array_equal(a[key], b[key])
+                matched += len(a)
+        assert matched == 28
+
+    def test_embedded_cell_rejected(self):
+        # on a triangle in R^3 the ambient star of a 2-form is a 1-form, not a
+        # 0-form, so t-n bases are built on full-dimensional cells only
+        T = GeometricSimplex(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
+        e = simplex(0)
+        msg = "full-dimensional cell, got dim 2 in ambient dim 3"
+        with pytest.raises(ValueError, match=msg):
+            realize_all(T, e, 1)
+        with pytest.raises(ValueError, match=msg):
+            realize(decompose_altk(T, e, 0)[0], T)
+        with pytest.raises(ValueError, match=msg):
+            pairing_matrix(T, e, 1)
+        with pytest.raises(ValueError, match=msg):
+            hodge_coefficient(T, decompose_altk(T, e, 1, "dual")[0])
 
     def test_flavor_validation(self):
         T = random_simplex(2, RNG)
@@ -148,6 +201,23 @@ class TestRealization:
                 mats = realize_all(T, e, k, flavor)
                 assert np.linalg.matrix_rank(mats, tol=1e-10) == binomial(d, k)
 
+    def test_one_frame_build_per_call(self, monkeypatch):
+        import tnforms.tnbasis as tnbasis
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return nef_frames(*args)
+
+        monkeypatch.setattr(tnbasis, "nef_frames", counted)
+        T, e = random_simplex(4, RNG), simplex(1, 3)
+        for flavor in FLAVORS:
+            realize_all(T, e, 2, flavor)
+        hodge_coefficient(T, decompose_altk(T, e, 2, "dual")[0])
+        pairing_matrix(T, e, 2)
+        assert len(calls) == 5
+
     def test_k0_constant(self):
         T = random_simplex(2, RNG)
         elems = decompose_altk(T, simplex(1), 0)
@@ -165,6 +235,10 @@ class TestAgainstReference:
                 for flavor in FLAVORS:
                     got = realize_all(T, e, k, flavor)
                     assert np.abs(got - want[flavor]).max() <= 1e-13 * np.abs(want[flavor]).max()
+                    if d <= 4:
+                        # the single-element path gives the same rows, bit for bit
+                        for row, el in zip(got, decompose_altk(T, e, k, flavor)):
+                            assert np.array_equal(row, realize(el, T).coeffs)
                 gram = want["primal"] @ want["dual"].T
                 assert np.abs(pairing_matrix(T, e, k) - gram).max() <= 1e-13 * np.abs(gram).max()
 
