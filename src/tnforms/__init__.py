@@ -3,11 +3,9 @@ differential forms on simplices and simplicial meshes."""
 
 from .combinatorics import (
     AbstractSimplex,
-    IncreasingSequence,
     binomial,
     complement,
-    increasing_sequences,
-    permutation_sign,
+    sequences,
     simplex,
     subsimplices,
 )
@@ -20,7 +18,6 @@ from .exterior import (
     hodge_star_in_subspace,
     inner,
     pullback_embed,
-    sharp,
     wedge,
 )
 from .simplex import (
@@ -36,7 +33,6 @@ from .simplex import (
 from .poly import (
     BernsteinPoly,
     bernstein_eval,
-    integrate_bernstein,
     interpolation_points,
     lagrange_decomposition_dims,
     lagrange_eval,

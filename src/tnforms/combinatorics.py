@@ -4,8 +4,11 @@ Two labeling conventions coexist on purpose:
 
 * abstract simplex vertices are non-negative labels, and a face is named
   by the labels of the cell it lies in;
-* increasing sequences are 1-based, strictly increasing maps into
-  ``{1, ..., n}``, and index components of alternating forms.
+* an increasing sequence is a plain ascending tuple of ints in
+  ``{1, ..., n}``; it indexes the components of alternating forms and the
+  tangential choices of t-n basis elements.  Sequences are enumerated only
+  here, by the cached ``sequences(k, n)`` with its inverse
+  ``sequence_position(k, n)``.
 
 All enumerations are lexicographic, which fixes a deterministic ordering
 for every basis and degree-of-freedom numbering built on top of them.
@@ -14,6 +17,7 @@ for every basis and degree-of-freedom numbering built on top of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -23,34 +27,6 @@ def binomial(n: int, m: int) -> int:
     if m < 0 or m > n:
         return 0
     return comb(n, m)
-
-
-@dataclass(frozen=True, order=True)
-class IncreasingSequence:
-    """Strictly increasing tuple of integers in 1..n (possibly empty)."""
-
-    entries: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(i) for i in self.entries))
-        if self.n < 0:
-            raise ValueError(f"range bound must be non-negative, got {self.n}")
-        for a, b in zip(self.entries, self.entries[1:]):
-            if a >= b:
-                raise ValueError(f"entries not strictly increasing: {self.entries}")
-        if self.entries and (self.entries[0] < 1 or self.entries[-1] > self.n):
-            raise ValueError(f"entries {self.entries} outside 1..{self.n}")
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass(frozen=True, order=True)
@@ -91,33 +67,29 @@ def simplex(*labels: int) -> AbstractSimplex:
     return AbstractSimplex(tuple(sorted(labels)))
 
 
-def increasing_sequences(m: int, n: int) -> list[IncreasingSequence]:
-    """All increasing sequences of length m into 1..n, lexicographically sorted."""
-    if m < 0 or m > n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return [IncreasingSequence(c, n) for c in combinations(range(1, n + 1), m)]
+@lru_cache(maxsize=None)
+def sequences(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Lexicographic tuple of all increasing sequences of length k in 1..n; empty outside 0 <= k <= n."""
+    if k < 0 or k > n:
+        return ()
+    return tuple(combinations(range(1, n + 1), k))
 
 
-def complement(sigma: IncreasingSequence) -> IncreasingSequence:
-    """Complementary sequence within 1..n, so sigma and its complement partition 1..n."""
-    chosen = set(sigma.entries)
-    rest = tuple(i for i in range(1, sigma.n + 1) if i not in chosen)
-    return IncreasingSequence(rest, sigma.n)
+@lru_cache(maxsize=None)
+def sequence_position(k: int, n: int) -> dict[tuple[int, ...], int]:
+    """Position of each increasing sequence of length k in 1..n within ``sequences(k, n)``."""
+    return {s: i for i, s in enumerate(sequences(k, n))}
+
+
+def complement(sigma: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The increasing sequence of 1..n not in sigma, so sigma and it partition 1..n."""
+    return tuple(i for i in range(1, n + 1) if i not in sigma)
 
 
 def inversion_sign(entries: tuple[int, ...]) -> int:
     """(-1) to the number of inversions of a sequence of distinct integers."""
     inversions = sum(1 for i, a in enumerate(entries) for b in entries[i + 1 :] if a > b)
     return -1 if inversions % 2 else 1
-
-
-def permutation_sign(sigma: IncreasingSequence, tau: IncreasingSequence) -> int:
-    """Sign of the permutation (sigma(1..m), tau(1..n-m)) of 1..n."""
-    if sigma.n != tau.n:
-        raise ValueError("sequences must share the range bound n")
-    if sorted(sigma.entries + tau.entries) != list(range(1, sigma.n + 1)):
-        raise ValueError("sequences must partition {1, ..., n}")
-    return inversion_sign(sigma.entries + tau.entries)
 
 
 def subsimplices(f: AbstractSimplex, s: int) -> list[AbstractSimplex]:
@@ -129,6 +101,8 @@ def subsimplices(f: AbstractSimplex, s: int) -> list[AbstractSimplex]:
 
 def supersimplices(e: AbstractSimplex, ell: int, cell: AbstractSimplex) -> list[AbstractSimplex]:
     """All ell-dimensional faces of cell containing e, lexicographically sorted."""
+    if not e.issubset(cell):
+        raise ValueError(f"e={e.vertices} is not a face of the cell with labels {cell.vertices}")
     if ell < e.dim or ell > cell.dim:
         raise ValueError(f"need dim e <= ell <= dim cell, got {ell}")
     others = [i for i in cell.vertices if i not in e.vertices]

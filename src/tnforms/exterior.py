@@ -7,10 +7,11 @@ through explicit orthonormal :class:`Frame` objects; the frame's row order
 defines the orientation used by the subspace Hodge star.
 
 Operations never loop over index sequences when called.  Each sign and
-index fact is an integer table cached by degrees and dimension only:
+index fact is an integer table cached by degrees and dimension only, built
+from the tuples of ``combinatorics.sequences``:
 ``_wedge_table(p, q, d)`` holds each disjoint pair of sequences with the
 position and sign of their merge, ``_contraction_table`` each dropped slot
-and ``_hodge_table`` each complement; an operation is one gather and one
+and ``_hodge_table`` each ``complement``; an operation is one gather and one
 ``np.bincount``.  ``compound(A, k)`` holds all k x k minors of A from one
 batched determinant, so evaluation, wedges of 1-forms, restriction to a
 frame (``C_k(F) @ a``) and its pullback (``c @ C_k(F)``) are products.
@@ -20,25 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .combinatorics import binomial, inversion_sign
+from .combinatorics import binomial, complement, inversion_sign, sequence_position, sequences
 from .errors import ORTHONORMAL_RTOL
-
-
-@lru_cache(maxsize=None)
-def sequences(k: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Lexicographic tuple of all increasing sequences of length k in 1..d."""
-    if k < 0 or k > d:
-        return ()
-    return tuple(combinations(range(1, d + 1), k))
-
-
-@lru_cache(maxsize=None)
-def sequence_position(k: int, d: int) -> dict[tuple[int, ...], int]:
-    return {s: i for i, s in enumerate(sequences(k, d))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +132,7 @@ def _contraction_table(k: int, d: int) -> tuple[np.ndarray, ...]:
 def _hodge_table(k: int, d: int) -> tuple[np.ndarray, ...]:
     """(dst, sign): the star of the i-th basis k-form is sign[i] times basis form dst[i]."""
     pos = sequence_position(d - k, d)
-    rests = [tuple(i for i in range(1, d + 1) if i not in sig) for sig in sequences(k, d)]
+    rests = [complement(sig, d) for sig in sequences(k, d)]
     return _columns((pos[rest], inversion_sign(sig + rest)) for sig, rest in zip(sequences(k, d), rests))
 
 
@@ -208,13 +195,6 @@ def flat(v: np.ndarray) -> AltForm:
     return AltForm(v.shape[0], 1, v.copy())
 
 
-def sharp(omega: AltForm) -> np.ndarray:
-    """Proxy vector of a 1-form; inverse of :func:`flat`."""
-    if omega.k != 1:
-        raise ValueError("sharp is defined for 1-forms")
-    return omega.coeffs.copy()
-
-
 def evaluate(omega: AltForm, vectors) -> float:
     """Apply the multilinear functional to k vectors."""
     k, d = omega.k, omega.d
@@ -257,10 +237,6 @@ class Frame:
     @property
     def ambient_dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def standard_frame(d: int) -> Frame:
-    return Frame(np.eye(d))
 
 
 def restrict_to_frame(frame: Frame, omega: AltForm) -> AltForm:

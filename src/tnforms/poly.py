@@ -124,21 +124,6 @@ def lagrange_eval(alpha: LatticeIndex, x: np.ndarray, T: GeometricSimplex) -> fl
     return float(value)
 
 
-def integrate_bernstein(alpha: LatticeIndex, T: GeometricSimplex) -> float:
-    """Exact moment of lambda^alpha over the simplex.
-
-    Uses |T| * alpha! * m! / (|alpha| + m)! on an m-simplex; a vertex has
-    volume 1 so the moment degenerates to point evaluation of 1.
-    """
-    m = T.dim
-    if len(alpha) != m + 1:
-        raise ValueError("multi-index length must be dim + 1")
-    num = 1.0
-    for ai in alpha:
-        num *= factorial(ai)
-    return T.volume * num * factorial(m) / factorial(sum(alpha) + m)
-
-
 @lru_cache(maxsize=None)
 def _moment_weights(dim: int, r: int) -> np.ndarray:
     """Moments of lambda^alpha over the unit-volume m-simplex, lattice order."""

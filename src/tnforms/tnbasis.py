@@ -20,15 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import (
-    AbstractSimplex,
-    IncreasingSequence,
-    complement,
-    increasing_sequences,
-    supersimplices,
-)
+from .combinatorics import AbstractSimplex, complement, sequence_position, sequences, supersimplices
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
-from .exterior import AltForm, _hodge_table, compound, flat, hodge_star, inner, sequence_position, volume_coefficient, wedge, wedge_all
+from .exterior import AltForm, _hodge_table, compound, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
 from .simplex import GeometricSimplex, nef_frames
 
 FLAVORS = ("primal", "dual", "hodge")
@@ -38,14 +32,15 @@ FLAVORS = ("primal", "dual", "hodge")
 class TnBasisElement:
     """One tangential-normal basis form, named by (anchor, face, sequence, flavor).
 
-    For the primal and dual flavors ``sigma`` picks tangent vectors of the
-    anchor; for the hodge flavor it stores the complementary sequence, making
-    the pairing between degrees k and d-k explicit.
+    ``sigma`` is an increasing tuple in 1..dim e.  For the primal and dual
+    flavors it picks tangent vectors of the anchor; for the hodge flavor it
+    stores the complementary sequence, making the pairing between degrees k
+    and d-k explicit.
     """
 
     e: AbstractSimplex
     f: AbstractSimplex
-    sigma: IncreasingSequence
+    sigma: tuple[int, ...]
     flavor: str = "primal"
 
     def __post_init__(self):
@@ -53,8 +48,8 @@ class TnBasisElement:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if not self.e.issubset(self.f):
             raise ValueError("anchor must be contained in the face")
-        if self.sigma.n != self.e.dim:
-            raise ValueError("sequence range must equal the anchor dimension")
+        if self.sigma not in sequence_position(len(self.sigma), self.e.dim):
+            raise ValueError(f"sigma={self.sigma} is not an increasing sequence in 1..{self.e.dim} (dim e)")
 
 
 def decompose_altk(
@@ -78,8 +73,8 @@ def decompose_altk(
     out = []
     for ell in range(max(s, k), min(k + s, d) + 1):
         for f in supersimplices(e, ell, cell):
-            for sig in increasing_sequences(s + k - ell, s):
-                stored = complement(sig) if flavor == "hodge" else sig
+            for sig in sequences(s + k - ell, s):
+                stored = complement(sig, s) if flavor == "hodge" else sig
                 out.append(TnBasisElement(e, f, stored, flavor))
     return out
 
@@ -100,7 +95,7 @@ def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]
     """
     normals = [j for j in labels if j not in elem.e]
     picked = [j for j in normals if (j in elem.f) != (elem.flavor == "hodge")]
-    return elem.sigma.entries + tuple(elem.e.dim + 1 + normals.index(j) for j in picked)
+    return elem.sigma + tuple(elem.e.dim + 1 + normals.index(j) for j in picked)
 
 
 def _wedge_rows(frames: tuple[np.ndarray, np.ndarray], elem: TnBasisElement, labels: tuple[int, ...]) -> AltForm:
@@ -144,9 +139,9 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
     frames = _frames(T, elem.e)
     dual_form = _wedge_rows(frames, elem, T.labels)
-    partner = TnBasisElement(elem.e, elem.f, complement(elem.sigma), "hodge")
+    partner = TnBasisElement(elem.e, elem.f, complement(elem.sigma, elem.e.dim), "hodge")
     partner_inner = _wedge_rows(frames, partner, T.labels)
-    at = f"e={elem.e.vertices}, f={elem.f.vertices}, sigma={elem.sigma.entries}, d={T.dim}, k={dual_form.k}"
+    at = f"e={elem.e.vertices}, f={elem.f.vertices}, sigma={elem.sigma}, d={T.dim}, k={dual_form.k}"
 
     denominator = volume_coefficient(wedge(dual_form, partner_inner))
     scale = dual_form.norm() * partner_inner.norm()

@@ -174,6 +174,14 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_altk(T, simplex(0), 5)
 
+    def test_validation(self):
+        # sigma must be an increasing sequence in 1..dim e
+        e = f = simplex(0, 1, 2)
+        with pytest.raises(ValueError, match=r"sigma=\(2, 1\) .* 1\.\.2"):
+            TnBasisElement(e, f, (2, 1))
+        with pytest.raises(ValueError, match=r"sigma=\(3,\) .* 1\.\.2"):
+            TnBasisElement(e, f, (3,))
+
 
 class TestRealization:
     def test_k1_full_anchor_orthonormal(self):
@@ -352,5 +360,5 @@ class TestOrdering:
     def test_canonical_order(self):
         T = random_simplex(3, RNG)
         elems = decompose_altk(T, simplex(0, 2), 2)
-        keys = [(el.f.dim, el.f.vertices, el.sigma.entries) for el in elems]
+        keys = [(el.f.dim, el.f.vertices, el.sigma) for el in elems]
         assert keys == sorted(keys)
