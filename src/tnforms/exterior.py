@@ -217,18 +217,30 @@ class Frame:
 
     The row order is meaningful: it fixes the orientation used by the
     subspace Hodge star.  Rows whose Gram matrix is off the identity by more
-    than ``ORTHONORMAL_RTOL`` are rejected.
+    than ``ORTHONORMAL_RTOL`` are rejected.  The frame keeps a read-only copy
+    of its rows, so the compounds it caches for restriction and pullback
+    stay valid.
     """
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
+        v = np.array(self.vectors, dtype=float)
         if v.ndim != 2:
             raise ValueError("frame vectors must form a 2-D array (rows = vectors)")
         if np.abs(v @ v.T - np.eye(v.shape[0])).max(initial=0.0) > ORTHONORMAL_RTOL:
             raise ValueError("frame vectors are not orthonormal")
+        v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "_compounds", {})
+
+    def _compound(self, k: int) -> np.ndarray:
+        """``compound(vectors, k)``, computed once per k; read-only."""
+        c = self._compounds.get(k)
+        if c is None:
+            c = self._compounds[k] = compound(self.vectors, k)
+            c.flags.writeable = False
+        return c
 
     @property
     def size(self) -> int:
@@ -246,7 +258,7 @@ def restrict_to_frame(frame: Frame, omega: AltForm) -> AltForm:
         raise ValueError("ambient dimension mismatch")
     if k > ell:
         return zero(ell, ell)  # the restricted space is trivial
-    return AltForm(ell, k, compound(frame.vectors, k) @ omega.coeffs)
+    return AltForm(ell, k, frame._compound(k) @ omega.coeffs)
 
 
 def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
@@ -259,7 +271,7 @@ def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
     ell = frame.size
     if omega_sub.d != ell:
         raise ValueError("form not expressed over the frame's vectors")
-    return AltForm(frame.ambient_dim, omega_sub.k, omega_sub.coeffs @ compound(frame.vectors, omega_sub.k))
+    return AltForm(frame.ambient_dim, omega_sub.k, omega_sub.coeffs @ frame._compound(omega_sub.k))
 
 
 def hodge_star_in_subspace(frame: Frame, omega: AltForm) -> AltForm:

@@ -10,12 +10,23 @@ would give; a triangular solve with R gives its barycentric gradients.
 The table's arrays are read-only.  An entry depends only on the
 coordinates of the face's own vertices in ascending label order, so two
 cells sharing a face derive identical frames from it.
+
+The n-e-f frames of the face pairs e in f are batched the same way, one
+group per (|f|, |e|): a cached index table of every such pair of positions
+gathers f's gradients of the vertices outside e (the face normals) and,
+for each such vertex i, the gradient of lambda_i in e + i (the t-n
+normals) from the per-dimension stacks, and one batched product gives the
+pairing ratio of every pair at once.  ``nef_frames`` is a lookup into its
+group.  Groups are built on a cell the first time one of their pairs is
+asked for, not all at once: a t-n basis reads only the groups with f the
+cell, and the whole table of a 6-cell holds thousands of pairs it never
+uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial
 from typing import NamedTuple
@@ -28,11 +39,30 @@ from .exterior import Frame
 
 
 class _Face(NamedTuple):
-    """One face: orthonormal tangent rows, barycentric gradients in its plane, volume."""
+    """One face: orthonormal tangent rows, barycentric gradients in its plane, volume.
+
+    ``at`` is its position among the faces of its dimension, lexicographic in
+    vertex positions: its index into the per-dimension stacks.
+    """
 
     tangents: np.ndarray
     gradients: np.ndarray
     volume: float
+    at: int
+
+
+class _NefGroup(NamedTuple):
+    """The n-e-f frames of every face pair with given (|f|, |e|) on one cell, read-only.
+
+    ``index`` maps the pair (f.at, e.at) to its row; ``normals_face`` and
+    ``normals_tn`` are (pairs, |f| - |e|, d) and ``ratio`` holds each pair's
+    off-diagonal/diagonal pairing ratio.
+    """
+
+    index: dict[tuple[int, int], int]
+    normals_face: np.ndarray
+    normals_tn: np.ndarray
+    ratio: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,25 +117,37 @@ class GeometricSimplex:
         return self._faces[self.labels].gradients
 
     @cached_property
-    def _faces(self) -> dict[tuple[int, ...], _Face]:
-        """Every face keyed by its labels, from one batched QR per face dimension.
+    def _face_stacks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(tangents, gradients, volumes) of the s-faces, lexicographic, per s, from one batched QR each.
 
         With edge rows E = R^T Q, the gradients of lambda_1..lambda_s are the
         rows of R^{-1} Q, and |det R| / s! is the volume.
         """
-        table = {}
+        stacks = []
         for s in range(self.dim + 1):
-            idx = np.array(list(combinations(range(self.dim + 1), s + 1)))
-            pts = self.vertices[idx]
+            pts = self.vertices[np.array(list(combinations(range(self.dim + 1), s + 1)))]
             q, r = _orthonormal_rows(pts[:, 1:] - pts[:, :1])
             grads = np.empty(pts.shape)
             grads[:, 1:] = np.linalg.solve(r, q)
             grads[:, 0] = -grads[:, 1:].sum(axis=1)
             vols = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) / factorial(s)
             q.flags.writeable = grads.flags.writeable = False
-            for j, face in enumerate(idx):
-                table[tuple(self.labels[i] for i in face)] = _Face(q[j], grads[j], float(vols[j]))
+            stacks.append((q, grads, vols))
+        return stacks
+
+    @cached_property
+    def _faces(self) -> dict[tuple[int, ...], _Face]:
+        """Every face keyed by its labels, one view into the stacks each."""
+        table = {}
+        for s, (q, grads, vols) in enumerate(self._face_stacks):
+            for j, face in enumerate(combinations(self.labels, s + 1)):
+                table[face] = _Face(q[j], grads[j], float(vols[j]), j)
         return table
+
+    @cached_property
+    def _nef_table(self) -> dict[tuple[int, int], _NefGroup]:
+        """The n-e-f groups built so far, keyed by (|f|, |e|); filled by ``_nef_group``."""
+        return {}
 
     def full_simplex(self) -> AbstractSimplex:
         """The abstract simplex on this cell's vertex labels."""
@@ -179,9 +221,17 @@ def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
     return _orthonormal_rows(np.asarray(vectors, dtype=float))[0]
 
 
+def _face(T: GeometricSimplex, face: tuple[int, ...]) -> _Face:
+    """The face-table entry of a face named by its labels; ValueError if T has no such face."""
+    try:
+        return T._faces[face]
+    except KeyError:
+        raise ValueError(f"{face} is not a face of the simplex with labels {T.labels}") from None
+
+
 def tangent_basis(T: GeometricSimplex, e: AbstractSimplex) -> np.ndarray:
     """Orthonormal tangent rows of a subsimplex, (s, d), from its ascending edges; read-only."""
-    return T._faces[e.vertices].tangents
+    return _face(T, e.vertices).tangents
 
 
 def oriented_subframe(T: GeometricSimplex, f: AbstractSimplex) -> Frame:
@@ -195,16 +245,12 @@ def oriented_subframe(T: GeometricSimplex, f: AbstractSimplex) -> Frame:
     return Frame(tangent_basis(T, f))
 
 
-def _face_gradient(T: GeometricSimplex, face: tuple[int, ...], i: int) -> np.ndarray:
-    """Gradient of lambda_i within the plane of a face containing i; read-only."""
-    return T._faces[face].gradients[face.index(i)]
-
-
 def surface_gradient(T: GeometricSimplex, f: AbstractSimplex, i: int) -> np.ndarray:
     """Tangential part of grad lambda_i on f: f's own gradient if i is in f, else zero."""
+    face = _face(T, f.vertices)
     if i not in f.vertices:
         return np.zeros(T.ambient_dim)
-    return _face_gradient(T, f.vertices, i)
+    return face.gradients[f.vertices.index(i)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +261,8 @@ class TnFrameSet:
     tangential-normal vectors, row i belonging to ``normal_labels[i]``; they
     pair diagonally, off-diagonals at most PAIRING_RTOL times the least
     (positive) diagonal.  ``tangents`` is an orthonormal basis of e's plane.
+    From ``nef_frames`` the arrays are read-only views into tables the cell
+    shares among all its frames.
     """
 
     e: AbstractSimplex
@@ -227,35 +275,85 @@ class TnFrameSet:
         return self.normals_tn @ self.normals_face.T
 
     def validate(self):
-        p = self.pairing()
-        diag = p.diagonal().copy()
-        np.fill_diagonal(p, 0.0)
-        ratio = np.abs(p).max(initial=0.0) / diag.min(initial=np.inf) if np.all(diag > 0.0) else np.inf
-        if ratio > PAIRING_RTOL:
-            f = tuple(sorted(self.e.vertices + self.normal_labels))
-            raise ValueError(f"pairing at e={self.e.vertices}, f={f} not diagonal: ratio {ratio:.3e} > {PAIRING_RTOL}")
+        f = tuple(sorted(self.e.vertices + self.normal_labels))
+        _check_pairing(self.e.vertices, f, float(_pairing_ratio(self.pairing())))
+
+
+def _pairing_ratio(p: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal |entry| over the least diagonal entry, per matrix of a stack (..., r, r).
+
+    The ratio is inf for a matrix with a diagonal entry <= 0.
+    """
+    r = p.shape[-1]
+    diag = np.diagonal(p, axis1=-2, axis2=-1)
+    off = np.abs(p)
+    off[..., range(r), range(r)] = 0.0
+    positive = np.all(diag > 0.0, axis=-1)
+    ratio = np.full(positive.shape, np.inf)
+    np.divide(off.max(axis=(-2, -1), initial=0.0), diag.min(axis=-1, initial=np.inf), out=ratio, where=positive)
+    return ratio
+
+
+def _check_pairing(e: tuple[int, ...], f: tuple[int, ...], ratio: float):
+    if ratio > PAIRING_RTOL:
+        raise ValueError(f"pairing at e={e}, f={f} not diagonal: ratio {ratio:.3e} > {PAIRING_RTOL}")
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int, nf: int, ne: int) -> tuple[dict[tuple[int, int], int], tuple[np.ndarray, ...]]:
+    """Every face pair E in F of range(n) with |F| = nf, |E| = ne, and its gather indices.
+
+    Returns (index, (face_at, face_row, tn_at, tn_row)): ``index`` maps the
+    pair's (F, E) positions among the faces of their dimensions to its row.
+    Entry (row, j) of the arrays locates, for the j-th vertex i of F minus E,
+    F's gradient of lambda_i in the stack of faces with nf vertices and the
+    gradient of lambda_i in E + i in the stack of faces with ne + 1 vertices.
+    """
+    at = {s: {face: j for j, face in enumerate(combinations(range(n), s))} for s in (nf, ne, ne + 1)}
+    index, gather = {}, []
+    for F in combinations(range(n), nf):
+        for E in combinations(F, ne):
+            index[at[nf][F], at[ne][E]] = len(index)
+            rest = [i for i in F if i not in E]
+            up = [tuple(sorted(E + (i,))) for i in rest]
+            gather.append(
+                (
+                    [at[nf][F]] * len(rest),
+                    [F.index(i) for i in rest],
+                    [at[ne + 1][u] for u in up],
+                    [u.index(i) for i, u in zip(rest, up)],
+                )
+            )
+    return index, tuple(np.array(col, dtype=np.intp).reshape(len(index), nf - ne) for col in zip(*gather))
+
+
+def _nef_group(T: GeometricSimplex, nf: int, ne: int) -> _NefGroup:
+    """The cell's n-e-f group for faces with nf vertices and anchors with ne, built on first use."""
+    group = T._nef_table.get((nf, ne))
+    if group is None:
+        index, (face_at, face_row, tn_at, tn_row) = _pair_table(T.dim + 1, nf, ne)
+        face = T._face_stacks[nf - 1][1][face_at, face_row]
+        tn = T._face_stacks[min(ne, T.dim)][1][tn_at, tn_row]  # ne > dim only for e = f = T: nothing to gather
+        ratio = _pairing_ratio(tn @ np.swapaxes(face, -1, -2))
+        face.flags.writeable = tn.flags.writeable = ratio.flags.writeable = False
+        group = T._nef_table[nf, ne] = _NefGroup(index, face, tn, ratio)
+    return group
 
 
 def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> TnFrameSet:
     """Dual bases of the normal plane of e inside the tangent plane of f.
 
     With f the cell these are the t-n frames of e; with e == f the normal
-    families are empty.
+    families are empty.  A lookup into the cell's n-e-f group of (|f|, |e|).
     """
     if not e.issubset(f):
         raise ValueError("need e contained in f")
+    face, anchor = _face(T, f.vertices), _face(T, e.vertices)
+    group = _nef_group(T, len(f.vertices), len(e.vertices))
+    j = group.index[face.at, anchor.at]
+    _check_pairing(e.vertices, f.vertices, group.ratio[j])
     rest = tuple(i for i in f.vertices if i not in e.vertices)
-    face = T._faces[f.vertices].gradients[[f.vertices.index(i) for i in rest]]
-    tn = [_face_gradient(T, tuple(sorted(e.vertices + (i,))), i) for i in rest]
-    out = TnFrameSet(
-        e=e,
-        tangents=tangent_basis(T, e),
-        normal_labels=rest,
-        normals_face=face,
-        normals_tn=np.array(tn).reshape(len(rest), T.ambient_dim),
-    )
-    out.validate()
-    return out
+    return TnFrameSet(e, anchor.tangents, rest, group.normals_face[j], group.normals_tn[j])
 
 
 def outward_normal(T: GeometricSimplex, facet: AbstractSimplex) -> np.ndarray:

@@ -17,6 +17,7 @@ matrices block lower triangular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,15 +62,19 @@ def decompose_altk(
     admissible window, each face f containing e contributes one element per
     increasing sequence of s + k - ell tangent indices.
     """
-    d = T.dim
+    return _elements(T.full_simplex(), e, k, flavor)
+
+
+def _elements(cell: AbstractSimplex, e: AbstractSimplex, k: int, flavor: str) -> list[TnBasisElement]:
+    """``decompose_altk`` on the cell named by its labels; the list depends on nothing else."""
+    d = cell.dim
     s = e.dim
-    cell = T.full_simplex()
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}")
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if not e.issubset(cell):
-        raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {T.labels}")
+        raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {cell.vertices}")
     out = []
     for ell in range(max(s, k), min(k + s, d) + 1):
         for f in supersimplices(e, ell, cell):
@@ -98,6 +103,18 @@ def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]
     return elem.sigma + tuple(elem.e.dim + 1 + normals.index(j) for j in picked)
 
 
+@lru_cache(maxsize=None)
+def _compound_positions(labels: tuple[int, ...], e: AbstractSimplex, k: int, flavor: str) -> tuple[int, ...]:
+    """Position of each element's frame rows among the sequences of its compound, in element order.
+
+    The rows of ``_row_index``, of length k, or d - k for the hodge flavor:
+    a fixed fact of the cell's labels, the anchor, k and the flavor.
+    """
+    d = len(labels) - 1
+    pos = sequence_position(d - k if flavor == "hodge" else k, d)
+    return tuple(pos[_row_index(el, labels)] for el in _elements(AbstractSimplex(labels), e, k, flavor))
+
+
 def _wedge_rows(frames: tuple[np.ndarray, np.ndarray], elem: TnBasisElement, labels: tuple[int, ...]) -> AltForm:
     """The wedge of an element's rows of its anchor's frames; a hodge element's form before the star."""
     primal, dual = frames
@@ -121,8 +138,7 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     pairing on its normals), so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
-    pos = sequence_position(k, T.dim)
-    idx = [pos[_row_index(el, T.labels)] for el in decompose_altk(T, e, k)]
+    idx = _compound_positions(T.labels, e, k, "primal")
     primal, dual = _frames(T, e)
     return compound(primal @ dual.T, k)[np.ix_(idx, idx)]
 
@@ -166,10 +182,9 @@ def realize_all(
     degree d - k, then starred.
     """
     m = T.dim - k if flavor == "hodge" else k
-    pos = sequence_position(m, T.dim)
-    idx = [pos[_row_index(el, T.labels)] for el in decompose_altk(T, e, k, flavor)]
+    idx = _compound_positions(T.labels, e, k, flavor)
     primal, dual = _frames(T, e)
-    rows = compound(dual if flavor == "dual" else primal, m)[idx]
+    rows = compound(dual if flavor == "dual" else primal, m)[list(idx)]
     if flavor != "hodge":
         return rows
     dst, sign = _hodge_table(m, T.dim)

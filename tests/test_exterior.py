@@ -393,6 +393,17 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(np.array(rows))
 
+    def test_keeps_a_read_only_copy(self):
+        rows = np.linalg.qr(RNG.standard_normal((4, 4)))[0][:3]
+        frame = Frame(rows)
+        w = random_form(4, 2)
+        before = restrict_to_frame(frame, w).coeffs
+        assert np.array_equal(before, compound(rows, 2) @ w.coeffs)
+        rows[0] = rows[1]
+        assert np.array_equal(restrict_to_frame(frame, w).coeffs, before)
+        with pytest.raises(ValueError):
+            frame.vectors[0, 0] = 1.0
+
 
 class TestEmbedding:
     def test_full_dimension_identity(self):

@@ -9,6 +9,7 @@ from tnforms.errors import DegenerateSimplexError
 from tnforms.simplex import (
     DEGENERACY_RTOL,
     GeometricSimplex,
+    TnFrameSet,
     all_subsimplices,
     barycentric_coordinates,
     barycentric_gradients,
@@ -86,6 +87,32 @@ def _flatten_last_vertex(v, flatness):
     out = v.copy()
     out[-1] = v[-1] + (math.copysign(flatness * diameter, height) - height) * normal
     return out
+
+
+def _ref_face_geometry(T):
+    """(tangents, gradients) of every face of T from the face's own subsimplex geometry, by labels."""
+    out = {}
+    for f in _faces(T):
+        g = subsimplex_geometry(T, f)
+        out[f.vertices] = (tangent_basis(g, f), barycentric_gradients(g))
+    return out
+
+
+def _ref_nef_frames(geometry, f, e):
+    """n-e-f frames from public calls alone: f's gradients, and the gradient of lambda_i in e + i."""
+    rest = tuple(i for i in f.vertices if i not in e.vertices)
+    tn = []
+    for i in rest:
+        up = tuple(sorted(e.vertices + (i,)))
+        tn.append(geometry[up][1][up.index(i)])
+    grads_f = geometry[f.vertices][1]
+    return TnFrameSet(
+        e=e,
+        tangents=geometry[e.vertices][0],
+        normal_labels=rest,
+        normals_face=grads_f[[f.vertices.index(i) for i in rest]],
+        normals_tn=np.array(tn).reshape(len(rest), grads_f.shape[1]),
+    )
 
 
 def _reference_cells():
@@ -331,6 +358,101 @@ class TestNefFrames:
             bad.validate()
         with pytest.raises(ValueError, match="ratio inf"):
             dataclasses.replace(fr, normals_tn=-fr.normals_tn).validate()
+
+
+def _pair_cells():
+    """Scaled and relabelled cells of every d = 1..6."""
+    cells = []
+    for d in range(1, 7):
+        unit = random_simplex(d, np.random.default_rng(300 + d))
+        for scale in (1e-3, 1.0, 1e3):
+            cells.append(GeometricSimplex(scale * unit.vertices))
+        cells.append(GeometricSimplex(unit.vertices, labels=tuple(range(2, 3 * d + 5, 3))))
+    return cells
+
+
+class TestNefTable:
+    @pytest.mark.parametrize("T", _pair_cells(), ids=lambda T: f"d{T.dim}-{T.labels[0]}-{np.abs(T.vertices).max():.0e}")
+    def test_every_pair_matches_reference(self, T):
+        faces, geometry = _faces(T), _ref_face_geometry(T)
+        for f in faces:
+            for e in faces:
+                if e.issubset(f):
+                    got, ref = nef_frames(T, f, e), _ref_nef_frames(geometry, f, e)
+                    assert got.e == e and got.normal_labels == ref.normal_labels
+                    for name in ("tangents", "normals_face", "normals_tn"):
+                        assert np.array_equal(getattr(got, name), getattr(ref, name)), (f, e, name)
+
+    def test_failing_pair_leaves_its_group_usable(self):
+        # on slivers of flatness 1e-7 some pairs miss PAIRING_RTOL; others of the same (|f|, |e|) pass
+        rng = np.random.default_rng(801)
+        for _ in range(20):
+            T = GeometricSimplex(_flatten_last_vertex(random_simplex(4, rng).vertices.copy(), 1e-7))
+            faces, geometry = _faces(T), _ref_face_geometry(T)
+            pairs = [(f, e) for f in faces for e in faces if e.issubset(f)]
+            outcome = {}
+            for f, e in pairs:
+                try:
+                    _ref_nef_frames(geometry, f, e).validate()
+                    outcome[f, e] = None
+                except ValueError as exc:
+                    outcome[f, e] = str(exc)
+            failing = [(f, e) for (f, e), msg in outcome.items() if msg is not None]
+            if failing:
+                break
+        else:
+            pytest.fail("no sliver with a failing pair")
+        f, e = failing[0]
+        with pytest.raises(ValueError) as exc:
+            nef_frames(T, f, e)
+        assert str(exc.value) == outcome[f, e]
+        assert "not diagonal: ratio" in str(exc.value)
+        passing = [(g, a) for (g, a), msg in outcome.items() if msg is None and (len(g), len(a)) == (len(f), len(e))]
+        assert passing
+        for g, a in passing:
+            assert np.array_equal(nef_frames(T, g, a).normals_tn, _ref_nef_frames(geometry, g, a).normals_tn)
+        raised = set()
+        for g, a in pairs:
+            try:
+                nef_frames(T, g, a)
+            except ValueError:
+                raised.add((g, a))
+        assert raised == set(failing)
+
+    def test_t_n_bases_build_only_cell_groups(self):
+        from tnforms.tnbasis import pairing_matrix
+
+        T = random_simplex(4, RNG)
+        for e in all_subsimplices(T):
+            for k in range(T.dim + 1):
+                pairing_matrix(T, e, k)
+        assert {nf for nf, _ in T._nef_table} == {T.dim + 1}
+        assert {ne for _, ne in T._nef_table} == set(range(1, T.dim + 2))
+
+    def test_frames_are_read_only(self):
+        T = random_simplex(3, RNG)
+        fr = nef_frames(T, simplex(0, 1, 3), simplex(1))
+        for arr in (fr.tangents, fr.normals_face, fr.normals_tn):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
+class TestFaceLookup:
+    def test_labels_outside_the_cell_are_named(self):
+        T = random_simplex(3, RNG)
+        msg = r"\(0, 9\) is not a face of the simplex with labels \(0, 1, 2, 3\)"
+        with pytest.raises(ValueError, match=msg):
+            nef_frames(T, simplex(0, 9), simplex(0))
+        with pytest.raises(ValueError, match=msg):
+            tangent_basis(T, simplex(0, 9))
+        with pytest.raises(ValueError, match=msg):
+            surface_gradient(T, simplex(0, 9), 0)
+
+    def test_relabelled_cell_rejects_default_labels(self):
+        T = GeometricSimplex(random_simplex(2, RNG).vertices, labels=(2, 5, 8))
+        with pytest.raises(ValueError, match=r"\(0, 1\) is not a face of the simplex with labels \(2, 5, 8\)"):
+            nef_frames(T, simplex(0, 1), simplex(1))
+        assert nef_frames(T, simplex(2, 5, 8), simplex(5)).normal_labels == (2, 8)
 
 
 class TestOrientedSubframe:

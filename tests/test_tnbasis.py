@@ -226,6 +226,21 @@ class TestRealization:
         pairing_matrix(T, e, 2)
         assert len(calls) == 5
 
+    def test_element_positions_are_cached_by_labels(self):
+        from tnforms.tnbasis import _compound_positions
+
+        T1, T2, e = random_simplex(3, RNG), random_simplex(3, RNG), simplex(0, 2)
+
+        def bases(T):
+            pairing_matrix(T, e, 2)
+            realize_all(T, e, 2, "hodge")
+
+        bases(T1)
+        misses = _compound_positions.cache_info().misses
+        bases(T2)  # same labels: no element is built again
+        assert _compound_positions.cache_info().misses == misses
+        assert all(type(i) is int for i in _compound_positions(T1.labels, e, 2, "primal"))
+
     def test_k0_constant(self):
         T = random_simplex(2, RNG)
         elems = decompose_altk(T, simplex(1), 0)
