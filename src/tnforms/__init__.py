@@ -31,8 +31,6 @@ from .simplex import (
     surface_gradient,
 )
 from .poly import (
-    BernsteinPoly,
-    bernstein_eval,
     interpolation_points,
     lagrange_decomposition_dims,
     lagrange_eval,

@@ -6,11 +6,15 @@ monomials lambda^alpha over the lattice of multi-indices alpha with
 points and Bernstein coefficients are interchangeable through a cached
 generalized Vandermonde matrix; degrees are capped at MAX_DEGREE because
 that conversion degrades for large r.
+
+Every monomial value goes through ``monomial_values_at``: it takes each
+barycentric power lambda_i^j once per point, in one power table, and
+gathers the lattice's exponents from it through a cached offset table, one
+barycentric column at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -68,44 +72,40 @@ def interpolation_points(T: GeometricSimplex, r: int) -> np.ndarray:
     return (idx @ T.vertices) / r
 
 
-@dataclass(frozen=True, eq=False)
-class BernsteinPoly:
-    """Polynomial on an m-simplex in the barycentric monomial basis."""
-
-    r: int
-    dim: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).reshape(-1)
-        if c.shape[0] != lattice_dimension(self.dim, self.r):
-            raise ValueError(
-                f"expected {lattice_dimension(self.dim, self.r)} coefficients, got {c.shape[0]}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-
-def bernstein_eval(p: BernsteinPoly, x: np.ndarray, T: GeometricSimplex) -> float:
-    """Evaluate sum_alpha c_alpha lambda(x)^alpha."""
-    if T.dim != p.dim:
-        raise ValueError("simplex dimension mismatch")
-    lam = barycentric_coordinates(T, x)
-    return float(p.coeffs @ monomial_values_at(p.dim, p.r, lam)[0])
+@lru_cache(maxsize=None)
+def _exponent_offsets(dim: int, r: int) -> np.ndarray:
+    """Row i holds i (r + 1) + alpha_i for every alpha: the row of
+    lambda_i^alpha_i in the power table of ``monomial_values_at``."""
+    idx = np.array(_lattice(dim, r), dtype=np.intp).reshape(-1, dim + 1)
+    out = np.ascontiguousarray((idx + (r + 1) * np.arange(dim + 1)).T)
+    out.setflags(write=False)
+    return out
 
 
 def monomial_values_at(dim: int, r: int, lams: np.ndarray) -> np.ndarray:
     """Matrix of lambda^alpha values, one row per barycentric-coordinate row.
 
-    Built one barycentric column at a time, which keeps the working set at
-    the size of the result.
+    For P points and M monomials, one power table holds lambda_i^j for every
+    column i, j <= r and point, so pow runs P (dim + 1) (r + 1) times, not
+    P M (dim + 1).  The monomials are gathered from its rows one barycentric
+    column at a time and multiplied in column order, so the working set is
+    the (M, P) product, one gathered column of its size and the table; the
+    product is returned transposed into a C-ordered (P, M) array.
     """
     lams = np.atleast_2d(lams)
-    idx = np.array(_lattice(dim, r), dtype=int).reshape(-1, dim + 1)
-    vals = np.ones((lams.shape[0], idx.shape[0]))
+    if lams.ndim != 2 or lams.shape[1] != dim + 1:
+        raise ValueError(f"barycentric rows need dim + 1 = {dim + 1} columns, got shape {lams.shape}")
+    if dim == 0 and r >= 0:
+        # The one monomial lambda_0^r.  A scalar exponent keeps numpy's exact
+        # paths (x * x at r = 2), which an exponent table would bypass.
+        return np.ones((lams.shape[0], 1)) * lams**r
+    off = _exponent_offsets(dim, r)
     with np.errstate(invalid="ignore"):
-        for i in range(dim + 1):
-            vals *= lams[:, i, None] ** idx[None, :, i]
-    return vals
+        pw = (lams[:, :, None] ** np.arange(r + 1)).reshape(len(lams), (dim + 1) * (r + 1)).T.copy()
+        vals = pw.take(off[0], axis=0).astype(float, copy=False)
+        for i in range(1, dim + 1):
+            vals *= pw.take(off[i], axis=0)
+    return np.ascontiguousarray(vals.T)
 
 
 def lagrange_eval(alpha: LatticeIndex, x: np.ndarray, T: GeometricSimplex) -> float:
@@ -159,9 +159,9 @@ def _product_index(dim: int, r1: int, r2: int) -> np.ndarray:
 def multiply_bernstein(c1: np.ndarray, r1: int, c2: np.ndarray, r2: int, dim: int) -> np.ndarray:
     """Coefficients of the product polynomial, degree r1 + r2."""
     table = _product_index(dim, r1, r2)
-    out = np.zeros(lattice_dimension(dim, r1 + r2))
-    np.add.at(out, table.reshape(-1), np.outer(c1, c2).reshape(-1))
-    return out
+    out = np.bincount(table.ravel(), weights=np.outer(c1, c2).ravel(), minlength=lattice_dimension(dim, r1 + r2))
+    # bincount returns ints when the table is empty, at a negative degree.
+    return out.astype(float, copy=False)
 
 
 @lru_cache(maxsize=None)

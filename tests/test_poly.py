@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
 
 from tnforms.combinatorics import binomial, simplex, subsimplices
 from tnforms.poly import (
-    BernsteinPoly,
-    bernstein_eval,
+    MAX_DEGREE,
     bernstein_moments,
     embed_lattice_index,
     interpolation_points,
@@ -30,6 +31,11 @@ from tnforms.simplex import (
 )
 
 RNG = np.random.default_rng(99)
+
+
+def _bernstein_eval(coeffs, r, x, T):
+    """sum_alpha c_alpha lambda(x)^alpha at one point x of T."""
+    return float(monomial_values_at(T.dim, r, barycentric_coordinates(T, x))[0] @ np.asarray(coeffs))
 
 
 def duffy_quadrature_integral(alpha, T, order):
@@ -128,19 +134,18 @@ class TestLagrange:
 class TestBernstein:
     def test_vertex_value(self):
         T = GeometricSimplex(np.array([[0.0], [1.0]]))
-        p = BernsteinPoly(1, 1, [0.0, 1.0])  # lattice (0,1), (1,0): coefficient of lambda_0
-        assert abs(bernstein_eval(p, np.array([0.0]), T) - 1.0) < 1e-14
+        # lattice (0,1), (1,0): coefficient of lambda_0
+        assert abs(_bernstein_eval([0.0, 1.0], 1, np.array([0.0]), T) - 1.0) < 1e-14
 
     def test_bubble_vanishes_on_boundary(self):
         T = random_simplex(2, RNG)
         # b_T = lambda_0 lambda_1 lambda_2 at boundary lattice points
         coeffs = np.zeros(lattice_dimension(2, 3))
         coeffs[lattice(2, 3).index((1, 1, 1))] = 1.0
-        p = BernsteinPoly(3, 2, coeffs)
         pts = interpolation_points(T, 3)
         for alpha, x in zip(lattice(2, 3), pts):
             if 0 in alpha:
-                assert abs(bernstein_eval(p, x, T)) < 1e-12
+                assert abs(_bernstein_eval(coeffs, 3, x, T)) < 1e-12
 
     def test_against_symbolic_expansion(self):
         # oracle: expand lambda^alpha into monomials in (x, y) with sympy
@@ -154,11 +159,10 @@ class TestBernstein:
             for c, a in zip(coeffs, lattice(2, r))
         )
         poly = sympy.expand(expr)
-        p = BernsteinPoly(r, 2, coeffs)
         for _ in range(10):
             pt = RNG.uniform(size=2)
             want = float(poly.subs({x: pt[0], y: pt[1]}))
-            assert abs(bernstein_eval(p, pt, T) - want) < 1e-11
+            assert abs(_bernstein_eval(coeffs, r, pt, T) - want) < 1e-11
 
 
 def moment(alpha, T):
@@ -203,9 +207,9 @@ class TestProductsAndConversions:
         c2 = RNG.standard_normal(lattice_dimension(2, 1))
         prod = multiply_bernstein(c1, 2, c2, 1, 2)
         x = RNG.uniform(size=2)
-        a = bernstein_eval(BernsteinPoly(2, 2, c1), x, T)
-        b = bernstein_eval(BernsteinPoly(1, 2, c2), x, T)
-        ab = bernstein_eval(BernsteinPoly(3, 2, prod), x, T)
+        a = _bernstein_eval(c1, 2, x, T)
+        b = _bernstein_eval(c2, 1, x, T)
+        ab = _bernstein_eval(prod, 3, x, T)
         assert abs(ab - a * b) < 1e-11
 
     @pytest.mark.parametrize("d,r", [(1, 3), (2, 4), (3, 3)])
@@ -229,10 +233,8 @@ class TestProductsAndConversions:
         full = np.zeros(lattice_dimension(3, r))
         for c, beta in zip(face_coeffs, lattice(1, r)):
             full[lattice(3, r).index(embed_lattice_index(beta, f, 4))] = c
-        p_face = BernsteinPoly(r, 1, face_coeffs)
-        p_full = BernsteinPoly(r, 3, full)
         for x in interpolation_points(face, r):
-            assert abs(bernstein_eval(p_full, x, T) - bernstein_eval(p_face, x, face)) < 1e-10
+            assert abs(_bernstein_eval(full, r, x, T) - _bernstein_eval(face_coeffs, r, x, face)) < 1e-10
 
     def test_restrict_embed_roundtrip(self):
         f = simplex(1, 3)
@@ -248,15 +250,67 @@ def _ref_monomial_values(dim, r, lams):
 
 
 class TestMonomialValues:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
     def test_matches_per_point_loop(self, dim):
         inside = RNG.dirichlet(np.ones(dim + 1), size=32)
         outside = RNG.standard_normal((8, dim + 1))
-        for lams in (inside, outside, inside[0]):
-            for r in range(-1, 8):
+        vertices = np.eye(dim + 1, dtype=int)
+        for lams in (inside, outside, inside[0], vertices):
+            for r in range(-1, MAX_DEGREE + 1):
                 got = monomial_values_at(dim, r, lams)
                 assert got.shape == (len(np.atleast_2d(lams)), lattice_dimension(dim, r))
+                assert got.dtype == np.float64 and got.flags.c_contiguous
                 assert np.array_equal(got, _ref_monomial_values(dim, r, lams))
+
+    def test_vertex_rows_match_per_point_loop(self):
+        # dim = 0 has one monomial, lambda_0^r; many rows make a last-bit change in pow show
+        lams = RNG.standard_normal((2048, 1))
+        for r in range(-1, MAX_DEGREE + 1):
+            assert np.array_equal(monomial_values_at(0, r, lams), _ref_monomial_values(0, r, lams))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_nodal_vandermonde_matches_per_point_loop(self, dim):
+        for r in range(1, MAX_DEGREE + 1):
+            pts = np.array(lattice(dim, r), dtype=float) / r
+            assert np.array_equal(nodal_vandermonde(dim, r), _ref_monomial_values(dim, r, pts))
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_wrong_row_width_rejected(self, width):
+        with pytest.raises(ValueError, match=rf"dim \+ 1 = 3 .*\(5, {width}\)"):
+            monomial_values_at(2, 2, np.full((5, width), 0.25))
+
+    def test_working_set_is_bounded_by_the_result(self):
+        pts = np.array(lattice(4, 8), dtype=float) / 8
+        monomial_values_at(4, 8, pts)  # the offset table is cached from here on
+        tracemalloc.start()
+        try:
+            got = monomial_values_at(4, 8, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (495, 495)
+        assert peak <= 3 * got.nbytes
+
+
+def _ref_multiply_bernstein(c1, r1, c2, r2, dim):
+    """The product as a loop over the lattice pairs, in table order."""
+    pos = lattice_position(dim, r1 + r2)
+    out = np.zeros(lattice_dimension(dim, r1 + r2))
+    for a, x in zip(lattice(dim, r1), c1):
+        for b, y in zip(lattice(dim, r2), c2):
+            out[pos[tuple(i + j for i, j in zip(a, b))]] += x * y
+    return out
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
+def test_multiply_bernstein_matches_pair_loop(dim):
+    for r1 in range(-1, 5):
+        for r2 in range(-1, 5):
+            c1 = RNG.standard_normal(lattice_dimension(dim, r1))
+            c2 = RNG.standard_normal(lattice_dimension(dim, r2))
+            got = multiply_bernstein(c1, r1, c2, r2, dim)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, _ref_multiply_bernstein(c1, r1, c2, r2, dim))
 
 
 class TestLagrangeDecomposition:
