@@ -88,9 +88,10 @@ def monomial_values_at(dim: int, r: int, lams: np.ndarray) -> np.ndarray:
     For P points and M monomials, one power table holds lambda_i^j for every
     column i, j <= r and point, so pow runs P (dim + 1) (r + 1) times, not
     P M (dim + 1).  The monomials are gathered from its rows one barycentric
-    column at a time and multiplied in column order, so the working set is
-    the (M, P) product, one gathered column of its size and the table; the
-    product is returned transposed into a C-ordered (P, M) array.
+    column at a time and multiplied in column order, so besides the table
+    at most two arrays of the result's size are alive: the (M, P) product
+    and one gathered column, or at the end the product's C-ordered (P, M)
+    transpose, which is returned.
     """
     lams = np.atleast_2d(lams)
     if lams.ndim != 2 or lams.shape[1] != dim + 1:
