@@ -30,12 +30,7 @@ from .simplex import (
     reference_simplex,
     surface_gradient,
 )
-from .poly import (
-    interpolation_points,
-    lagrange_decomposition_dims,
-    lagrange_eval,
-    lattice,
-)
+from .poly import interpolation_points, lattice
 from .tnbasis import TnBasisElement, decompose_altk, hodge_coefficient, pairing_matrix, realize
 
 __version__ = "0.1.0"

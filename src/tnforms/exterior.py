@@ -10,9 +10,12 @@ Operations never loop over index sequences when called.  Each sign and
 index fact is an integer table cached by degrees and dimension only, built
 from the tuples of ``combinatorics.sequences``:
 ``_wedge_table(p, q, d)`` holds each disjoint pair of sequences with the
-position and sign of their merge, ``_contraction_table`` each dropped slot
-and ``_hodge_table`` each ``complement``; an operation is one gather and one
-``np.bincount``.  ``compound(A, k)`` holds all k x k minors of A from one
+position and sign of their merge and ``_contraction_table`` each dropped
+slot; a wedge or a contraction is one gather and one ``np.bincount``.  The
+star is a signed permutation: ``_hodge_table`` holds, for each output
+sequence, the input sequence it is the ``complement`` of and the sign, and
+``_star`` is one gather along the last axis, of one form or of a stack of
+coefficient rows.  ``compound(A, k)`` holds all k x k minors of A from one
 batched determinant, so evaluation, wedges of 1-forms, restriction to a
 frame (``C_k(F) @ a``) and its pullback (``c @ C_k(F)``) are products.
 """
@@ -72,10 +75,6 @@ def _check_same_space(a: AltForm, b: AltForm):
         raise ValueError(f"form space mismatch: ({a.d},{a.k}) vs ({b.d},{b.k})")
 
 
-def zero(d: int, k: int) -> AltForm:
-    return AltForm(d, k, np.zeros(binomial(d, k)))
-
-
 def basis_form(d: int, k: int, sigma: tuple[int, ...]) -> AltForm:
     """The basis form dx_sigma."""
     c = np.zeros(binomial(d, k))
@@ -130,10 +129,16 @@ def _contraction_table(k: int, d: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _hodge_table(k: int, d: int) -> tuple[np.ndarray, ...]:
-    """(dst, sign): the star of the i-th basis k-form is sign[i] times basis form dst[i]."""
-    pos = sequence_position(d - k, d)
-    rests = [complement(sig, d) for sig in sequences(k, d)]
-    return _columns((pos[rest], inversion_sign(sig + rest)) for sig, rest in zip(sequences(k, d), rests))
+    """(src, sign): the i-th coefficient of a starred k-form is sign[i] times its coefficient src[i]."""
+    pos = sequence_position(k, d)
+    sigs = [complement(rest, d) for rest in sequences(d - k, d)]
+    return _columns((pos[sig], inversion_sign(sig + rest)) for sig, rest in zip(sigs, sequences(d - k, d)))
+
+
+def _star(coeffs: np.ndarray, k: int, d: int) -> np.ndarray:
+    """Hodge star of k-form coefficients along the last axis: one signed gather."""
+    src, sign = _hodge_table(k, d)
+    return sign * coeffs[..., src]
 
 
 def wedge(omega: AltForm, eta: AltForm) -> AltForm:
@@ -179,8 +184,7 @@ def contraction(omega: AltForm, v: np.ndarray) -> AltForm:
 def hodge_star(omega: AltForm) -> AltForm:
     """Hodge star in the ambient positively oriented orthonormal frame."""
     d, k = omega.d, omega.k
-    dst, sign = _hodge_table(k, d)
-    return AltForm(d, d - k, np.bincount(dst, weights=sign * omega.coeffs, minlength=binomial(d, d - k)))
+    return AltForm(d, d - k, _star(omega.coeffs, k, d))
 
 
 def inner(omega: AltForm, eta: AltForm) -> float:
@@ -252,12 +256,15 @@ class Frame:
 
 
 def restrict_to_frame(frame: Frame, omega: AltForm) -> AltForm:
-    """Coefficients of omega restricted to the frame's span, in frame coordinates."""
+    """Coefficients of omega restricted to the frame's span, in frame coordinates.
+
+    Raises when omega's degree exceeds the frame's size.
+    """
     ell, k = frame.size, omega.k
     if omega.d != frame.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if k > ell:
-        return zero(ell, ell)  # the restricted space is trivial
+        raise ValueError(f"cannot restrict a k={k} form to a frame of size ell={ell}: need k <= ell")
     return AltForm(ell, k, frame._compound(k) @ omega.coeffs)
 
 
@@ -282,7 +289,7 @@ def hodge_star_in_subspace(frame: Frame, omega: AltForm) -> AltForm:
     Raises if omega's part orthogonal to the span exceeds ORTHONORMAL_RTOL |omega|.
     """
     restricted = restrict_to_frame(frame, omega)
-    residual = (pullback_embed(frame, restricted) - omega).norm()
+    residual = float(np.linalg.norm(restricted.coeffs @ frame._compound(omega.k) - omega.coeffs))
     if residual > ORTHONORMAL_RTOL * omega.norm():
         raise ValueError(f"form not tangential to the span: relative residual {residual / omega.norm():.3e}")
     return pullback_embed(frame, hodge_star(restricted))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .combinatorics import AbstractSimplex, binomial
 from .errors import MAX_CONDITION
-from .simplex import GeometricSimplex, barycentric_coordinates
+from .simplex import GeometricSimplex
 
 MAX_DEGREE = 10
 
@@ -109,22 +109,6 @@ def monomial_values_at(dim: int, r: int, lams: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vals.T)
 
 
-def lagrange_eval(alpha: LatticeIndex, x: np.ndarray, T: GeometricSimplex) -> float:
-    """Lagrange basis function of the principal lattice, dual to point values.
-
-    phi_alpha(x) = (1/alpha!) prod_i prod_{j<alpha_i} (r lambda_i(x) - j),
-    which is 1 at x_alpha and 0 at every other lattice point.
-    """
-    r = sum(alpha)
-    lam = barycentric_coordinates(T, x)
-    value = 1.0
-    for i, ai in enumerate(alpha):
-        for j in range(ai):
-            value *= r * lam[i] - j
-        value /= factorial(ai)
-    return float(value)
-
-
 @lru_cache(maxsize=None)
 def _moment_weights(dim: int, r: int) -> np.ndarray:
     """Moments of lambda^alpha over the unit-volume m-simplex, lattice order."""
@@ -183,31 +167,19 @@ def nodal_vandermonde(dim: int, r: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def nodal_to_bernstein(dim: int, r: int) -> np.ndarray:
-    """Inverse Vandermonde: Bernstein coefficients from nodal values."""
+    """Inverse Vandermonde: Bernstein coefficients from nodal values.
+
+    Its columns are the Lagrange basis of the principal lattice, dual to
+    point values.  The product of the Frobenius norms of V and its inverse
+    bounds the condition number from above with no factorisation beyond
+    the inverse.
+    """
     V = nodal_vandermonde(dim, r)
-    if np.linalg.cond(V) > MAX_CONDITION:
-        raise ValueError(f"nodal/Bernstein conversion ill-conditioned at (dim={dim}, r={r})")
     out = np.linalg.inv(V)
+    if np.linalg.norm(V) * np.linalg.norm(out) > MAX_CONDITION:
+        raise ValueError(f"nodal/Bernstein conversion ill-conditioned at (dim={dim}, r={r})")
     out.setflags(write=False)
     return out
-
-
-def lagrange_decomposition_dims(d: int, r: int) -> dict:
-    """Subspace dimension bookkeeping of the bubble decomposition of P_r.
-
-    Each ell-face contributes dim P_{r-(ell+1)} bubble functions; the grand
-    total must match dim P_r.
-    """
-    if r < 1:
-        raise ValueError("decomposition needs r >= 1")
-    per_level = {}
-    total = 0
-    for ell in range(d + 1):
-        faces = binomial(d + 1, ell + 1)
-        dim_per_face = lattice_dimension(ell, r - (ell + 1))
-        per_level[ell] = {"faces": faces, "dim_per_face": dim_per_face}
-        total += faces * dim_per_face
-    return {"per_level": per_level, "total": total, "expected": lattice_dimension(d, r)}
 
 
 def embed_lattice_index(alpha_local: LatticeIndex, e: AbstractSimplex, n_labels: int) -> LatticeIndex:

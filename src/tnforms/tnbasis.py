@@ -23,7 +23,7 @@ import numpy as np
 
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences, supersimplices
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
-from .exterior import AltForm, _hodge_table, compound, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
+from .exterior import AltForm, _star, compound, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
 from .simplex import GeometricSimplex, nef_frames
 
 FLAVORS = ("primal", "dual", "hodge")
@@ -185,9 +185,4 @@ def realize_all(
     idx = _compound_positions(T.labels, e, k, flavor)
     primal, dual = _frames(T, e)
     rows = compound(dual if flavor == "dual" else primal, m)[list(idx)]
-    if flavor != "hodge":
-        return rows
-    dst, sign = _hodge_table(m, T.dim)
-    starred = np.empty_like(rows)
-    starred[:, dst] = sign * rows
-    return starred
+    return _star(rows, m, T.dim) if flavor == "hodge" else rows

@@ -18,8 +18,8 @@ from tnforms.exterior import (
     volume_coefficient,
     wedge,
     wedge_all,
-    zero,
 )
+from tnforms.exterior import _star
 
 RNG = np.random.default_rng(1234)
 
@@ -112,8 +112,6 @@ def _ref_evaluate(omega, vectors):
 
 def _ref_restrict_to_frame(frame, omega):
     ell, k = frame.size, omega.k
-    if k > ell:
-        return zero(ell, ell)
     out = np.empty(binomial(ell, k))
     for idx, tau in enumerate(sequences(k, ell)):
         out[idx] = _ref_evaluate(omega, [frame.vectors[t - 1] for t in tau])
@@ -122,7 +120,7 @@ def _ref_restrict_to_frame(frame, omega):
 
 def _ref_pullback_embed(frame, omega_sub):
     ell, k, d = frame.size, omega_sub.k, frame.ambient_dim
-    acc = zero(d, k)
+    acc = AltForm(d, k, np.zeros(binomial(d, k)))
     for idx, tau in enumerate(sequences(k, ell)):
         c = omega_sub.coeffs[idx]
         if c == 0.0:
@@ -172,9 +170,13 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("d", DIMS)
     def test_hodge_star(self, d):
+        # one gather stars a single form and a stack of coefficient rows alike
         for k in range(d + 1):
-            w = random_form(d, k)
-            assert_matches(hodge_star(w), _ref_hodge_star(w))
+            rows = RNG.standard_normal((3, binomial(d, k)))
+            for row, starred in zip(rows, _star(rows, k, d)):
+                w = AltForm(d, k, row)
+                assert_matches(hodge_star(w), _ref_hodge_star(w))
+                assert np.array_equal(hodge_star(w).coeffs, starred)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_evaluate(self, d):
@@ -189,10 +191,13 @@ class TestAgainstReference:
             frame = random_frame(ell, d)
             for k in range(d + 1):
                 w = random_form(d, k)
+                if k > ell:
+                    with pytest.raises(ValueError, match=f"k={k} form to a frame of size ell={ell}"):
+                        restrict_to_frame(frame, w)
+                    continue
                 assert_matches(restrict_to_frame(frame, w), _ref_restrict_to_frame(frame, w))
-                if k <= ell:
-                    w_sub = random_form(ell, k)
-                    assert_matches(pullback_embed(frame, w_sub), _ref_pullback_embed(frame, w_sub))
+                w_sub = random_form(ell, k)
+                assert_matches(pullback_embed(frame, w_sub), _ref_pullback_embed(frame, w_sub))
 
 
 class TestCompound:
@@ -371,6 +376,19 @@ class TestSubspaceHodge:
     def test_non_tangential_rejected(self):
         with pytest.raises(ValueError):
             hodge_star_in_subspace(self.xy_frame(), basis_form(3, 1, (3,)))
+
+    def test_degree_above_frame_size_rejected(self):
+        with pytest.raises(ValueError, match="k=3 form to a frame of size ell=2"):
+            hodge_star_in_subspace(self.xy_frame(), basis_form(3, 3, (1, 2, 3)))
+
+    def test_builds_three_forms(self, monkeypatch):
+        # restriction, star and embedding; the tangentiality residual builds none
+        frame, w = self.xy_frame(), basis_form(3, 1, (1,))
+        built = []
+        init = AltForm.__post_init__
+        monkeypatch.setattr(AltForm, "__post_init__", lambda self: built.append(init(self)))
+        hodge_star_in_subspace(frame, w)
+        assert len(built) == 3
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_tangentiality_is_relative(self, scale):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import sympy
 
+from tnforms import poly
 from tnforms.combinatorics import binomial, simplex, subsimplices
 from tnforms.poly import (
     MAX_DEGREE,
     bernstein_moments,
     embed_lattice_index,
     interpolation_points,
-    lagrange_decomposition_dims,
-    lagrange_eval,
     lattice,
     lattice_carrier,
     lattice_dimension,
@@ -105,30 +104,30 @@ class TestInterpolationPoints:
             interpolation_points(random_simplex(2, RNG), 0)
 
 
+def _lagrange_values(T, r, points):
+    """Every Lagrange basis function of degree r at each point, one row per point."""
+    lams = np.array([barycentric_coordinates(T, x) for x in points])
+    return monomial_values_at(T.dim, r, lams) @ nodal_to_bernstein(T.dim, r)
+
+
 class TestLagrange:
     def test_degree_one_is_barycentric(self):
         T = random_simplex(2, RNG)
-        x = RNG.uniform(size=2)
-        lam = barycentric_coordinates(T, x)
-        for i, alpha in enumerate([(0, 0, 1), (0, 1, 0), (1, 0, 0)]):
-            assert abs(lagrange_eval(alpha, x, T) - lam[2 - i]) < 1e-12
+        points = RNG.uniform(size=(5, 2))
+        lams = np.array([barycentric_coordinates(T, x) for x in points])
+        # lattice order (0,0,1), (0,1,0), (1,0,0) lists lambda_2, lambda_1, lambda_0
+        assert np.max(np.abs(_lagrange_values(T, 1, points) - lams[:, ::-1])) < 1e-12
 
     @pytest.mark.parametrize("d,r", [(1, 3), (2, 3), (2, 4), (3, 2), (3, 4)])
     def test_nodal_duality(self, d, r):
         T = random_simplex(d, RNG)
-        pts = interpolation_points(T, r)
-        for a_idx, alpha in enumerate(lattice(d, r)):
-            vals = [lagrange_eval(alpha, x, T) for x in pts]
-            expect = np.zeros(len(pts))
-            expect[a_idx] = 1.0
-            assert np.max(np.abs(np.array(vals) - expect)) < 1e-10
+        vals = _lagrange_values(T, r, interpolation_points(T, r))
+        assert np.max(np.abs(vals - np.eye(lattice_dimension(d, r)))) < 1e-10
 
     def test_partition_of_unity(self):
         T = random_simplex(3, RNG)
-        for _ in range(5):
-            x = RNG.uniform(size=3)
-            total = sum(lagrange_eval(alpha, x, T) for alpha in lattice(3, 3))
-            assert abs(total - 1.0) < 1e-11
+        vals = _lagrange_values(T, 3, RNG.uniform(size=(5, 3)))
+        assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-11
 
 
 class TestBernstein:
@@ -218,6 +217,11 @@ class TestProductsAndConversions:
         Vinv = nodal_to_bernstein(d, r)
         n = lattice_dimension(d, r)
         assert np.max(np.abs(V @ Vinv - np.eye(n))) < 1e-9
+
+    def test_ill_conditioned_conversion_rejected(self, monkeypatch):
+        monkeypatch.setattr(poly, "MAX_CONDITION", 10.0)
+        with pytest.raises(ValueError, match=r"ill-conditioned at \(dim=2, r=4\)"):
+            nodal_to_bernstein.__wrapped__(2, 4)
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
@@ -313,28 +317,38 @@ def test_multiply_bernstein_matches_pair_loop(dim):
             assert np.array_equal(got, _ref_multiply_bernstein(c1, r1, c2, r2, dim))
 
 
+def _points_per_face(d, r):
+    """Lattice points of degree r grouped by carrier: {ell: counts of every ell-face}."""
+    carried = {}
+    for alpha in lattice(d, r):
+        carrier = lattice_carrier(alpha)
+        carried[carrier] = carried.get(carrier, 0) + 1
+    cell = simplex(*range(d + 1))
+    per_level = {ell: [carried.pop(f.vertices, 0) for f in subsimplices(cell, ell)] for ell in range(d + 1)}
+    assert not carried
+    return per_level
+
+
 class TestLagrangeDecomposition:
+    # Each lattice point is carried by the face where its multi-index is
+    # positive, so an ell-face carries the interior points of its own degree-r
+    # lattice: dim P_{r - ell - 1} of them, the bubble count of P_r.
     def test_quadratic_triangle(self):
-        table = lagrange_decomposition_dims(2, 2)
-        assert table["total"] == 6 == table["expected"]
-        assert table["per_level"][0] == {"faces": 3, "dim_per_face": 1}
-        assert table["per_level"][1] == {"faces": 3, "dim_per_face": 1}
-        assert table["per_level"][2]["dim_per_face"] == 0
+        assert _points_per_face(2, 2) == {0: [1, 1, 1], 1: [1, 1, 1], 2: [0]}
 
     def test_linear_tetrahedron(self):
-        table = lagrange_decomposition_dims(3, 1)
-        assert table["total"] == 4
-        assert table["per_level"][0]["faces"] == 4
+        assert _points_per_face(3, 1) == {0: [1] * 4, 1: [0] * 6, 2: [0] * 4, 3: [0]}
 
     def test_quartic_tetrahedron(self):
-        table = lagrange_decomposition_dims(3, 4)
-        assert table["total"] == 35 == table["expected"]
+        assert _points_per_face(3, 4) == {0: [1] * 4, 1: [3] * 6, 2: [3] * 4, 3: [1]}
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_totals_match(self, d):
         for r in range(1, 6):
-            table = lagrange_decomposition_dims(d, r)
-            assert table["total"] == table["expected"]
+            per_level = _points_per_face(d, r)
+            for ell, counts in per_level.items():
+                assert counts == [lattice_dimension(ell, r - ell - 1)] * binomial(d + 1, ell + 1)
+            assert sum(map(sum, per_level.values())) == lattice_dimension(d, r)
 
 
 class TestBarycentricVanishing:
