@@ -75,13 +75,6 @@ def _check_same_space(a: AltForm, b: AltForm):
         raise ValueError(f"form space mismatch: ({a.d},{a.k}) vs ({b.d},{b.k})")
 
 
-def basis_form(d: int, k: int, sigma: tuple[int, ...]) -> AltForm:
-    """The basis form dx_sigma."""
-    c = np.zeros(binomial(d, k))
-    c[sequence_position(k, d)[tuple(sigma)]] = 1.0
-    return AltForm(d, k, c)
-
-
 def compound(A: np.ndarray, k: int) -> np.ndarray:
     """The k-th compound matrix of A: all k x k minors from one batched determinant.
 

@@ -172,12 +172,6 @@ def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> Geom
             return GeometricSimplex(v)
 
 
-def subsimplex_geometry(T: GeometricSimplex, f: AbstractSimplex) -> GeometricSimplex:
-    """The embedded geometric realization of a subsimplex, keeping its labels."""
-    idx = [T.labels.index(i) for i in f.vertices]
-    return GeometricSimplex(T.vertices[idx], labels=f.vertices)
-
-
 def barycentric_gradients(T: GeometricSimplex) -> np.ndarray:
     """Gradients of the barycentric coordinates, one per row; rows sum to zero.
 
@@ -273,10 +267,6 @@ class TnFrameSet:
 
     def pairing(self) -> np.ndarray:
         return self.normals_tn @ self.normals_face.T
-
-    def validate(self):
-        f = tuple(sorted(self.e.vertices + self.normal_labels))
-        _check_pairing(self.e.vertices, f, float(_pairing_ratio(self.pairing())))
 
 
 def _pairing_ratio(p: np.ndarray) -> np.ndarray:

@@ -5,13 +5,14 @@ that share a face name it, and the elements on it, alike.  The cell is
 full-dimensional, a d-simplex in R^d.  For an anchor e of dimension s,
 ``nef_frames(T, T.full_simplex(), e)`` gives a d x d frame matrix: e's s
 orthonormal tangents, then one normal per label outside e, ascending; the
-normals are the barycentric gradients (primal and hodge flavors) or the
-t-n vectors (dual flavor).  Each basis k-form wedges k rows, so a basis is
-the k-th compound of the frame matrix: sigma's tangents and the normals of
-f minus e, or, for a hodge element, the star of sigma's tangents wedged
-with the normals outside f.  Elements are ordered by face dimension, then
-face, then tangential sequence, which makes downstream degree-of-freedom
-matrices block lower triangular.
+normals are the barycentric gradients (primal flavor) or the t-n vectors
+(dual flavor).  Each basis k-form wedges k rows, sigma's tangents and the
+normals of f minus e, so a basis is the k-th compound of the frame matrix.
+The star of a dual element is a multiple of a primal element of degree
+d - k (``hodge_coefficient``), so normal traces, the tangential traces of
+starred forms, need no basis of their own.  Elements are ordered by face
+dimension, then face, then tangential sequence, which makes downstream
+degree-of-freedom matrices block lower triangular.
 """
 
 from __future__ import annotations
@@ -23,20 +24,17 @@ import numpy as np
 
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences, supersimplices
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
-from .exterior import AltForm, _star, compound, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
+from .exterior import AltForm, compound, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
 from .simplex import GeometricSimplex, nef_frames
 
-FLAVORS = ("primal", "dual", "hodge")
+FLAVORS = ("primal", "dual")
 
 
 @dataclass(frozen=True)
 class TnBasisElement:
     """One tangential-normal basis form, named by (anchor, face, sequence, flavor).
 
-    ``sigma`` is an increasing tuple in 1..dim e.  For the primal and dual
-    flavors it picks tangent vectors of the anchor; for the hodge flavor it
-    stores the complementary sequence, making the pairing between degrees k
-    and d-k explicit.
+    ``sigma`` is an increasing tuple in 1..dim e picking tangent vectors of the anchor.
     """
 
     e: AbstractSimplex
@@ -71,16 +69,13 @@ def _elements(cell: AbstractSimplex, e: AbstractSimplex, k: int, flavor: str) ->
     s = e.dim
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}")
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
     if not e.issubset(cell):
         raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {cell.vertices}")
     out = []
     for ell in range(max(s, k), min(k + s, d) + 1):
         for f in supersimplices(e, ell, cell):
             for sig in sequences(s + k - ell, s):
-                stored = complement(sig, s) if flavor == "hodge" else sig
-                out.append(TnBasisElement(e, f, stored, flavor))
+                out.append(TnBasisElement(e, f, sig, flavor))
     return out
 
 
@@ -93,30 +88,23 @@ def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.nda
 
 
 def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]:
-    """The 1-based, increasing frame rows an element wedges, given the cell's labels.
-
-    Its sigma tangents, then the normals of f minus e, or, for the hodge
-    flavor, of the vertices outside f.
-    """
+    """The 1-based, increasing frame rows an element wedges: its sigma tangents, then the normals of f minus e."""
     normals = [j for j in labels if j not in elem.e]
-    picked = [j for j in normals if (j in elem.f) != (elem.flavor == "hodge")]
-    return elem.sigma + tuple(elem.e.dim + 1 + normals.index(j) for j in picked)
+    return elem.sigma + tuple(elem.e.dim + 1 + i for i, j in enumerate(normals) if j in elem.f)
 
 
 @lru_cache(maxsize=None)
-def _compound_positions(labels: tuple[int, ...], e: AbstractSimplex, k: int, flavor: str) -> tuple[int, ...]:
-    """Position of each element's frame rows among the sequences of its compound, in element order.
+def _compound_positions(labels: tuple[int, ...], e: AbstractSimplex, k: int) -> tuple[int, ...]:
+    """Position of each element's frame rows among the length-k sequences, in element order.
 
-    The rows of ``_row_index``, of length k, or d - k for the hodge flavor:
-    a fixed fact of the cell's labels, the anchor, k and the flavor.
+    A fixed fact of the cell's labels, the anchor and k, shared by both flavors.
     """
-    d = len(labels) - 1
-    pos = sequence_position(d - k if flavor == "hodge" else k, d)
-    return tuple(pos[_row_index(el, labels)] for el in _elements(AbstractSimplex(labels), e, k, flavor))
+    pos = sequence_position(k, len(labels) - 1)
+    return tuple(pos[_row_index(el, labels)] for el in _elements(AbstractSimplex(labels), e, k, "primal"))
 
 
 def _wedge_rows(frames: tuple[np.ndarray, np.ndarray], elem: TnBasisElement, labels: tuple[int, ...]) -> AltForm:
-    """The wedge of an element's rows of its anchor's frames; a hodge element's form before the star."""
+    """The wedge of an element's rows of its anchor's frames."""
     primal, dual = frames
     frame = dual if elem.flavor == "dual" else primal
     return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, labels)], d=len(frame))
@@ -124,8 +112,7 @@ def _wedge_rows(frames: tuple[np.ndarray, np.ndarray], elem: TnBasisElement, lab
 
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
     """The constant-coefficient form of a basis element, in ambient coordinates."""
-    form = _wedge_rows(_frames(T, elem.e), elem, T.labels)
-    return hodge_star(form) if elem.flavor == "hodge" else form
+    return _wedge_rows(_frames(T, elem.e), elem, T.labels)
 
 
 def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarray:
@@ -138,24 +125,27 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     pairing on its normals), so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
-    idx = _compound_positions(T.labels, e, k, "primal")
+    idx = _compound_positions(T.labels, e, k)
     primal, dual = _frames(T, e)
     return compound(primal @ dual.T, k)[np.ix_(idx, idx)]
 
 
 def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
-    """Proportionality constant linking a dual element to its starred partner.
+    """The constant c and primal partner with star(realize(elem)) = c realize(partner).
 
-    The ambient Hodge star sends the dual-flavor form to a multiple of the
-    complementary primal-style form built from sigma-complement tangents and
-    the gradients of the vertices outside f.  Returns (c, partner), raising when the
-    pairing or collinearity fails its tolerance in :mod:`tnforms.errors`.
+    For a dual element (e, f, sigma) of degree k on a cell with labels V the
+    partner is the primal element (e, e + (V - f), complement(sigma)) of
+    degree d - k: the complementary tangents wedged with the gradients of the
+    labels outside f.  Over the dual elements of (e, k) the partners run
+    once through ``decompose_altk(T, e, d - k)``.  Raises when the pairing or
+    collinearity fails its tolerance in :mod:`tnforms.errors`.
     """
     if elem.flavor != "dual":
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
     frames = _frames(T, elem.e)
     dual_form = _wedge_rows(frames, elem, T.labels)
-    partner = TnBasisElement(elem.e, elem.f, complement(elem.sigma, elem.e.dim), "hodge")
+    face = AbstractSimplex(tuple(j for j in T.labels if j in elem.e or j not in elem.f))
+    partner = TnBasisElement(elem.e, face, complement(elem.sigma, elem.e.dim))
     partner_inner = _wedge_rows(frames, partner, T.labels)
     at = f"e={elem.e.vertices}, f={elem.f.vertices}, sigma={elem.sigma}, d={T.dim}, k={dual_form.k}"
 
@@ -177,12 +167,12 @@ def realize_all(
 ) -> np.ndarray:
     """Stacked coefficient matrix of the realized basis, one form per row.
 
-    Row i is the minor of the anchor's frame matrix on element i's rows, so
-    the whole basis is gathered from one compound; hodge rows are minors of
-    degree d - k, then starred.
+    Row i is the k x k minor of the anchor's primal or dual frame matrix on
+    element i's rows, so the whole basis is gathered from one compound of
+    degree k.
     """
-    m = T.dim - k if flavor == "hodge" else k
-    idx = _compound_positions(T.labels, e, k, flavor)
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    idx = _compound_positions(T.labels, e, k)
     primal, dual = _frames(T, e)
-    rows = compound(dual if flavor == "dual" else primal, m)[list(idx)]
-    return _star(rows, m, T.dim) if flavor == "hodge" else rows
+    return compound(dual if flavor == "dual" else primal, k)[list(idx)]

@@ -5,7 +5,6 @@ from tnforms.combinatorics import binomial, sequence_position, sequences
 from tnforms.exterior import (
     AltForm,
     Frame,
-    basis_form,
     compound,
     contraction,
     evaluate,
@@ -22,6 +21,13 @@ from tnforms.exterior import (
 from tnforms.exterior import _star
 
 RNG = np.random.default_rng(1234)
+
+
+def basis_form(d, k, sigma):
+    """The basis form dx_sigma."""
+    c = np.zeros(binomial(d, k))
+    c[sequence_position(k, d)[tuple(sigma)]] = 1.0
+    return AltForm(d, k, c)
 
 
 def random_form(d, k, rng=RNG):

@@ -26,7 +26,6 @@ from tnforms.simplex import (
     barycentric_coordinates,
     random_simplex,
     reference_simplex,
-    subsimplex_geometry,
 )
 
 RNG = np.random.default_rng(99)
@@ -231,7 +230,7 @@ class TestProductsAndConversions:
         # polynomial on a face, extended by barycentric functions, restricts to itself
         T = random_simplex(3, RNG)
         f = simplex(0, 2)
-        face = subsimplex_geometry(T, f)
+        face = GeometricSimplex(T.vertices[list(f.vertices)], labels=f.vertices)
         r = 3
         face_coeffs = RNG.standard_normal(lattice_dimension(1, r))
         full = np.zeros(lattice_dimension(3, r))
@@ -356,7 +355,7 @@ class TestBarycentricVanishing:
         # lambda_i restricted to f is zero whenever i is outside f
         T = random_simplex(3, RNG)
         for f in subsimplices(T.full_simplex(), 1):
-            face = subsimplex_geometry(T, f)
+            face = GeometricSimplex(T.vertices[list(f.vertices)], labels=f.vertices)
             pts = interpolation_points(face, 3)
             for x in pts:
                 lam = barycentric_coordinates(T, x)

@@ -3,12 +3,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from tnforms.combinatorics import binomial, simplex, subsimplices
-from tnforms.exterior import AltForm, basis_form, flat, hodge_star, inner, wedge
+from tnforms.combinatorics import binomial, complement, sequence_position, simplex, subsimplices
+from tnforms.exterior import AltForm, compound, flat, hodge_star, inner, restrict_to_frame, wedge
+from tnforms.exterior import _star
 from tnforms.simplex import (
     GeometricSimplex,
     all_subsimplices,
     barycentric_gradients,
+    induced_facet_frame,
     nef_frames,
     random_simplex,
     reference_simplex,
@@ -24,6 +26,7 @@ from tnforms.tnbasis import (
     realize,
     realize_all,
 )
+from tnforms.tnbasis import _frames
 
 RNG = np.random.default_rng(2024)
 
@@ -37,9 +40,6 @@ def _ref_realize(elem, T):
     grads = dict(zip(T.labels, barycentric_gradients(T)))
     one = AltForm(d, 0, np.ones(1))
     factors = [flat(tangent_basis(T, e)[i - 1]) for i in elem.sigma]
-    if elem.flavor == "hodge":
-        rest = [j for j in T.labels if j not in f]
-        return hodge_star(reduce(wedge, factors + [flat(grads[j]) for j in rest], one))
     for j in f.vertices:
         if j not in e:
             vec = grads[j] if elem.flavor == "primal" else surface_gradient(T, simplex(*e.vertices, j), j)
@@ -49,6 +49,29 @@ def _ref_realize(elem, T):
 
 def _ref_realize_all(T, e, k, flavor):
     return np.array([_ref_realize(el, T).coeffs for el in decompose_altk(T, e, k, flavor)])
+
+
+# Reference hodge rows: the former hodge flavor, whose element (e, f, sigma)
+# of degree k was the star of the complementary tangents tau wedged with the
+# gradients outside f, as a factor loop and as the compound branch realize_all
+# had.  The primal partners of hodge_coefficient are pinned against them.
+
+
+def _ref_hodge_realize(T, e, f, tau):
+    grads = dict(zip(T.labels, barycentric_gradients(T)))
+    factors = [flat(tangent_basis(T, e)[i - 1]) for i in tau] + [flat(grads[j]) for j in T.labels if j not in f]
+    return hodge_star(reduce(wedge, factors, AltForm(T.dim, 0, np.ones(1))))
+
+
+def _ref_hodge_rows(T, e, k):
+    d, s = T.dim, e.dim
+    normals = [j for j in T.labels if j not in e]
+    pos = sequence_position(d - k, d)
+    idx = [
+        pos[complement(el.sigma, s) + tuple(s + 1 + normals.index(j) for j in normals if j not in el.f)]
+        for el in decompose_altk(T, e, k)
+    ]
+    return _star(compound(_frames(T, e)[0], d - k)[idx], d - k, d)
 
 
 class TestDecomposition:
@@ -127,6 +150,10 @@ class TestDecomposition:
                     assert got == want
                     assert np.array_equal(realize_all(T, mapped(e), k, flavor), realize_all(base, e, k, flavor))
                 assert np.array_equal(pairing_matrix(T, mapped(e), k), pairing_matrix(base, e, k))
+                for el, el0 in zip(decompose_altk(T, mapped(e), k, "dual"), decompose_altk(base, e, k, "dual")):
+                    (c, partner), (c0, partner0) = hodge_coefficient(T, el), hodge_coefficient(base, el0)
+                    assert c == c0
+                    assert (partner.e, partner.f, partner.sigma) == (mapped(partner0.e), mapped(partner0.f), partner0.sigma)
 
     def test_shared_facet_gives_identical_dual_rows(self):
         # two cells sharing facet F derive identical frames from it, so every
@@ -169,8 +196,13 @@ class TestDecomposition:
 
     def test_flavor_validation(self):
         T = random_simplex(2, RNG)
-        with pytest.raises(ValueError):
-            decompose_altk(T, simplex(0), 1, "nope")
+        for flavor in ("nope", "hodge"):
+            with pytest.raises(ValueError, match="unknown flavor"):
+                decompose_altk(T, simplex(0), 1, flavor)
+            with pytest.raises(ValueError, match="unknown flavor"):
+                realize_all(T, simplex(0), 1, flavor)
+            with pytest.raises(ValueError, match="unknown flavor"):
+                TnBasisElement(simplex(0), simplex(0, 1), (), flavor)
         with pytest.raises(ValueError):
             decompose_altk(T, simplex(0), 5)
 
@@ -205,7 +237,7 @@ class TestRealization:
     def test_span_equivalence(self, d, k):
         T = random_simplex(d, RNG)
         for e in all_subsimplices(T):
-            for flavor in ("primal", "dual", "hodge"):
+            for flavor in FLAVORS:
                 mats = realize_all(T, e, k, flavor)
                 assert np.linalg.matrix_rank(mats, tol=1e-10) == binomial(d, k)
 
@@ -224,22 +256,20 @@ class TestRealization:
             realize_all(T, e, 2, flavor)
         hodge_coefficient(T, decompose_altk(T, e, 2, "dual")[0])
         pairing_matrix(T, e, 2)
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_element_positions_are_cached_by_labels(self):
         from tnforms.tnbasis import _compound_positions
 
         T1, T2, e = random_simplex(3, RNG), random_simplex(3, RNG), simplex(0, 2)
-
-        def bases(T):
-            pairing_matrix(T, e, 2)
-            realize_all(T, e, 2, "hodge")
-
-        bases(T1)
+        pairing_matrix(T1, e, 2)
         misses = _compound_positions.cache_info().misses
-        bases(T2)  # same labels: no element is built again
+        # the other flavor and a cell with the same labels build no element again
+        realize_all(T1, e, 2, "dual")
+        pairing_matrix(T2, e, 2)
+        realize_all(T2, e, 2, "primal")
         assert _compound_positions.cache_info().misses == misses
-        assert all(type(i) is int for i in _compound_positions(T1.labels, e, 2, "primal"))
+        assert all(type(i) is int for i in _compound_positions(T1.labels, e, 2))
 
     def test_k0_constant(self):
         T = random_simplex(2, RNG)
@@ -264,6 +294,27 @@ class TestAgainstReference:
                             assert np.array_equal(row, realize(el, T).coeffs)
                 gram = want["primal"] @ want["dual"].T
                 assert np.abs(pairing_matrix(T, e, k) - gram).max() <= 1e-13 * np.abs(gram).max()
+                # the two hodge oracles agree
+                loop = np.array(
+                    [_ref_hodge_realize(T, e, el.f, complement(el.sigma, e.dim)).coeffs for el in decompose_altk(T, e, k)]
+                )
+                assert np.abs(_ref_hodge_rows(T, e, k) - loop).max() <= 1e-13 * np.abs(loop).max()
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_hodge_rows_are_starred_primal_partners(self, d):
+        # the deleted hodge row of (e, f, sigma) is, bit for bit, the star of the
+        # primal row of hodge_coefficient's partner, and the partners of the dual
+        # elements of degree k run once through the primal elements of degree d - k
+        T = random_simplex(d, np.random.default_rng(70 + d))
+        for e in all_subsimplices(T):
+            for k in range(d + 1):
+                position = {(el.f, el.sigma): i for i, el in enumerate(decompose_altk(T, e, d - k))}
+                partners = [hodge_coefficient(T, el)[1] for el in decompose_altk(T, e, k, "dual")]
+                assert all(p.flavor == "primal" and len(p.sigma) + p.f.dim - p.e.dim == d - k for p in partners)
+                idx = [position[p.f, p.sigma] for p in partners]
+                assert sorted(idx) == list(range(binomial(d, k)))
+                starred = _star(realize_all(T, e, d - k), d - k, d)[idx]
+                assert np.array_equal(_ref_hodge_rows(T, e, k), starred)
 
 
 class TestPairing:
@@ -312,14 +363,15 @@ class TestPairing:
 
 class TestHodgeCoefficient:
     def test_planar_rotation(self):
+        # star of t1-flat is t2-flat for the positively oriented reference frame
         T = reference_simplex(2)
         e = simplex(0, 1, 2)
         elems = decompose_altk(T, e, 1, "dual")
         c, partner = hodge_coefficient(T, elems[0])
         assert abs(c - 1.0) < 1e-12
-        assert partner.flavor == "hodge"
-        # star of t1-flat is t2-flat for the positively oriented reference frame
-        assert np.allclose(realize(TnBasisElement(e, e, elems[0].sigma, "dual"), T).coeffs, basis_form(2, 1, (1,)).coeffs)
+        assert (partner.f, partner.sigma, partner.flavor) == (e, (2,), "primal")
+        assert np.allclose(realize(elems[0], T).coeffs, [1.0, 0.0])
+        assert np.allclose(realize(partner, T).coeffs, [0.0, 1.0])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_simplices_consistency(self, d):
@@ -330,11 +382,10 @@ class TestHodgeCoefficient:
                     for el in decompose_altk(T, e, k, "dual"):
                         c, partner = hodge_coefficient(T, el)
                         assert abs(c) > 1e-12
-                        assert partner.e == el.e and partner.f == el.f
-                        # the realized partner is star(pi), so pi = (-1)^(k(d-k)) star(realized partner)
+                        outside = tuple(j for j in T.labels if j not in el.f)
+                        assert partner.e == el.e and partner.f == simplex(*sorted(e.vertices + outside))
                         starred = hodge_star(realize(el, T))
-                        pi = hodge_star(realize(partner, T)) * (-1) ** (k * (d - k))
-                        assert (starred - c * pi).norm() <= 1e-11 * starred.norm()
+                        assert (starred - c * realize(partner, T)).norm() <= 1e-11 * starred.norm()
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_scaled_cells_match_unit_cell(self, d):
@@ -358,17 +409,36 @@ class TestHodgeCoefficient:
             hodge_coefficient(T, el)
 
     def test_hodge_partner_realizes_star(self):
-        # the realized hodge flavor stars the partner form, so comparing the
-        # starred dual against the starred partner picks up the double-star sign
-        from tnforms.exterior import hodge_star
-
+        # the partner is realized like any primal element of degree d - k, and
+        # starring the dual element gives c times it
         d, k = 3, 1
         T = random_simplex(d, RNG)
+        primal = decompose_altk(T, simplex(1), d - k)
+        rows = realize_all(T, simplex(1), d - k)
         for el in decompose_altk(T, simplex(1), k, "dual"):
             c, partner = hodge_coefficient(T, el)
+            realized = realize(partner, T)
+            assert np.array_equal(realized.coeffs, rows[primal.index(partner)])
             lhs = hodge_star(realize(el, T))
-            rhs = hodge_star(realize(partner, T)) * ((-1) ** (k * (d - k)))
-            assert (lhs - c * rhs).norm() < 1e-10 * max(1.0, lhs.norm())
+            assert (lhs - c * realized).norm() <= 1e-12 * lhs.norm()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_normal_trace_is_tangential_trace_of_star(self, d):
+        # u = star(primal element (e, f, sigma)) is a former hodge-flavor form;
+        # its normal trace on a facet F_i with i in f - e, the tangential trace
+        # of star u, vanishes: star u is +-the primal form, which wedges grad lambda_i
+        T = random_simplex(d, np.random.default_rng(40 + d))
+        cases = 0
+        for e in all_subsimplices(T):
+            for m in range(d):
+                for el in decompose_altk(T, e, m):
+                    u = hodge_star(realize(el, T))
+                    for i in el.f.vertices:
+                        if i not in e:
+                            frame, _ = induced_facet_frame(T, simplex(*(j for j in T.labels if j != i)))
+                            assert restrict_to_frame(frame, hodge_star(u)).norm() <= 1e-13 * u.norm()
+                            cases += 1
+        assert cases > 0
 
 
 class TestOrdering:
