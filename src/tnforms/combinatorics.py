@@ -98,16 +98,3 @@ def subsimplices(f: AbstractSimplex, s: int) -> list[AbstractSimplex]:
         raise ValueError(f"need 0 <= s <= dim f = {f.dim}, got {s}")
     return [AbstractSimplex(c) for c in combinations(f.vertices, s + 1)]
 
-
-def supersimplices(e: AbstractSimplex, ell: int, cell: AbstractSimplex) -> list[AbstractSimplex]:
-    """All ell-dimensional faces of cell containing e, lexicographically sorted."""
-    if not e.issubset(cell):
-        raise ValueError(f"e={e.vertices} is not a face of the cell with labels {cell.vertices}")
-    if ell < e.dim or ell > cell.dim:
-        raise ValueError(f"need dim e <= ell <= dim cell, got {ell}")
-    others = [i for i in cell.vertices if i not in e.vertices]
-    out = []
-    for extra in combinations(others, ell - e.dim):
-        out.append(AbstractSimplex(tuple(sorted(e.vertices + extra))))
-    out.sort()
-    return out

@@ -147,20 +147,14 @@ def wedge(omega: AltForm, eta: AltForm) -> AltForm:
 
 
 def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:
-    """Wedge a list of forms left to right; the empty product is the constant 1.
-
-    1-forms alone wedge to the maximal minors of their stacked coefficients.
-    """
+    """Wedge a list of 1-forms: the maximal minors of their stacked coefficients; the empty product is 1."""
     if not forms:
         if d is None:
             raise ValueError("ambient dimension needed for the empty wedge")
         return AltForm(d, 0, np.ones(1))
-    if all(w.k == 1 for w in forms):
-        return AltForm(forms[0].d, len(forms), compound(np.vstack([w.coeffs for w in forms]), len(forms))[0])
-    acc = forms[0]
-    for w in forms[1:]:
-        acc = wedge(acc, w)
-    return acc
+    if any(w.k != 1 for w in forms):
+        raise ValueError(f"wedge_all takes 1-forms, got degrees {[w.k for w in forms]}")
+    return AltForm(forms[0].d, len(forms), compound(np.vstack([w.coeffs for w in forms]), len(forms))[0])
 
 
 def contraction(omega: AltForm, v: np.ndarray) -> AltForm:

@@ -6,13 +6,15 @@ full-dimensional, a d-simplex in R^d.  For an anchor e of dimension s,
 ``nef_frames(T, T.full_simplex(), e)`` gives a d x d frame matrix: e's s
 orthonormal tangents, then one normal per label outside e, ascending; the
 normals are the barycentric gradients (primal flavor) or the t-n vectors
-(dual flavor).  Each basis k-form wedges k rows, sigma's tangents and the
-normals of f minus e, so a basis is the k-th compound of the frame matrix.
-The star of a dual element is a multiple of a primal element of degree
-d - k (``hodge_coefficient``), so normal traces, the tangential traces of
-starred forms, need no basis of their own.  Elements are ordered by face
-dimension, then face, then tangential sequence, which makes downstream
-degree-of-freedom matrices block lower triangular.
+(dual flavor).  A basis k-form wedges k of the d rows, sigma's tangents and
+the normals of f minus e, so a basis is the k-th compound of the frame
+matrix, and which rows each element takes depends on s, d and k alone.  The
+star of a dual element is a multiple of the primal element of degree d - k
+that wedges the complementary rows (``hodge_coefficient``), so normal
+traces, the tangential traces of starred forms, need no basis of their own.
+Elements are ordered by face dimension, then face, then tangential
+sequence, which makes downstream degree-of-freedom matrices block lower
+triangular.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import AbstractSimplex, complement, sequence_position, sequences, supersimplices
+from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, compound, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
 from .simplex import GeometricSimplex, nef_frames
@@ -46,7 +48,7 @@ class TnBasisElement:
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if not self.e.issubset(self.f):
-            raise ValueError("anchor must be contained in the face")
+            raise ValueError(f"anchor e={self.e.vertices} must be contained in the face f={self.f.vertices}")
         if self.sigma not in sequence_position(len(self.sigma), self.e.dim):
             raise ValueError(f"sigma={self.sigma} is not an increasing sequence in 1..{self.e.dim} (dim e)")
 
@@ -60,23 +62,36 @@ def decompose_altk(
     admissible window, each face f containing e contributes one element per
     increasing sequence of s + k - ell tangent indices.
     """
-    return _elements(T.full_simplex(), e, k, flavor)
+    _, elements = _anchor_table(T.labels, e, k)
+    outside = tuple(j for j in T.labels if j not in e)
+    return [
+        TnBasisElement(e, AbstractSimplex(tuple(sorted(e.vertices + tuple(outside[i] for i in normals)))), sigma, flavor)
+        for sigma, normals in elements
+    ]
 
 
-def _elements(cell: AbstractSimplex, e: AbstractSimplex, k: int, flavor: str) -> list[TnBasisElement]:
-    """``decompose_altk`` on the cell named by its labels; the list depends on nothing else."""
-    d = cell.dim
-    s = e.dim
+@lru_cache(maxsize=None)
+def _basis_table(s: int, d: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """The elements of degree k at an s-dimensional anchor of a d-cell, as frame rows; labels play no part.
+
+    An element wedges k of the d rows: tangents 1..s, then normal rows s + 1 + i,
+    i the 0-based offset among the labels outside the anchor.  Sorted by normal
+    count, normal rows and rows, the row sets give their positions in
+    ``sequences(k, d)`` and, per element, (sigma, normal offsets).
+    """
     if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= d, got k={k}")
-    if not e.issubset(cell):
-        raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {cell.vertices}")
-    out = []
-    for ell in range(max(s, k), min(k + s, d) + 1):
-        for f in supersimplices(e, ell, cell):
-            for sig in sequences(s + k - ell, s):
-                out.append(TnBasisElement(e, f, sig, flavor))
-    return out
+        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
+    keyed = sorted((sum(i > s for i in r), tuple(i - s - 1 for i in r if i > s), r) for r in sequences(k, d))
+    pos = sequence_position(k, d)
+    return tuple(pos[r] for _, _, r in keyed), tuple((r[: k - m], normals) for m, normals, r in keyed)
+
+
+def _anchor_table(labels: tuple[int, ...], e: AbstractSimplex, k: int):
+    """``_basis_table`` of anchor e, which must be a face of the cell with these labels."""
+    table = _basis_table(e.dim, len(labels) - 1, k)
+    if not set(e.vertices) <= set(labels):
+        raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {labels}")
+    return table
 
 
 def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.ndarray]:
@@ -90,17 +105,10 @@ def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.nda
 def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]:
     """The 1-based, increasing frame rows an element wedges: its sigma tangents, then the normals of f minus e."""
     normals = [j for j in labels if j not in elem.e]
-    return elem.sigma + tuple(elem.e.dim + 1 + i for i, j in enumerate(normals) if j in elem.f)
-
-
-@lru_cache(maxsize=None)
-def _compound_positions(labels: tuple[int, ...], e: AbstractSimplex, k: int) -> tuple[int, ...]:
-    """Position of each element's frame rows among the length-k sequences, in element order.
-
-    A fixed fact of the cell's labels, the anchor and k, shared by both flavors.
-    """
-    pos = sequence_position(k, len(labels) - 1)
-    return tuple(pos[_row_index(el, labels)] for el in _elements(AbstractSimplex(labels), e, k, "primal"))
+    rows = elem.sigma + tuple(elem.e.dim + 1 + i for i, j in enumerate(normals) if j in elem.f)
+    if len(rows) != len(elem.sigma) + elem.f.dim - elem.e.dim:
+        raise ValueError(f"face f={elem.f.vertices} is not a face of the cell with labels {labels}")
+    return rows
 
 
 def _wedge_rows(frames: tuple[np.ndarray, np.ndarray], elem: TnBasisElement, labels: tuple[int, ...]) -> AltForm:
@@ -125,7 +133,7 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     pairing on its normals), so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
-    idx = _compound_positions(T.labels, e, k)
+    idx, _ = _anchor_table(T.labels, e, k)
     primal, dual = _frames(T, e)
     return compound(primal @ dual.T, k)[np.ix_(idx, idx)]
 
@@ -173,6 +181,6 @@ def realize_all(
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    idx = _compound_positions(T.labels, e, k)
+    idx, _ = _anchor_table(T.labels, e, k)
     primal, dual = _frames(T, e)
     return compound(dual if flavor == "dual" else primal, k)[list(idx)]

@@ -10,8 +10,19 @@ from tnforms.combinatorics import (
     sequences,
     simplex,
     subsimplices,
-    supersimplices,
 )
+from tnforms.simplex import GeometricSimplex, reference_simplex
+from tnforms.tnbasis import decompose_altk
+
+
+def _cell(labels):
+    """A geometric cell on these labels; decompose_altk reads only its labels."""
+    return GeometricSimplex(reference_simplex(len(labels) - 1).vertices, labels=labels)
+
+
+def _faces(T, e, k):
+    """The distinct faces that decompose_altk puts the degree-k elements of anchor e on."""
+    return sorted({el.f for el in decompose_altk(T, e, k)})
 
 
 def sign_oracle(perm):
@@ -98,15 +109,16 @@ class TestSimplices:
         with pytest.raises(ValueError):
             subsimplices(simplex(0, 1), 2)
 
-    def test_supersimplices(self):
-        got = supersimplices(simplex(1), 1, simplex(0, 1, 2, 3))
-        assert [g.vertices for g in got] == [(0, 1), (1, 2), (1, 3)]
-        # faces are named by the cell's own labels
-        got = supersimplices(simplex(5, 9), 2, simplex(2, 5, 7, 9))
-        assert [g.vertices for g in got] == [(2, 5, 9), (5, 7, 9)]
+    def test_faces_through_anchor(self):
+        # degree 1 at a vertex: the edges through it
+        assert [g.vertices for g in _faces(_cell((0, 1, 2, 3)), simplex(1), 1)] == [(0, 1), (1, 2), (1, 3)]
+        # faces are named by the cell's own labels; degree 2 at an edge adds
+        # the edge's two triangles to the edge itself
+        got = _faces(_cell((2, 5, 7, 9)), simplex(5, 9), 2)
+        assert [g.vertices for g in got if g.dim == 2] == [(2, 5, 9), (5, 7, 9)]
         # an anchor outside the cell has no faces there
         with pytest.raises(ValueError, match="not a face"):
-            supersimplices(simplex(7), 1, simplex(0, 1, 2))
+            decompose_altk(_cell((0, 1, 2)), simplex(7), 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -115,36 +127,39 @@ class TestSimplices:
             AbstractSimplex(())
 
 
-def _split_count(cell, e, k):
+def _split_count(T, e, k):
     """C(d, k) split by the dimension ell of the faces through an s-dimensional anchor e.
 
-    Each ell-face containing e carries C(s, k - (ell - s)) tangential choices.
+    Each ell-face containing e carries C(s, k - (ell - s)) tangential choices;
+    the faces are those decompose_altk puts the elements on, and there are
+    C(d - s, ell - s) of each dimension ell.
     """
-    s = e.dim
-    return sum(
-        len(supersimplices(e, ell, cell)) * binomial(s, k - (ell - s))
-        for ell in range(max(s, k), min(k + s, cell.dim) + 1)
-    )
+    s, d, faces = e.dim, T.dim, _faces(T, e, k)
+    per_dim = [sum(f.dim == ell for f in faces) for ell in range(d + 1)]
+    window = range(max(s, k), min(k + s, d) + 1)
+    assert per_dim == [binomial(d - s, ell - s) if ell in window else 0 for ell in range(d + 1)]
+    return sum(per_dim[ell] * binomial(s, k - (ell - s)) for ell in window)
 
 
 class TestVandermonde:
-    # the faces that supersimplices enumerates satisfy the Vandermonde
-    # identity C(d, k) = sum_ell C(d - s, ell - s) C(s, k - ell + s)
+    # the faces of the t-n elements satisfy the Vandermonde identity
+    # C(d, k) = sum_ell C(d - s, ell - s) C(s, k - ell + s)
 
     def test_d3_k1_s1(self):
         # the edge itself times 1 plus its 2 triangles times 1
-        assert _split_count(simplex(0, 1, 2, 3), simplex(1, 2), 1) == 3
+        assert _split_count(_cell((0, 1, 2, 3)), simplex(1, 2), 1) == 3
 
     @pytest.mark.parametrize("d", range(7))
     def test_s_zero_single_term(self, d):
-        cell = AbstractSimplex(tuple(range(5, 6 + d)))
+        T = _cell(tuple(range(5, 6 + d)))
         for k in range(d + 1):
-            assert len(supersimplices(simplex(5 + d), k, cell)) == binomial(d, k)
+            faces = _faces(T, simplex(5 + d), k)
+            assert len(faces) == binomial(d, k) and all(f.dim == k for f in faces)
 
     def test_exhaustive(self):
         for d in range(7):
-            cell = AbstractSimplex(tuple(range(1, 2 * d + 2, 2)))
+            T = _cell(tuple(range(1, 2 * d + 2, 2)))
             for k in range(d + 1):
                 for s in range(d + 1):
-                    for e in subsimplices(cell, s):
-                        assert _split_count(cell, e, k) == binomial(d, k)
+                    for e in subsimplices(T.full_simplex(), s):
+                        assert _split_count(T, e, k) == binomial(d, k)

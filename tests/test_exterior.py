@@ -167,6 +167,11 @@ class TestAgainstReference:
             for w in factors:
                 chained = wedge(chained, w)
             assert_matches(wedge_all(factors, d=d), chained)
+        # only 1-forms: a factor of another degree is rejected
+        for other in (0, 2):
+            if other <= d:
+                with pytest.raises(ValueError, match=rf"wedge_all takes 1-forms, got degrees \[1, {other}\]"):
+                    wedge_all([random_form(d, 1), random_form(d, other)], d=d)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_contraction(self, d):

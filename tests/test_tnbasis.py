@@ -1,9 +1,19 @@
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from tnforms.combinatorics import binomial, complement, sequence_position, simplex, subsimplices
+from tnforms.combinatorics import (
+    AbstractSimplex,
+    binomial,
+    complement,
+    sequence_position,
+    sequences,
+    simplex,
+    subsimplices,
+)
 from tnforms.exterior import AltForm, compound, flat, hodge_star, inner, restrict_to_frame, wedge
 from tnforms.exterior import _star
 from tnforms.simplex import (
@@ -26,7 +36,7 @@ from tnforms.tnbasis import (
     realize,
     realize_all,
 )
-from tnforms.tnbasis import _frames
+from tnforms.tnbasis import _basis_table, _frames, _row_index
 
 RNG = np.random.default_rng(2024)
 
@@ -49,6 +59,40 @@ def _ref_realize(elem, T):
 
 def _ref_realize_all(T, e, k, flavor):
     return np.array([_ref_realize(el, T).coeffs for el in decompose_altk(T, e, k, flavor)])
+
+
+# Reference enumeration: the face loop the label-free basis table replaced,
+# the faces through e named by the cell's labels, then one element per sigma,
+# and the compound position of each element's frame rows.
+
+
+def _ref_supersimplices(e, ell, cell):
+    others = [i for i in cell.vertices if i not in e.vertices]
+    return sorted(AbstractSimplex(tuple(sorted(e.vertices + extra))) for extra in combinations(others, ell - e.dim))
+
+
+def _ref_elements(cell, e, k, flavor="primal"):
+    d, s = cell.dim, e.dim
+    return [
+        TnBasisElement(e, f, sig, flavor)
+        for ell in range(max(s, k), min(k + s, d) + 1)
+        for f in _ref_supersimplices(e, ell, cell)
+        for sig in sequences(s + k - ell, s)
+    ]
+
+
+def _ref_compound_positions(labels, e, k):
+    normals = [j for j in labels if j not in e]
+    pos = sequence_position(k, len(labels) - 1)
+    return tuple(
+        pos[el.sigma + tuple(e.dim + 1 + i for i, j in enumerate(normals) if j in el.f)]
+        for el in _ref_elements(AbstractSimplex(labels), e, k)
+    )
+
+
+def _table_rows(s, d, k):
+    """The frame rows of each element of ``_basis_table(s, d, k)``: sigma, then the normal rows."""
+    return [sigma + tuple(s + 1 + i for i in normals) for sigma, normals in _basis_table(s, d, k)[1]]
 
 
 # Reference hodge rows: the former hodge flavor, whose element (e, f, sigma)
@@ -132,6 +176,39 @@ class TestDecomposition:
             with pytest.raises(ValueError, match="is not a face of the cell"):
                 pairing_matrix(T, e, 1)
 
+    @pytest.mark.parametrize("d", range(8))
+    def test_table_matches_deleted_enumeration(self, d):
+        # the label-free table gives the face loop's elements and positions on
+        # default and spread labels, for every anchor and degree
+        for labels in (tuple(range(d + 1)), tuple(range(2, 3 * d + 3, 3))):
+            T = GeometricSimplex(reference_simplex(d).vertices, labels=labels)
+            cell = T.full_simplex()
+            for e in (g for s in range(d + 1) for g in subsimplices(cell, s)):
+                for k in range(d + 1):
+                    assert decompose_altk(T, e, k) == _ref_elements(cell, e, k)
+                    assert _basis_table(e.dim, d, k)[0] == _ref_compound_positions(labels, e, k)
+
+    @given(st.integers(0, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d), st.integers(0, d))))
+    def test_table_properties(self, dsk):
+        d, s, k = dsk
+        idx, elements = _basis_table(s, d, k)
+        rows = _table_rows(s, d, k)
+        assert sorted(idx) == list(range(binomial(d, k)))
+        assert [sequences(k, d)[i] for i in idx] == rows
+        # face dimension s + (number of normals) never decreases
+        counts = [len(normals) for _, normals in elements]
+        assert counts == sorted(counts)
+        # the complementary rows of degree k run once through those of degree d - k
+        assert sorted(complement(r, d) for r in rows) == sorted(_table_rows(s, d, d - k))
+
+    def test_face_outside_cell_rejected(self):
+        T = random_simplex(3, RNG)
+        with pytest.raises(ValueError, match=r"face f=\(0, 7\) is not a face of the cell with labels \(0, 1, 2, 3\)"):
+            realize(TnBasisElement(simplex(0), simplex(0, 7), ()), T)
+        dual = TnBasisElement(simplex(0, 1), simplex(0, 1, 7), (1,), "dual")
+        with pytest.raises(ValueError, match=r"face f=\(0, 1, 7\) is not a face of the cell with labels \(0, 1, 2, 3\)"):
+            hodge_coefficient(T, dual)
+
     def test_relabelled_cell_matches_default_labels(self):
         # labels only name the faces: under the label map a relabelled cell has
         # the same elements, bases and pairings, bit for bit
@@ -203,7 +280,7 @@ class TestDecomposition:
                 realize_all(T, simplex(0), 1, flavor)
             with pytest.raises(ValueError, match="unknown flavor"):
                 TnBasisElement(simplex(0), simplex(0, 1), (), flavor)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got k=5, d=2"):
             decompose_altk(T, simplex(0), 5)
 
     def test_validation(self):
@@ -213,6 +290,8 @@ class TestDecomposition:
             TnBasisElement(e, f, (2, 1))
         with pytest.raises(ValueError, match=r"sigma=\(3,\) .* 1\.\.2"):
             TnBasisElement(e, f, (3,))
+        with pytest.raises(ValueError, match=r"anchor e=\(0, 3\) must be contained in the face f=\(0, 1, 2\)"):
+            TnBasisElement(simplex(0, 3), f, ())
 
 
 class TestRealization:
@@ -258,18 +337,28 @@ class TestRealization:
         pairing_matrix(T, e, 2)
         assert len(calls) == 4
 
-    def test_element_positions_are_cached_by_labels(self):
-        from tnforms.tnbasis import _compound_positions
-
-        T1, T2, e = random_simplex(3, RNG), random_simplex(3, RNG), simplex(0, 2)
+    def test_element_positions_are_cached_by_dimensions(self):
+        T1, e = random_simplex(3, RNG), simplex(0, 2)
+        T2 = GeometricSimplex(random_simplex(3, RNG).vertices, labels=(2, 5, 7, 9))
         pairing_matrix(T1, e, 2)
-        misses = _compound_positions.cache_info().misses
-        # the other flavor and a cell with the same labels build no element again
+        size = _basis_table.cache_info().currsize
+        # the other flavor, another anchor of the same dimension and a cell with
+        # other labels add no table
         realize_all(T1, e, 2, "dual")
-        pairing_matrix(T2, e, 2)
-        realize_all(T2, e, 2, "primal")
-        assert _compound_positions.cache_info().misses == misses
-        assert all(type(i) is int for i in _compound_positions(T1.labels, e, 2))
+        realize_all(T1, simplex(1, 3), 2)
+        pairing_matrix(T2, simplex(5, 9), 2)
+        decompose_altk(T2, simplex(2, 7), 2, "dual")
+        assert _basis_table.cache_info().currsize == size
+        assert all(type(i) is int for i in _basis_table(1, 3, 2)[0])
+        # one table per (dim e, d, k)
+        _basis_table.cache_clear()
+        for d in range(1, 7):
+            T = random_simplex(d, RNG)
+            for g in all_subsimplices(T):
+                for k in range(d + 1):
+                    pairing_matrix(T, g, k)
+                    decompose_altk(T, g, k)
+        assert _basis_table.cache_info().currsize <= sum((d + 1) ** 2 for d in range(1, 7))
 
     def test_k0_constant(self):
         T = random_simplex(2, RNG)
@@ -309,8 +398,12 @@ class TestAgainstReference:
         for e in all_subsimplices(T):
             for k in range(d + 1):
                 position = {(el.f, el.sigma): i for i, el in enumerate(decompose_altk(T, e, d - k))}
-                partners = [hodge_coefficient(T, el)[1] for el in decompose_altk(T, e, k, "dual")]
+                dual = decompose_altk(T, e, k, "dual")
+                partners = [hodge_coefficient(T, el)[1] for el in dual]
                 assert all(p.flavor == "primal" and len(p.sigma) + p.f.dim - p.e.dim == d - k for p in partners)
+                # a partner wedges the complementary frame rows
+                for el, p in zip(dual, partners):
+                    assert _row_index(p, T.labels) == complement(_row_index(el, T.labels), d)
                 idx = [position[p.f, p.sigma] for p in partners]
                 assert sorted(idx) == list(range(binomial(d, k)))
                 starred = _star(realize_all(T, e, d - k), d - k, d)[idx]
