@@ -16,12 +16,17 @@ star is a signed permutation: ``_hodge_table`` holds, for each output
 sequence, the input sequence it is the ``complement`` of and the sign, and
 ``_star`` is one gather along the last axis, of one form or of a stack of
 coefficient rows.  ``compound(A, k)`` holds all k x k minors of A from one
-batched determinant, so evaluation, wedges of 1-forms, restriction to a
-frame (``C_k(F) @ a``) and its pullback (``c @ C_k(F)``) are products.
+batched determinant over one gather, ``A.reshape(-1).take`` of the flat
+positions ``_minor_index(k, m, n)`` caches for an (m, n) matrix, so
+evaluation, wedges of 1-forms, restriction to a frame (``C_k(F) @ a``) and
+its pullback (``c @ C_k(F)``) are products.  The subspace star fuses the
+three: with r = C_k(F) a, it is ``_star(r) @ C_{l-k}(F)``, and r C_k(F) - a
+is the part of a normal to the frame; it builds one form, the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,8 +87,7 @@ def compound(A: np.ndarray, k: int) -> np.ndarray:
     sequence of length k, both in lexicographic order.
     """
     A = np.asarray(A, dtype=float)
-    rows, cols = _index_array(k, A.shape[0]), _index_array(k, A.shape[1])
-    return np.linalg.det(A[rows[:, None, :, None], cols[None, :, None, :]])
+    return np.linalg.det(A.reshape(-1).take(_minor_index(k, *A.shape)))
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +95,15 @@ def _index_array(k: int, d: int) -> np.ndarray:
     """0-based entries of the length-k sequences in 1..d, one sequence per row."""
     seqs = sequences(k, d)
     return np.array(seqs, dtype=np.intp).reshape(len(seqs), k) - 1
+
+
+@lru_cache(maxsize=None)
+def _minor_index(k: int, m: int, n: int) -> np.ndarray:
+    """Flat positions in an (m, n) matrix of every k x k minor's entries, (C(m, k), C(n, k), k, k); read-only."""
+    rows, cols = _index_array(k, m), _index_array(k, n)
+    index = rows[:, None, :, None] * n + cols[None, :, None, :]
+    index.flags.writeable = False
+    return index
 
 
 def _columns(rows) -> tuple[np.ndarray, ...]:
@@ -207,8 +220,8 @@ class Frame:
     """Ordered orthonormal frame of a subspace of R^d, one vector per row.
 
     The row order is meaningful: it fixes the orientation used by the
-    subspace Hodge star.  Rows whose Gram matrix is off the identity by more
-    than ``ORTHONORMAL_RTOL`` are rejected.  The frame keeps a read-only copy
+    subspace Hodge star.  Rows whose Gram matrix is not within
+    ``ORTHONORMAL_RTOL`` of the identity are rejected, non-finite rows too.  The frame keeps a read-only copy
     of its rows, so the compounds it caches for restriction and pullback
     stay valid.
     """
@@ -219,7 +232,9 @@ class Frame:
         v = np.array(self.vectors, dtype=float)
         if v.ndim != 2:
             raise ValueError("frame vectors must form a 2-D array (rows = vectors)")
-        if np.abs(v @ v.T - np.eye(v.shape[0])).max(initial=0.0) > ORTHONORMAL_RTOL:
+        gram = v @ v.T
+        gram.reshape(-1)[:: v.shape[0] + 1] -= 1.0
+        if not (np.abs(gram).max(initial=0.0) <= ORTHONORMAL_RTOL):
             raise ValueError("frame vectors are not orthonormal")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
@@ -242,16 +257,22 @@ class Frame:
         return self.vectors.shape[1]
 
 
-def restrict_to_frame(frame: Frame, omega: AltForm) -> AltForm:
-    """Coefficients of omega restricted to the frame's span, in frame coordinates.
-
-    Raises when omega's degree exceeds the frame's size.
-    """
+def _check_degree(frame: Frame, omega: AltForm) -> tuple[int, int]:
+    """(frame size ell, form degree k) of a form on the frame's ambient space with k <= ell; raises otherwise."""
     ell, k = frame.size, omega.k
     if omega.d != frame.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if k > ell:
         raise ValueError(f"cannot restrict a k={k} form to a frame of size ell={ell}: need k <= ell")
+    return ell, k
+
+
+def restrict_to_frame(frame: Frame, omega: AltForm) -> AltForm:
+    """Coefficients of omega restricted to the frame's span, in frame coordinates.
+
+    Raises when omega's degree exceeds the frame's size.
+    """
+    ell, k = _check_degree(frame, omega)
     return AltForm(ell, k, frame._compound(k) @ omega.coeffs)
 
 
@@ -271,12 +292,18 @@ def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
 def hodge_star_in_subspace(frame: Frame, omega: AltForm) -> AltForm:
     """Hodge star of a tangential form taken inside the frame's span.
 
-    The form is converted to frame coordinates, starred in the frame's
-    dimension and orientation, and re-embedded into ambient coordinates.
-    Raises if omega's part orthogonal to the span exceeds ORTHONORMAL_RTOL |omega|.
+    The form is restricted to frame coordinates (r = C_k(F) omega), starred
+    in the frame's dimension and orientation, and embedded back
+    (star(r) C_{ell-k}(F)), building only the result.  Raises unless omega's
+    part orthogonal to the span, |r C_k(F) - omega|, is at most
+    ORTHONORMAL_RTOL |omega|; a non-finite form fails that test.
     """
-    restricted = restrict_to_frame(frame, omega)
-    residual = float(np.linalg.norm(restricted.coeffs @ frame._compound(omega.k) - omega.coeffs))
-    if residual > ORTHONORMAL_RTOL * omega.norm():
-        raise ValueError(f"form not tangential to the span: relative residual {residual / omega.norm():.3e}")
-    return pullback_embed(frame, hodge_star(restricted))
+    ell, k = _check_degree(frame, omega)
+    a = omega.coeffs
+    c = frame._compound(k)
+    r = c @ a
+    normal = r @ c - a
+    residual, size = math.sqrt(normal @ normal), math.sqrt(a @ a)
+    if not (residual <= ORTHONORMAL_RTOL * size):
+        raise ValueError(f"form not tangential to the span: relative residual {residual / size:.3e}")
+    return AltForm(frame.ambient_dim, ell - k, _star(r, k, ell) @ frame._compound(ell - k))

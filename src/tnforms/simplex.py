@@ -7,6 +7,8 @@ lazily on first use.  Per face dimension, one batched QR of the face edge
 rows v_j - v_0 (ascending vertex labels), with the diagonal of R made
 positive, gives the face's orthonormal tangent rows, the rows Gram-Schmidt
 would give; a triangular solve with R gives its barycentric gradients.
+The vertex level has no edges and is built from constants: no tangent
+rows, the gradient -0.0 and volume 1, what the QR and solve give there.
 The table's arrays are read-only.  An entry depends only on the
 coordinates of the face's own vertices in ascending label order, so two
 cells sharing a face derive identical frames from it.
@@ -17,10 +19,12 @@ gathers f's gradients of the vertices outside e (the face normals) and,
 for each such vertex i, the gradient of lambda_i in e + i (the t-n
 normals) from the per-dimension stacks, and one batched product gives the
 pairing ratio of every pair at once.  ``nef_frames`` is a lookup into its
-group.  Groups are built on a cell the first time one of their pairs is
-asked for, not all at once: a t-n basis reads only the groups with f the
-cell, and the whole table of a 6-cell holds thousands of pairs it never
-uses.
+group, and a pair missing from the group's index is the containment error.
+Groups are built on a cell the first time one of their pairs is asked
+for, not all at once: a t-n basis reads only the groups with f the cell,
+and the whole table of a 6-cell holds thousands of pairs it never uses.
+Faces, groups and frame sets are ``NamedTuple`` records (``_Face``,
+``_NefGroup``, ``TnFrameSet``), cheap to build by the thousand per cell.
 """
 
 from __future__ import annotations
@@ -121,10 +125,15 @@ class GeometricSimplex:
         """(tangents, gradients, volumes) of the s-faces, lexicographic, per s, from one batched QR each.
 
         With edge rows E = R^T Q, the gradients of lambda_1..lambda_s are the
-        rows of R^{-1} Q, and |det R| / s! is the volume.
+        rows of R^{-1} Q, and |det R| / s! is the volume.  A vertex has no
+        edge, so its level is constant: no tangents, the gradient -0.0 (minus
+        an empty sum) and volume 1.
         """
-        stacks = []
-        for s in range(self.dim + 1):
+        n, d = self.vertices.shape
+        tangents, gradients = np.empty((n, 0, d)), np.full((n, 1, d), -0.0)
+        tangents.flags.writeable = gradients.flags.writeable = False
+        stacks = [(tangents, gradients, np.ones(n))]
+        for s in range(1, self.dim + 1):
             pts = self.vertices[np.array(list(combinations(range(self.dim + 1), s + 1)))]
             q, r = _orthonormal_rows(pts[:, 1:] - pts[:, :1])
             grads = np.empty(pts.shape)
@@ -247,8 +256,7 @@ def surface_gradient(T: GeometricSimplex, f: AbstractSimplex, i: int) -> np.ndar
     return face.gradients[f.vertices.index(i)]
 
 
-@dataclass(frozen=True, eq=False)
-class TnFrameSet:
+class TnFrameSet(NamedTuple):
     """Dual pair of bases for the normal plane of a subsimplex e (within f).
 
     ``normals_face`` holds the face-normal vectors and ``normals_tn`` the
@@ -272,15 +280,17 @@ class TnFrameSet:
 def _pairing_ratio(p: np.ndarray) -> np.ndarray:
     """Largest off-diagonal |entry| over the least diagonal entry, per matrix of a stack (..., r, r).
 
-    The ratio is inf for a matrix with a diagonal entry <= 0.
+    The ratio is inf for a matrix with a diagonal entry <= 0.  Works on the
+    flattened r*r axis, where the diagonal is every (r + 1)-th entry.
     """
     r = p.shape[-1]
-    diag = np.diagonal(p, axis1=-2, axis2=-1)
-    off = np.abs(p)
-    off[..., range(r), range(r)] = 0.0
+    flat = p.reshape(p.shape[:-2] + (r * r,))
+    diag = flat[..., :: r + 1]
+    off = np.abs(flat)
+    off[..., :: r + 1] = 0.0
     positive = np.all(diag > 0.0, axis=-1)
     ratio = np.full(positive.shape, np.inf)
-    np.divide(off.max(axis=(-2, -1), initial=0.0), diag.min(axis=-1, initial=np.inf), out=ratio, where=positive)
+    np.divide(off.max(axis=-1, initial=0.0), diag.min(axis=-1, initial=np.inf), out=ratio, where=positive)
     return ratio
 
 
@@ -336,11 +346,12 @@ def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> T
     With f the cell these are the t-n frames of e; with e == f the normal
     families are empty.  A lookup into the cell's n-e-f group of (|f|, |e|).
     """
-    if not e.issubset(f):
-        raise ValueError("need e contained in f")
     face, anchor = _face(T, f.vertices), _face(T, e.vertices)
-    group = _nef_group(T, len(f.vertices), len(e.vertices))
-    j = group.index[face.at, anchor.at]
+    nf, ne = len(f.vertices), len(e.vertices)
+    group = _nef_group(T, nf, ne) if ne <= nf else None
+    j = None if group is None else group.index.get((face.at, anchor.at))
+    if j is None:
+        raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}")
     _check_pairing(e.vertices, f.vertices, group.ratio[j])
     rest = tuple(i for i in f.vertices if i not in e.vertices)
     return TnFrameSet(e, anchor.tangents, rest, group.normals_face[j], group.normals_tn[j])
@@ -352,6 +363,7 @@ def outward_normal(T: GeometricSimplex, facet: AbstractSimplex) -> np.ndarray:
         raise ValueError("outward normal defined on full-dimensional cells")
     if facet.dim != T.dim - 1:
         raise ValueError("facet must have codimension one")
+    _face(T, facet.vertices)  # a label outside the cell is named, not left to the unpacking below
     (i,) = set(T.labels) - set(facet.vertices)
     g = T._gradients[T.labels.index(i)]
     return -g / np.linalg.norm(g)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tnforms.combinatorics import binomial, sequence_position, sequences
+from tnforms.errors import ORTHONORMAL_RTOL
 from tnforms.exterior import (
     AltForm,
     Frame,
@@ -138,6 +139,31 @@ def _ref_pullback_embed(frame, omega_sub):
     return acc
 
 
+# The gathers and compositions the fused kernels replaced; the fused ones
+# must match them byte for byte.
+
+
+def _ref_compound(A, k):
+    """All k x k minors through one broadcast 4-D fancy index."""
+
+    def index(n):
+        seqs = sequences(k, n)
+        return np.array(seqs, dtype=np.intp).reshape(len(seqs), k) - 1
+
+    A = np.asarray(A, dtype=float)
+    rows, cols = index(A.shape[0]), index(A.shape[1])
+    return np.linalg.det(A[rows[:, None, :, None], cols[None, :, None, :]])
+
+
+def _ref_hodge_star_in_subspace(frame, omega):
+    """Restrict to the frame, star there, embed back: three forms built."""
+    restricted = restrict_to_frame(frame, omega)
+    residual = float(np.linalg.norm(restricted.coeffs @ frame._compound(omega.k) - omega.coeffs))
+    if residual > ORTHONORMAL_RTOL * omega.norm():
+        raise ValueError(f"form not tangential to the span: relative residual {residual / omega.norm():.3e}")
+    return pullback_embed(frame, hodge_star(restricted))
+
+
 def random_frame(ell, d, rng=RNG):
     """ell orthonormal rows in R^d."""
     return Frame(np.linalg.qr(rng.standard_normal((d, d)))[0][:ell])
@@ -225,6 +251,15 @@ class TestCompound:
         assert np.array_equal(compound(A, 0), np.ones((1, 1)))
         assert np.allclose(compound(A, 1), A)
         assert compound(A, 4).shape == (0, 1)
+
+    def test_matches_broadcast_gather(self):
+        rng = np.random.default_rng(41)
+        for m in range(5):
+            for n in range(6):
+                A = rng.standard_normal((n, m)).T  # a non-contiguous view as well
+                for k in range(max(m, n) + 2):
+                    got, ref = compound(A, k), _ref_compound(A, k)
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (m, n, k)
 
     def test_cauchy_binet(self):
         A, B = RNG.standard_normal((4, 5)), RNG.standard_normal((5, 3))
@@ -392,14 +427,37 @@ class TestSubspaceHodge:
         with pytest.raises(ValueError, match="k=3 form to a frame of size ell=2"):
             hodge_star_in_subspace(self.xy_frame(), basis_form(3, 3, (1, 2, 3)))
 
-    def test_builds_three_forms(self, monkeypatch):
-        # restriction, star and embedding; the tangentiality residual builds none
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_form_rejected(self, bad):
+        w = AltForm(3, 1, [bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="relative residual nan"), np.errstate(invalid="ignore"):
+            hodge_star_in_subspace(self.xy_frame(), w)
+
+    def test_builds_one_form(self, monkeypatch):
+        # only the result: restriction, residual and star stay coefficient arrays
         frame, w = self.xy_frame(), basis_form(3, 1, (1,))
         built = []
         init = AltForm.__post_init__
         monkeypatch.setattr(AltForm, "__post_init__", lambda self: built.append(init(self)))
         hodge_star_in_subspace(frame, w)
-        assert len(built) == 3
+        assert len(built) == 1
+
+    def test_matches_composition(self):
+        rng = np.random.default_rng(43)
+        for d in range(1, 7):
+            for ell in range(d + 1):
+                frame = random_frame(ell, d, rng)
+                for k in range(ell + 1):
+                    w = pullback_embed(frame, random_form(ell, k, rng))
+                    got, ref = hodge_star_in_subspace(frame, w), _ref_hodge_star_in_subspace(frame, w)
+                    assert (got.d, got.k) == (ref.d, ref.k) and got.coeffs.tobytes() == ref.coeffs.tobytes()
+                    if 0 < k and ell < d:
+                        bent, messages = w + random_form(d, k, rng), []
+                        for star in (hodge_star_in_subspace, _ref_hodge_star_in_subspace):
+                            with pytest.raises(ValueError, match="not tangential") as exc:
+                                star(frame, bent)
+                            messages.append(str(exc.value))
+                        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_tangentiality_is_relative(self, scale):
@@ -416,10 +474,17 @@ class TestFrame:
         assert Frame(rows).size == 2
 
     @pytest.mark.parametrize(
-        "rows", [[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [[2.0, 0.0, 0.0]], [[1.0, 1e-4, 0.0]]]
+        "rows",
+        [
+            [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+            [[2.0, 0.0, 0.0]],
+            [[1.0, 1e-4, 0.0]],
+            [[np.nan, 0.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]],
+        ],
     )
     def test_non_orthonormal_rows_rejected(self, rows):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             Frame(np.array(rows))
 
     def test_keeps_a_read_only_copy(self):

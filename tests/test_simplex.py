@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +82,18 @@ def _ref_surface_gradient(T, f, i):
 def _ref_volume(T):
     e = T.edge_matrix
     return math.sqrt(max(np.linalg.det(e.T @ e), 0.0)) / math.factorial(T.dim)
+
+
+def _ref_pairing_ratio(p):
+    """The pairing ratio over the two matrix axes, with the diagonal zeroed by a fancy index."""
+    r = p.shape[-1]
+    diag = np.diagonal(p, axis1=-2, axis2=-1)
+    off = np.abs(p)
+    off[..., range(r), range(r)] = 0.0
+    positive = np.all(diag > 0.0, axis=-1)
+    ratio = np.full(positive.shape, np.inf)
+    np.divide(off.max(axis=(-2, -1), initial=0.0), diag.min(axis=-1, initial=np.inf), out=ratio, where=positive)
+    return ratio
 
 
 def _faces(T):
@@ -253,6 +265,15 @@ class TestSurfaceGradient:
         for i in range(4):
             assert np.allclose(surface_gradient(T, full, i), g[i], atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_vertex_gradient_is_negative_zero(self, d):
+        # minus the empty sum, as the QR levels above derive lambda_0
+        negative_zero = np.full(d, -0.0).tobytes()
+        T = random_simplex(d, RNG)
+        for i in T.labels:
+            assert surface_gradient(T, simplex(i), i).tobytes() == negative_zero
+        assert barycentric_gradients(GeometricSimplex(T.vertices[:1])).tobytes() == negative_zero
+
     def test_vertex_projection_is_zero(self):
         T = random_simplex(3, RNG)
         assert np.allclose(surface_gradient(T, simplex(1), 2), 0.0)
@@ -354,8 +375,27 @@ class TestNefFrames:
 
     def test_requires_containment(self):
         T = random_simplex(3, RNG)
-        with pytest.raises(ValueError):
-            nef_frames(T, simplex(0, 1), simplex(2))
+        for f, e in [((0, 1), (2,)), ((0, 1), (1, 2)), ((0, 1), (0, 1, 2)), ((1,), (0,))]:
+            msg = re.escape(f"anchor e={e} must be contained in the face f={f}")
+            with pytest.raises(ValueError, match=msg):
+                nef_frames(T, simplex(*f), simplex(*e))
+
+    def test_pairing_ratio_matches_reference(self):
+        rng = np.random.default_rng(17)
+        for r in range(5):
+            good = rng.standard_normal((6, r, r)) + 3.0 * np.eye(r)
+            bad = good.copy()
+            if r:
+                bad[0, 0, 0] = 0.0
+                bad[1, -1, -1] = -1.0
+                bad[2, 0, 0] = np.nan
+                bad[3, -1, 0] = np.nan
+                bad[4, 0, -1] = np.inf
+                bad[5, -1, -1] = np.inf
+            stack = np.concatenate([good, bad])
+            for p in (stack, stack.reshape(3, 4, r, r), stack[0], stack[:0]):
+                got, ref = _pairing_ratio(p), _ref_pairing_ratio(p)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (r, p.shape)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
     def test_validate_is_relative_to_the_diagonal(self, scale):
@@ -363,13 +403,13 @@ class TestNefFrames:
         T = GeometricSimplex(scale * random_simplex(3, np.random.default_rng(11)).vertices)
         fr = nef_frames(T, T.full_simplex(), simplex(0, 1))
         shift = np.linalg.pinv(fr.normals_face) @ np.array([0.0, 3e-3 * fr.pairing().diagonal().min()])
-        bad = dataclasses.replace(fr, normals_tn=fr.normals_tn + np.outer([1.0, 0.0], shift))
+        bad = fr._replace(normals_tn=fr.normals_tn + np.outer([1.0, 0.0], shift))
         p = bad.pairing()
         assert abs(p[0, 1]) / p.diagonal().min() == pytest.approx(3e-3, rel=1e-6)
         with pytest.raises(ValueError, match=r"e=\(0, 1\), f=\(0, 1, 2, 3\) not diagonal: ratio 3\.000e-03"):
             validate(bad)
         with pytest.raises(ValueError, match="ratio inf"):
-            validate(dataclasses.replace(fr, normals_tn=-fr.normals_tn))
+            validate(fr._replace(normals_tn=-fr.normals_tn))
 
 
 def _pair_cells():
@@ -497,6 +537,14 @@ class TestFacetFrames:
             frame, n = induced_facet_frame(T, F)
             assert np.linalg.det(np.vstack([n, frame.vectors])) > 0
             assert np.max(np.abs(frame.vectors @ n)) < 1e-12
+
+    @pytest.mark.parametrize("facet", [(0, 1, 7), (0, 5, 7)])
+    def test_facet_labels_outside_the_cell_are_named(self, facet):
+        T = random_simplex(3, RNG)
+        msg = re.escape(f"{facet} is not a face of the simplex with labels (0, 1, 2, 3)")
+        for build in (outward_normal, induced_facet_frame):
+            with pytest.raises(ValueError, match=msg):
+                build(T, simplex(*facet))
 
     def test_outward_normal_points_away(self):
         T = random_simplex(3, RNG)
