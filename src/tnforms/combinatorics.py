@@ -16,6 +16,7 @@ for every basis and degree-of-freedom numbering built on top of them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -31,17 +32,21 @@ def binomial(n: int, m: int) -> int:
 
 @dataclass(frozen=True, order=True)
 class AbstractSimplex:
-    """A nonempty set of vertex labels, stored in ascending order."""
+    """A nonempty set of integer vertex labels, stored in ascending order.
+
+    Labels go through ``operator.index``: numpy integers pass, and a float
+    label is a TypeError rather than truncated.
+    """
 
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        verts = tuple(int(v) for v in self.vertices)
+        verts = tuple(map(operator.index, self.vertices))
         if not verts:
             raise ValueError("abstract simplex needs at least one vertex")
-        if any(v < 0 for v in verts):
+        if min(verts) < 0:
             raise ValueError(f"vertex labels must be non-negative: {verts}")
-        if any(a >= b for a, b in zip(verts, verts[1:])):
+        if sorted(set(verts)) != list(verts):
             raise ValueError(f"vertex labels must be strictly increasing: {verts}")
         object.__setattr__(self, "vertices", verts)
 
@@ -59,7 +64,7 @@ class AbstractSimplex:
         return len(self.vertices)
 
     def issubset(self, other: "AbstractSimplex") -> bool:
-        return set(self.vertices) <= set(other.vertices)
+        return set(other.vertices).issuperset(self.vertices)
 
 
 def simplex(*labels: int) -> AbstractSimplex:

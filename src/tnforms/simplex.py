@@ -14,12 +14,17 @@ coordinates of the face's own vertices in ascending label order, so two
 cells sharing a face derive identical frames from it.
 
 The n-e-f frames of the face pairs e in f are batched the same way, one
-group per (|f|, |e|): a cached index table of every such pair of positions
-gathers f's gradients of the vertices outside e (the face normals) and,
-for each such vertex i, the gradient of lambda_i in e + i (the t-n
-normals) from the per-dimension stacks, and one batched product gives the
-pairing ratio of every pair at once.  ``nef_frames`` is a lookup into its
-group, and a pair missing from the group's index is the containment error.
+group per (|f|, |e|).  A cached, label-free table of every such pair of
+positions holds e's position, the positions in f of the vertices outside e,
+and the gather indices of f's gradients of those vertices (the face
+normals) and, for each such vertex i, of the gradient of lambda_i in e + i
+(the t-n normals).  The group stores whole frame matrices, e's tangents
+then the normals, in one (2, pairs, |f| - 1, d) array filled by one slice
+assignment for the tangents and one per normal family; one batched product
+gives the pairing ratio of every pair at once.  ``nef_frames`` is a lookup
+into its group: row views of the stored frames, and the normal labels read
+off f at the cached positions.  A pair missing from the group's index is
+the containment error.
 Groups are built on a cell the first time one of their pairs is asked
 for, not all at once: a t-n basis reads only the groups with f the cell,
 and the whole table of a 6-cell holds thousands of pairs it never uses.
@@ -58,14 +63,18 @@ class _Face(NamedTuple):
 class _NefGroup(NamedTuple):
     """The n-e-f frames of every face pair with given (|f|, |e|) on one cell, read-only.
 
-    ``index`` maps the pair (f.at, e.at) to its row; ``normals_face`` and
-    ``normals_tn`` are (pairs, |f| - |e|, d) and ``ratio`` holds each pair's
-    off-diagonal/diagonal pairing ratio.
+    ``index`` maps the pair (f.at, e.at) to its row; ``frame_face`` and
+    ``frame_tn`` are (pairs, |f| - 1, d), e's |e| - 1 tangents then the
+    |f| - |e| normals of one flavour, views of one array.  ``normal_pos``
+    holds each pair's positions in f of its normal labels (shared with the
+    label-free pair table) and ``ratio`` each pair's off-diagonal/diagonal
+    pairing ratio.
     """
 
     index: dict[tuple[int, int], int]
-    normals_face: np.ndarray
-    normals_tn: np.ndarray
+    frame_face: np.ndarray
+    frame_tn: np.ndarray
+    normal_pos: tuple[tuple[int, ...], ...]
     ratio: np.ndarray
 
 
@@ -75,7 +84,10 @@ class GeometricSimplex:
 
     ``labels`` names the vertices; they default to 0..m and must ascend, so
     the stored vertex order is the ascending-label order that fixes the
-    simplex orientation.
+    simplex orientation.  They are checked by building the cell's
+    :class:`AbstractSimplex` (non-negative, strictly increasing integers),
+    which ``full_simplex`` returns.  Non-finite coordinates are a
+    :class:`DegenerateSimplexError`.
     """
 
     vertices: np.ndarray
@@ -85,15 +97,18 @@ class GeometricSimplex:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2:
             raise ValueError("vertices must be a 2-D array (rows = points)")
+        if not np.isfinite(v).all():
+            raise DegenerateSimplexError("non-finite vertex coordinates")
         object.__setattr__(self, "vertices", v)
         m = v.shape[0] - 1
         if m > self.ambient_dim:
             raise ValueError(f"{m}-simplex cannot live in R^{self.ambient_dim}")
-        labels = self.labels if self.labels is not None else tuple(range(m + 1))
-        labels = tuple(int(i) for i in labels)
+        labels = tuple(range(m + 1)) if self.labels is None else tuple(self.labels)
         if len(labels) != m + 1:
             raise ValueError("one label per vertex required")
-        object.__setattr__(self, "labels", labels)
+        full = AbstractSimplex(labels)
+        object.__setattr__(self, "labels", full.vertices)
+        object.__setattr__(self, "_full", full)
         svals = np.linalg.svd(self.edge_matrix, compute_uv=False) if m >= 1 else np.ones(1)
         if svals[-1] <= DEGENERACY_RTOL * svals[0]:
             raise DegenerateSimplexError(f"singular values {svals[-1]:.3e} <= {DEGENERACY_RTOL} * {svals[0]:.3e}")
@@ -159,20 +174,18 @@ class GeometricSimplex:
         return {}
 
     def full_simplex(self) -> AbstractSimplex:
-        """The abstract simplex on this cell's vertex labels."""
-        return AbstractSimplex(self.labels)
+        """The abstract simplex on this cell's vertex labels, built once with the cell."""
+        return self._full
 
 
 def reference_simplex(d: int) -> GeometricSimplex:
     """Unit reference simplex with vertices 0, e_1, ..., e_d."""
-    v = np.zeros((d + 1, d))
-    v[1:] = np.eye(d)
-    return GeometricSimplex(v)
+    return GeometricSimplex(np.eye(d + 1, d, k=-1))
 
 
 def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> GeometricSimplex:
     """Well-shaped random simplex: perturbed reference, resampled until conditioned."""
-    base = reference_simplex(d).vertices
+    base = np.eye(d + 1, d, k=-1)  # the reference vertices, without building the reference cell
     while True:
         v = scale * (base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape))
         e = (v[1:] - v[0]).T
@@ -259,19 +272,32 @@ def surface_gradient(T: GeometricSimplex, f: AbstractSimplex, i: int) -> np.ndar
 class TnFrameSet(NamedTuple):
     """Dual pair of bases for the normal plane of a subsimplex e (within f).
 
-    ``normals_face`` holds the face-normal vectors and ``normals_tn`` the
-    tangential-normal vectors, row i belonging to ``normal_labels[i]``; they
-    pair diagonally, off-diagonals at most PAIRING_RTOL times the least
-    (positive) diagonal.  ``tangents`` is an orthonormal basis of e's plane.
-    From ``nef_frames`` the arrays are read-only views into tables the cell
-    shares among all its frames.
+    ``frame_face`` and ``frame_tn`` are (|f| - 1, d) frame matrices: the
+    dim e rows ``tangents``, an orthonormal basis of e's plane, then the
+    face-normal vectors ``normals_face``, respectively the tangential-normal
+    vectors ``normals_tn``, normal row i belonging to ``normal_labels[i]``.
+    The normals pair diagonally, off-diagonals at most PAIRING_RTOL times
+    the least (positive) diagonal.  From ``nef_frames`` the arrays, and the
+    row slices the properties return, are read-only views into tables the
+    cell shares among all its frames.
     """
 
     e: AbstractSimplex
-    tangents: np.ndarray
     normal_labels: tuple[int, ...]
-    normals_face: np.ndarray
-    normals_tn: np.ndarray
+    frame_face: np.ndarray
+    frame_tn: np.ndarray
+
+    @property
+    def tangents(self) -> np.ndarray:
+        return self.frame_face[: len(self.e) - 1]
+
+    @property
+    def normals_face(self) -> np.ndarray:
+        return self.frame_face[len(self.e) - 1 :]
+
+    @property
+    def normals_tn(self) -> np.ndarray:
+        return self.frame_tn[len(self.e) - 1 :]
 
     def pairing(self) -> np.ndarray:
         return self.normals_tn @ self.normals_face.T
@@ -300,20 +326,23 @@ def _check_pairing(e: tuple[int, ...], f: tuple[int, ...], ratio: float):
 
 
 @lru_cache(maxsize=None)
-def _pair_table(n: int, nf: int, ne: int) -> tuple[dict[tuple[int, int], int], tuple[np.ndarray, ...]]:
+def _pair_table(n: int, nf: int, ne: int):
     """Every face pair E in F of range(n) with |F| = nf, |E| = ne, and its gather indices.
 
-    Returns (index, (face_at, face_row, tn_at, tn_row)): ``index`` maps the
-    pair's (F, E) positions among the faces of their dimensions to its row.
+    Returns (index, anchor_at, normal_pos, (face_at, face_row, tn_at, tn_row)):
+    ``index`` maps the pair's (F, E) positions among the faces of their
+    dimensions to its row, ``anchor_at`` holds each E's position and
+    ``normal_pos`` each pair's positions in F of the vertices of F minus E.
     Entry (row, j) of the arrays locates, for the j-th vertex i of F minus E,
     F's gradient of lambda_i in the stack of faces with nf vertices and the
     gradient of lambda_i in E + i in the stack of faces with ne + 1 vertices.
     """
     at = {s: {face: j for j, face in enumerate(combinations(range(n), s))} for s in (nf, ne, ne + 1)}
-    index, gather = {}, []
+    index, anchor_at, gather = {}, [], []
     for F in combinations(range(n), nf):
         for E in combinations(F, ne):
             index[at[nf][F], at[ne][E]] = len(index)
+            anchor_at.append(at[ne][E])
             rest = [i for i in F if i not in E]
             up = [tuple(sorted(E + (i,))) for i in rest]
             gather.append(
@@ -324,19 +353,27 @@ def _pair_table(n: int, nf: int, ne: int) -> tuple[dict[tuple[int, int], int], t
                     [u.index(i) for i, u in zip(rest, up)],
                 )
             )
-    return index, tuple(np.array(col, dtype=np.intp).reshape(len(index), nf - ne) for col in zip(*gather))
+    normal_pos = tuple(tuple(rows[1]) for rows in gather)
+    columns = tuple(np.array(col, dtype=np.intp).reshape(len(index), nf - ne) for col in zip(*gather))
+    return index, np.array(anchor_at, dtype=np.intp), normal_pos, columns
 
 
 def _nef_group(T: GeometricSimplex, nf: int, ne: int) -> _NefGroup:
     """The cell's n-e-f group for faces with nf vertices and anchors with ne, built on first use."""
     group = T._nef_table.get((nf, ne))
     if group is None:
-        index, (face_at, face_row, tn_at, tn_row) = _pair_table(T.dim + 1, nf, ne)
-        face = T._face_stacks[nf - 1][1][face_at, face_row]
-        tn = T._face_stacks[min(ne, T.dim)][1][tn_at, tn_row]  # ne > dim only for e = f = T: nothing to gather
+        index, anchor_at, normal_pos, (face_at, face_row, tn_at, tn_row) = _pair_table(T.dim + 1, nf, ne)
+        stacks = T._face_stacks
+        frames = np.empty((2, len(index), nf - 1, T.ambient_dim))
+        # take gives C-ordered rows; a fancy index keeps the transposed QR layout and broadcasts slower
+        frames[:, :, : ne - 1] = stacks[ne - 1][0].take(anchor_at, axis=0)
+        frames[0, :, ne - 1 :] = stacks[nf - 1][1][face_at, face_row]
+        frames[1, :, ne - 1 :] = stacks[min(ne, T.dim)][1][tn_at, tn_row]  # ne > dim only for e = f = T: no rows
+        frames.flags.writeable = False
+        face, tn = frames[:, :, ne - 1 :]
         ratio = _pairing_ratio(tn @ np.swapaxes(face, -1, -2))
-        face.flags.writeable = tn.flags.writeable = ratio.flags.writeable = False
-        group = T._nef_table[nf, ne] = _NefGroup(index, face, tn, ratio)
+        ratio.flags.writeable = False
+        group = T._nef_table[nf, ne] = _NefGroup(index, frames[0], frames[1], normal_pos, ratio)
     return group
 
 
@@ -353,8 +390,8 @@ def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> T
     if j is None:
         raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}")
     _check_pairing(e.vertices, f.vertices, group.ratio[j])
-    rest = tuple(i for i in f.vertices if i not in e.vertices)
-    return TnFrameSet(e, anchor.tangents, rest, group.normals_face[j], group.normals_tn[j])
+    labels = f.vertices
+    return TnFrameSet(e, tuple([labels[p] for p in group.normal_pos[j]]), group.frame_face[j], group.frame_tn[j])
 
 
 def outward_normal(T: GeometricSimplex, facet: AbstractSimplex) -> np.ndarray:

@@ -6,12 +6,15 @@ full-dimensional, a d-simplex in R^d.  For an anchor e of dimension s,
 ``nef_frames(T, T.full_simplex(), e)`` gives a d x d frame matrix: e's s
 orthonormal tangents, then one normal per label outside e, ascending; the
 normals are the barycentric gradients (primal flavor) or the t-n vectors
-(dual flavor).  A basis k-form wedges k of the d rows, sigma's tangents and
-the normals of f minus e, so a basis is the k-th compound of the frame
-matrix, and which rows each element takes depends on s, d and k alone.  The
-star of a dual element is a multiple of the primal element of degree d - k
-that wedges the complementary rows (``hodge_coefficient``), so normal
-traces, the tangential traces of starred forms, need no basis of their own.
+(dual flavor).  Both matrices are stored rows of the cell's n-e-f table,
+which ``_frames`` returns as they are, with nothing stacked per call.  A
+basis k-form wedges k of the d rows, sigma's tangents and the normals of f
+minus e, so a basis is the k-th compound of the frame matrix, and which
+rows each element takes depends on s, d and k alone.  The star of a dual
+element is a multiple of the primal element of degree d - k that wedges
+the complementary rows (``hodge_coefficient``, on the two coefficient
+arrays), so normal traces, the tangential traces of starred forms, need no
+basis of their own.
 Elements are ordered by face dimension, then face, then tangential
 sequence, which makes downstream degree-of-freedom matrices block lower
 triangular.
@@ -19,6 +22,7 @@ triangular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
-from .exterior import AltForm, compound, flat, hodge_star, inner, volume_coefficient, wedge, wedge_all
+from .exterior import AltForm, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
 from .simplex import GeometricSimplex, nef_frames
 
 FLAVORS = ("primal", "dual")
@@ -62,7 +66,7 @@ def decompose_altk(
     admissible window, each face f containing e contributes one element per
     increasing sequence of s + k - ell tangent indices.
     """
-    _, elements = _anchor_table(T.labels, e, k)
+    _, elements, _ = _anchor_table(T.labels, e, k)
     outside = tuple(j for j in T.labels if j not in e)
     return [
         TnBasisElement(e, AbstractSimplex(tuple(sorted(e.vertices + tuple(outside[i] for i in normals)))), sigma, flavor)
@@ -71,25 +75,31 @@ def decompose_altk(
 
 
 @lru_cache(maxsize=None)
-def _basis_table(s: int, d: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+def _basis_table(s: int, d: int, k: int):
     """The elements of degree k at an s-dimensional anchor of a d-cell, as frame rows; labels play no part.
 
     An element wedges k of the d rows: tangents 1..s, then normal rows s + 1 + i,
     i the 0-based offset among the labels outside the anchor.  Sorted by normal
     count, normal rows and rows, the row sets give their positions in
-    ``sequences(k, d)`` and, per element, (sigma, normal offsets).
+    ``sequences(k, d)`` and, per element, (sigma, normal offsets).  The third
+    entry holds the flat positions, in a C(d, k) x C(d, k) matrix, of the
+    elements' rows and columns (read-only): the gather ``pairing_matrix`` takes.
     """
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
     keyed = sorted((sum(i > s for i in r), tuple(i - s - 1 for i in r if i > s), r) for r in sequences(k, d))
     pos = sequence_position(k, d)
-    return tuple(pos[r] for _, _, r in keyed), tuple((r[: k - m], normals) for m, normals, r in keyed)
+    idx = tuple(pos[r] for _, _, r in keyed)
+    at = np.array(idx, dtype=np.intp)
+    flat_index = at[:, None] * len(idx) + at[None, :]
+    flat_index.flags.writeable = False
+    return idx, tuple((r[: k - m], normals) for m, normals, r in keyed), flat_index
 
 
 def _anchor_table(labels: tuple[int, ...], e: AbstractSimplex, k: int):
     """``_basis_table`` of anchor e, which must be a face of the cell with these labels."""
     table = _basis_table(e.dim, len(labels) - 1, k)
-    if not set(e.vertices) <= set(labels):
+    if not set(labels).issuperset(e.vertices):
         raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {labels}")
     return table
 
@@ -99,7 +109,7 @@ def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.nda
     if T.dim != T.ambient_dim:
         raise ValueError(f"t-n bases need a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
     fs = nef_frames(T, T.full_simplex(), e)
-    return np.vstack([fs.tangents, fs.normals_face]), np.vstack([fs.tangents, fs.normals_tn])
+    return fs.frame_face, fs.frame_tn
 
 
 def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -111,16 +121,11 @@ def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]
     return rows
 
 
-def _wedge_rows(frames: tuple[np.ndarray, np.ndarray], elem: TnBasisElement, labels: tuple[int, ...]) -> AltForm:
-    """The wedge of an element's rows of its anchor's frames."""
-    primal, dual = frames
-    frame = dual if elem.flavor == "dual" else primal
-    return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, labels)], d=len(frame))
-
-
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
     """The constant-coefficient form of a basis element, in ambient coordinates."""
-    return _wedge_rows(_frames(T, elem.e), elem, T.labels)
+    primal, dual = _frames(T, elem.e)
+    frame = dual if elem.flavor == "dual" else primal
+    return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, T.labels)], d=len(frame))
 
 
 def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarray:
@@ -133,9 +138,9 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     pairing on its normals), so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
-    idx, _ = _anchor_table(T.labels, e, k)
+    _, _, flat_index = _anchor_table(T.labels, e, k)
     primal, dual = _frames(T, e)
-    return compound(primal @ dual.T, k)[np.ix_(idx, idx)]
+    return compound(primal @ dual.T, k).reshape(-1).take(flat_index)
 
 
 def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
@@ -150,24 +155,36 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     """
     if elem.flavor != "dual":
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
-    frames = _frames(T, elem.e)
-    dual_form = _wedge_rows(frames, elem, T.labels)
+    primal, dual = _frames(T, elem.e)
+    d, rows = T.dim, _row_index(elem, T.labels)
+    k = len(rows)
     face = AbstractSimplex(tuple(j for j in T.labels if j in elem.e or j not in elem.f))
     partner = TnBasisElement(elem.e, face, complement(elem.sigma, elem.e.dim))
-    partner_inner = _wedge_rows(frames, partner, T.labels)
-    at = f"e={elem.e.vertices}, f={elem.f.vertices}, sigma={elem.sigma}, d={T.dim}, k={dual_form.k}"
+    # each form is the maximal minors of its rows; the partner wedges the complementary primal rows
+    a = compound(dual[[i - 1 for i in rows]], k)[0]
+    b = compound(primal[[i - 1 for i in complement(rows, d)]], d - k)[0]
+    dual_form = AltForm(d, k, a)
 
-    denominator = volume_coefficient(wedge(dual_form, partner_inner))
-    scale = dual_form.norm() * partner_inner.norm()
+    denominator = volume_coefficient(wedge(dual_form, AltForm(d, d - k, b)))
+    aa = float(a @ a)
+    scale = math.sqrt(aa) * math.sqrt(b @ b)
     if abs(denominator) <= DEGENERACY_RTOL * scale:
+        at = _context(elem, d, k)
         raise ValueError(f"degenerate Hodge pairing at {at}: {abs(denominator):.3e} <= {DEGENERACY_RTOL} * {scale:.3e}")
-    c = inner(dual_form, dual_form) / denominator
+    c = aa / denominator
 
-    starred = hodge_star(dual_form)
-    residual = (starred - c * partner_inner).norm() / starred.norm()
+    starred = hodge_star(dual_form).coeffs
+    r = starred - b * c
+    residual = math.sqrt(r @ r) / math.sqrt(starred @ starred)
     if residual > PAIRING_RTOL:
+        at = _context(elem, d, k)
         raise ValueError(f"Hodge collinearity at {at}: relative residual {residual:.3e} > {PAIRING_RTOL}")
     return c, partner
+
+
+def _context(elem: TnBasisElement, d: int, k: int) -> str:
+    """The (e, f, sigma, d, k) of a failing Hodge check, built only when one raises."""
+    return f"e={elem.e.vertices}, f={elem.f.vertices}, sigma={elem.sigma}, d={d}, k={k}"
 
 
 def realize_all(
@@ -181,6 +198,6 @@ def realize_all(
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    idx, _ = _anchor_table(T.labels, e, k)
+    idx, _, _ = _anchor_table(T.labels, e, k)
     primal, dual = _frames(T, e)
     return compound(dual if flavor == "dual" else primal, k)[list(idx)]

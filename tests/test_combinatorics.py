@@ -125,6 +125,18 @@ class TestSimplices:
             AbstractSimplex((1, 1))
         with pytest.raises(ValueError):
             AbstractSimplex(())
+        with pytest.raises(ValueError, match="non-negative"):
+            AbstractSimplex((-1, 0, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AbstractSimplex((2, 1, 0))
+
+    def test_labels_must_be_integers(self):
+        # a float label is rejected, not truncated; numpy integers are labels
+        for labels in ((1.5, 2), (1.0, 2), (np.float64(1.0), 2)):
+            with pytest.raises(TypeError):
+                AbstractSimplex(labels)
+        got = AbstractSimplex((np.int64(1), np.int32(4))).vertices
+        assert got == (1, 4) and all(type(v) is int for v in got)
 
 
 def _split_count(T, e, k):

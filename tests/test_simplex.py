@@ -130,13 +130,18 @@ def _ref_nef_frames(geometry, f, e):
         up = tuple(sorted(e.vertices + (i,)))
         tn.append(geometry[up][1][up.index(i)])
     grads_f = geometry[f.vertices][1]
+    tangents = geometry[e.vertices][0]
     return TnFrameSet(
         e=e,
-        tangents=geometry[e.vertices][0],
         normal_labels=rest,
-        normals_face=grads_f[[f.vertices.index(i) for i in rest]],
-        normals_tn=np.array(tn).reshape(len(rest), grads_f.shape[1]),
+        frame_face=np.vstack([tangents, grads_f[[f.vertices.index(i) for i in rest]]]),
+        frame_tn=np.vstack([tangents, np.array(tn).reshape(len(rest), grads_f.shape[1])]),
     )
+
+
+def _with_normals_tn(fr, normals_tn):
+    """The frame set with its t-n normal rows replaced."""
+    return fr._replace(frame_tn=np.vstack([fr.tangents, normals_tn]))
 
 
 def _reference_cells():
@@ -236,6 +241,30 @@ class TestBarycentricGradients:
         flat_pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(DegenerateSimplexError):
             GeometricSimplex(flat_pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertices_rejected(self, bad):
+        # rejected before the SVD, which does not converge on NaN and lets inf through
+        with pytest.raises(DegenerateSimplexError, match="non-finite"):
+            GeometricSimplex(np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "labels,msg",
+        [((2, 1, 0), "strictly increasing"), ((-1, 0, 1), "non-negative"), ((0, 0, 1), "strictly increasing")],
+    )
+    def test_labels_checked_as_an_abstract_simplex(self, labels, msg):
+        v = reference_simplex(2).vertices
+        with pytest.raises(ValueError, match=msg):
+            GeometricSimplex(v, labels=labels)
+        with pytest.raises(ValueError, match="one label per vertex"):
+            GeometricSimplex(v, labels=(0, 1))
+
+    def test_non_integral_labels_rejected(self):
+        v = reference_simplex(2).vertices
+        with pytest.raises(TypeError):
+            GeometricSimplex(v, labels=(0, 1.7, 3))
+        T = GeometricSimplex(v, labels=np.array([0, 2, 5]))
+        assert T.labels == (0, 2, 5) and all(type(i) is int for i in T.labels)
 
     def test_embedded_gradients_tangential(self):
         # a triangle embedded in R^3: gradients lie in its plane
@@ -403,13 +432,13 @@ class TestNefFrames:
         T = GeometricSimplex(scale * random_simplex(3, np.random.default_rng(11)).vertices)
         fr = nef_frames(T, T.full_simplex(), simplex(0, 1))
         shift = np.linalg.pinv(fr.normals_face) @ np.array([0.0, 3e-3 * fr.pairing().diagonal().min()])
-        bad = fr._replace(normals_tn=fr.normals_tn + np.outer([1.0, 0.0], shift))
+        bad = _with_normals_tn(fr, fr.normals_tn + np.outer([1.0, 0.0], shift))
         p = bad.pairing()
         assert abs(p[0, 1]) / p.diagonal().min() == pytest.approx(3e-3, rel=1e-6)
         with pytest.raises(ValueError, match=r"e=\(0, 1\), f=\(0, 1, 2, 3\) not diagonal: ratio 3\.000e-03"):
             validate(bad)
         with pytest.raises(ValueError, match="ratio inf"):
-            validate(fr._replace(normals_tn=-fr.normals_tn))
+            validate(_with_normals_tn(fr, -fr.normals_tn))
 
 
 def _pair_cells():
@@ -484,9 +513,30 @@ class TestNefTable:
     def test_frames_are_read_only(self):
         T = random_simplex(3, RNG)
         fr = nef_frames(T, simplex(0, 1, 3), simplex(1))
-        for arr in (fr.tangents, fr.normals_face, fr.normals_tn):
+        for arr in (fr.tangents, fr.normals_face, fr.normals_tn, fr.frame_face, fr.frame_tn):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_slices_are_views_into_the_group(self, d):
+        # the three former fields are row slices of the two stored frame
+        # matrices, and both matrices live in their group's one array
+        T = random_simplex(d, RNG)
+        faces = _faces(T)
+        for f in faces:
+            for e in faces:
+                if not e.issubset(f):
+                    continue
+                fr = nef_frames(T, f, e)
+                group = T._nef_table[len(f), len(e)]
+                assert fr.frame_face.shape == fr.frame_tn.shape == (f.dim, d)
+                assert fr.tangents.shape == (e.dim, d) and fr.normals_tn.shape == (f.dim - e.dim, d)
+                home = group.frame_face.base
+                assert home is group.frame_tn.base and home.shape == (2,) + group.frame_face.shape
+                for arr in (fr.tangents, fr.normals_face, fr.normals_tn):
+                    assert not arr.flags.writeable and arr.base is home
+                assert np.array_equal(fr.tangents, fr.frame_tn[: e.dim])
+                assert np.array_equal(np.vstack([fr.tangents, fr.normals_face]), fr.frame_face)
 
 
 class TestFaceLookup:

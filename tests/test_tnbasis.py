@@ -14,7 +14,18 @@ from tnforms.combinatorics import (
     simplex,
     subsimplices,
 )
-from tnforms.exterior import AltForm, compound, flat, hodge_star, inner, restrict_to_frame, wedge
+from tnforms.errors import DEGENERACY_RTOL
+from tnforms.exterior import (
+    AltForm,
+    compound,
+    flat,
+    hodge_star,
+    inner,
+    restrict_to_frame,
+    volume_coefficient,
+    wedge,
+    wedge_all,
+)
 from tnforms.exterior import _star
 from tnforms.simplex import (
     GeometricSimplex,
@@ -118,6 +129,34 @@ def _ref_hodge_rows(T, e, k):
     return _star(compound(_frames(T, e)[0], d - k)[idx], d - k, d)
 
 
+# Reference Hodge coefficient and pairing: the chains the coefficient-array
+# code replaced, flat rows wedged by wedge_all with the arithmetic on AltForms,
+# and the np.ix_ gather of the compound.
+
+
+def _ref_wedge_rows(frame, elem, labels):
+    return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, labels)], d=len(frame))
+
+
+def _ref_hodge_coefficient(T, elem):
+    primal, dual = _frames(T, elem.e)
+    dual_form = _ref_wedge_rows(dual, elem, T.labels)
+    face = AbstractSimplex(tuple(j for j in T.labels if j in elem.e or j not in elem.f))
+    partner = TnBasisElement(elem.e, face, complement(elem.sigma, elem.e.dim))
+    partner_inner = _ref_wedge_rows(primal, partner, T.labels)
+    denominator = volume_coefficient(wedge(dual_form, partner_inner))
+    assert abs(denominator) > DEGENERACY_RTOL * dual_form.norm() * partner_inner.norm()
+    c = inner(dual_form, dual_form) / denominator
+    starred = hodge_star(dual_form)
+    return c, partner, (starred - c * partner_inner).norm() / starred.norm()
+
+
+def _ref_pairing_matrix(T, e, k):
+    idx = _basis_table(e.dim, T.dim, k)[0]
+    primal, dual = _frames(T, e)
+    return compound(primal @ dual.T, k)[np.ix_(idx, idx)]
+
+
 class TestDecomposition:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_element_count(self, d):
@@ -191,9 +230,13 @@ class TestDecomposition:
     @given(st.integers(0, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d), st.integers(0, d))))
     def test_table_properties(self, dsk):
         d, s, k = dsk
-        idx, elements = _basis_table(s, d, k)
+        idx, elements, flat_index = _basis_table(s, d, k)
         rows = _table_rows(s, d, k)
         assert sorted(idx) == list(range(binomial(d, k)))
+        # the pairing gather: entry (i, j) is the flat position of (idx[i], idx[j])
+        n = binomial(d, k)
+        assert not flat_index.flags.writeable
+        assert np.array_equal(flat_index, np.arange(n * n).reshape(n, n)[np.ix_(idx, idx)])
         assert [sequences(k, d)[i] for i in idx] == rows
         # face dimension s + (number of normals) never decreases
         counts = [len(normals) for _, normals in elements]
@@ -408,6 +451,43 @@ class TestAgainstReference:
                 assert sorted(idx) == list(range(binomial(d, k)))
                 starred = _star(realize_all(T, e, d - k), d - k, d)[idx]
                 assert np.array_equal(_ref_hodge_rows(T, e, k), starred)
+
+
+class TestCoefficientArrays:
+    # hodge_coefficient and pairing_matrix on stored frame rows and coefficient
+    # arrays give the former AltForm chains' results bit for bit
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_hodge_coefficient_matches_altform_chain(self, d):
+        T = random_simplex(d, np.random.default_rng(90 + d))
+        for e in all_subsimplices(T):
+            for k in range(d + 1):
+                for el in decompose_altk(T, e, k, "dual"):
+                    c, partner = hodge_coefficient(T, el)
+                    ref_c, ref_partner, residual = _ref_hodge_coefficient(T, el)
+                    assert type(c) is float and np.float64(c).tobytes() == np.float64(ref_c).tobytes()
+                    assert partner == ref_partner and residual <= 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_pairing_matrix_matches_ix_gather(self, d):
+        unit = random_simplex(d, np.random.default_rng(110 + d))
+        for T in (unit, GeometricSimplex(unit.vertices, labels=tuple(range(3, 2 * d + 5, 2)))):
+            for e in all_subsimplices(T):
+                for k in range(d + 1):
+                    got, want = pairing_matrix(T, e, k), _ref_pairing_matrix(T, e, k)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_frames_are_stored_rows(self):
+        # both frame matrices are read-only views of the cell's one n-e-f array
+        T = random_simplex(4, RNG)
+        for e in all_subsimplices(T):
+            primal, dual = _frames(T, e)
+            assert primal.shape == dual.shape == (4, 4)
+            assert not (primal.flags.writeable or dual.flags.writeable)
+            assert primal.base is not None and primal.base is dual.base
+            fs = nef_frames(T, T.full_simplex(), e)
+            assert np.array_equal(primal, np.vstack([fs.tangents, fs.normals_face]))
+            assert np.array_equal(dual, np.vstack([fs.tangents, fs.normals_tn]))
 
 
 class TestPairing:
