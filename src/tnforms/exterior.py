@@ -16,19 +16,29 @@ star is a signed permutation: ``_hodge_table`` holds, for each output
 sequence, the input sequence it is the ``complement`` of and the sign, and
 ``_star`` is one gather along the last axis, of one form or of a stack of
 coefficient rows.  ``compound(A, k)`` holds all k x k minors of A from one
-batched determinant over one gather, ``A.reshape(-1).take`` of the flat
-positions ``_minor_index(k, m, n)`` caches for an (m, n) matrix, so
-evaluation, wedges of 1-forms, restriction to a frame (``C_k(F) @ a``) and
-its pullback (``c @ C_k(F)``) are products.  The subspace star fuses the
-three: with r = C_k(F) a, it is ``_star(r) @ C_{l-k}(F)``, and r C_k(F) - a
-is the part of a normal to the frame; it builds one form, the result.
+batched determinant over one gather along the last axis of A's flattened
+matrices, at the flat positions ``_minor_index(k, m, n)`` caches for an
+(m, n) matrix; leading axes of A are a batch, so one call serves a stack
+of frames.  Evaluation, wedges of 1-forms, restriction to a frame
+(``C_k(F) @ a``) and its pullback (``c @ C_k(F)``) are then products.  The
+subspace star fuses the three: with r = C_k(F) a, it is
+``_star(r) @ C_{l-k}(F)``, and r C_k(F) - a is the part of a normal to the
+frame; it builds one form, the result.
+
+The tables fix the shape of every kernel result, so ``wedge``,
+``contraction``, ``hodge_star``, ``restrict_to_frame``, ``pullback_embed``
+and ``hodge_star_in_subspace`` build it through ``_form``, which skips the
+checks of ``AltForm.__post_init__``; only forms made from outside data are
+checked.  A :class:`Frame` reads its compounds from one source per frame:
+``compound`` of its rows, or a per-cell table of face compounds
+(``simplex.oriented_subframe``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -75,6 +85,13 @@ class AltForm:
         return float(np.linalg.norm(self.coeffs))
 
 
+def _form(d: int, k: int, coeffs: np.ndarray) -> AltForm:
+    """An AltForm over a kernel's result, a 1-D float array of C(d, k) entries; not re-checked."""
+    form = object.__new__(AltForm)
+    form.__dict__.update(d=d, k=k, coeffs=coeffs)
+    return form
+
+
 def _check_same_space(a: AltForm, b: AltForm):
     if a.d != b.d or a.k != b.k:
         raise ValueError(f"form space mismatch: ({a.d},{a.k}) vs ({b.d},{b.k})")
@@ -84,10 +101,15 @@ def compound(A: np.ndarray, k: int) -> np.ndarray:
     """The k-th compound matrix of A: all k x k minors from one batched determinant.
 
     Entry (r, c) is the minor on the r-th row sequence and the c-th column
-    sequence of length k, both in lexicographic order.
+    sequence of length k, both in lexicographic order.  Leading axes are a
+    batch: A of shape (..., m, n) gives (..., C(m, k), C(n, k)), each matrix
+    bit for bit its own compound.
     """
     A = np.asarray(A, dtype=float)
-    return np.linalg.det(A.reshape(-1).take(_minor_index(k, *A.shape)))
+    if A.ndim < 2 or k < 0:
+        raise ValueError(f"compound needs k >= 0 and a matrix or a stack of them, got k={k}, shape {A.shape}")
+    m, n = A.shape[-2:]
+    return np.linalg.det(A.reshape(A.shape[:-2] + (m * n,)).take(_minor_index(k, m, n), axis=-1))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +166,7 @@ def _hodge_table(k: int, d: int) -> tuple[np.ndarray, ...]:
 def _star(coeffs: np.ndarray, k: int, d: int) -> np.ndarray:
     """Hodge star of k-form coefficients along the last axis: one signed gather."""
     src, sign = _hodge_table(k, d)
-    return sign * coeffs[..., src]
+    return sign * coeffs.take(src, axis=-1)
 
 
 def wedge(omega: AltForm, eta: AltForm) -> AltForm:
@@ -156,7 +178,7 @@ def wedge(omega: AltForm, eta: AltForm) -> AltForm:
         raise ValueError(f"wedge degree {p}+{q} exceeds ambient dimension {d}")
     i, j, out, sign = _wedge_table(p, q, d)
     coeffs = np.bincount(out, weights=sign * omega.coeffs[i] * eta.coeffs[j], minlength=binomial(d, p + q))
-    return AltForm(d, p + q, coeffs)
+    return _form(d, p + q, coeffs)
 
 
 def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:
@@ -167,6 +189,8 @@ def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:
         return AltForm(d, 0, np.ones(1))
     if any(w.k != 1 for w in forms):
         raise ValueError(f"wedge_all takes 1-forms, got degrees {[w.k for w in forms]}")
+    if any(w.d != forms[0].d for w in forms):
+        raise ValueError("ambient dimension mismatch")
     return AltForm(forms[0].d, len(forms), compound(np.vstack([w.coeffs for w in forms]), len(forms))[0])
 
 
@@ -178,13 +202,13 @@ def contraction(omega: AltForm, v: np.ndarray) -> AltForm:
     v = np.asarray(v, dtype=float).reshape(d)
     src, slot, dst, sign = _contraction_table(k, d)
     coeffs = np.bincount(dst, weights=sign * omega.coeffs[src] * v[slot], minlength=binomial(d, k - 1))
-    return AltForm(d, k - 1, coeffs)
+    return _form(d, k - 1, coeffs)
 
 
 def hodge_star(omega: AltForm) -> AltForm:
     """Hodge star in the ambient positively oriented orthonormal frame."""
     d, k = omega.d, omega.k
-    return AltForm(d, d - k, _star(omega.coeffs, k, d))
+    return _form(d, d - k, _star(omega.coeffs, k, d))
 
 
 def inner(omega: AltForm, eta: AltForm) -> float:
@@ -221,9 +245,12 @@ class Frame:
 
     The row order is meaningful: it fixes the orientation used by the
     subspace Hodge star.  Rows whose Gram matrix is not within
-    ``ORTHONORMAL_RTOL`` of the identity are rejected, non-finite rows too.  The frame keeps a read-only copy
-    of its rows, so the compounds it caches for restriction and pullback
-    stay valid.
+    ``ORTHONORMAL_RTOL`` of the identity are rejected, non-finite rows too.
+    The frame keeps a read-only copy of its rows, so the compounds it caches
+    for restriction and pullback stay valid.  A face frame of
+    ``simplex.oriented_subframe`` holds instead a read-only row of its
+    cell's tangent table, already tested there, and reads its compounds
+    from that cell's batched ones.
     """
 
     vectors: np.ndarray
@@ -237,14 +264,20 @@ class Frame:
         if not (np.abs(gram).max(initial=0.0) <= ORTHONORMAL_RTOL):
             raise ValueError("frame vectors are not orthonormal")
         v.flags.writeable = False
-        object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "_compounds", {})
+        self.__dict__.update(vectors=v, _source=partial(compound, v), _compounds={})
+
+    @classmethod
+    def _of_rows(cls, vectors: np.ndarray, source) -> "Frame":
+        """A frame over read-only rows that already passed the test above; ``source(k)`` gives their k-th compound."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(vectors=vectors, _source=source, _compounds={})
+        return frame
 
     def _compound(self, k: int) -> np.ndarray:
-        """``compound(vectors, k)``, computed once per k; read-only."""
+        """The k-th compound of the rows, from the frame's source once per k; read-only."""
         c = self._compounds.get(k)
         if c is None:
-            c = self._compounds[k] = compound(self.vectors, k)
+            c = self._compounds[k] = self._source(k)
             c.flags.writeable = False
         return c
 
@@ -273,7 +306,7 @@ def restrict_to_frame(frame: Frame, omega: AltForm) -> AltForm:
     Raises when omega's degree exceeds the frame's size.
     """
     ell, k = _check_degree(frame, omega)
-    return AltForm(ell, k, frame._compound(k) @ omega.coeffs)
+    return _form(ell, k, frame._compound(k) @ omega.coeffs)
 
 
 def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
@@ -286,7 +319,7 @@ def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
     ell = frame.size
     if omega_sub.d != ell:
         raise ValueError("form not expressed over the frame's vectors")
-    return AltForm(frame.ambient_dim, omega_sub.k, omega_sub.coeffs @ frame._compound(omega_sub.k))
+    return _form(frame.ambient_dim, omega_sub.k, omega_sub.coeffs @ frame._compound(omega_sub.k))
 
 
 def hodge_star_in_subspace(frame: Frame, omega: AltForm) -> AltForm:
@@ -306,4 +339,4 @@ def hodge_star_in_subspace(frame: Frame, omega: AltForm) -> AltForm:
     residual, size = math.sqrt(normal @ normal), math.sqrt(a @ a)
     if not (residual <= ORTHONORMAL_RTOL * size):
         raise ValueError(f"form not tangential to the span: relative residual {residual / size:.3e}")
-    return AltForm(frame.ambient_dim, ell - k, _star(r, k, ell) @ frame._compound(ell - k))
+    return _form(frame.ambient_dim, ell - k, _star(r, k, ell) @ frame._compound(ell - k))

@@ -30,12 +30,21 @@ for, not all at once: a t-n basis reads only the groups with f the cell,
 and the whole table of a 6-cell holds thousands of pairs it never uses.
 Faces, groups and frame sets are ``NamedTuple`` records (``_Face``,
 ``_NefGroup``, ``TnFrameSet``), cheap to build by the thousand per cell.
+
+The face frames of ``oriented_subframe`` read a per-cell frame table, also
+filled on first use, one ``_FrameLevel`` per face dimension s: one batched
+form of :class:`Frame`'s orthonormality test over the s-face tangent stack
+(a flag per face), and per degree k one batched, read-only ``compound`` of
+that stack.  A face frame is then the stack's row view, unchecked and
+uncopied, whose k-th compound is row ``at`` of the (s, k) stack: one test
+per face dimension and one determinant call per (s, k), not one of each
+per frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from math import factorial
 from typing import NamedTuple
@@ -43,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import AbstractSimplex, subsimplices
-from .errors import DEGENERACY_RTOL, PAIRING_RTOL, DegenerateSimplexError
-from .exterior import Frame
+from .errors import DEGENERACY_RTOL, ORTHONORMAL_RTOL, PAIRING_RTOL, DegenerateSimplexError
+from .exterior import Frame, compound
 
 
 class _Face(NamedTuple):
@@ -76,6 +85,16 @@ class _NefGroup(NamedTuple):
     frame_tn: np.ndarray
     normal_pos: tuple[tuple[int, ...], ...]
     ratio: np.ndarray
+
+
+class _FrameLevel(NamedTuple):
+    """The frames of the s-faces of one cell: ``ok[at]`` flags a face whose
+    tangent rows pass Frame's orthonormality test; ``compounds[k]`` is the
+    read-only (faces, C(s, k), C(d, k)) compound stack, filled on first use.
+    """
+
+    ok: np.ndarray
+    compounds: dict[int, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +168,7 @@ class GeometricSimplex:
         tangents.flags.writeable = gradients.flags.writeable = False
         stacks = [(tangents, gradients, np.ones(n))]
         for s in range(1, self.dim + 1):
-            pts = self.vertices[np.array(list(combinations(range(self.dim + 1), s + 1)))]
+            pts = self.vertices[_vertex_sets(self.dim + 1, s + 1)]
             q, r = _orthonormal_rows(pts[:, 1:] - pts[:, :1])
             grads = np.empty(pts.shape)
             grads[:, 1:] = np.linalg.solve(r, q)
@@ -171,6 +190,11 @@ class GeometricSimplex:
     @cached_property
     def _nef_table(self) -> dict[tuple[int, int], _NefGroup]:
         """The n-e-f groups built so far, keyed by (|f|, |e|); filled by ``_nef_group``."""
+        return {}
+
+    @cached_property
+    def _frame_table(self) -> dict[int, _FrameLevel]:
+        """The face-frame levels built so far, keyed by face dimension s; filled by ``_frame_level``."""
         return {}
 
     def full_simplex(self) -> AbstractSimplex:
@@ -212,6 +236,14 @@ def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
         return np.linalg.solve(A, b)
     lam, *_ = np.linalg.lstsq(A, b, rcond=None)
     return lam
+
+
+@lru_cache(maxsize=None)
+def _vertex_sets(n: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n), lexicographic, one per row; read-only."""
+    index = np.array(list(combinations(range(n), size)), dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
 def _orthonormal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,13 +290,40 @@ def oriented_subframe(T: GeometricSimplex, f: AbstractSimplex) -> Frame:
     """
     if f.dim < 1:
         raise ValueError("oriented frame needs a subsimplex of dimension >= 1")
-    return Frame(tangent_basis(T, f))
+    face = _face(T, f.vertices)
+    if not _frame_level(T, f.dim).ok[face.at]:
+        raise ValueError("frame vectors are not orthonormal")
+    return Frame._of_rows(face.tangents, partial(_face_compound, T, f.dim, face.at))
+
+
+def _frame_level(T: GeometricSimplex, s: int) -> _FrameLevel:
+    """The cell's frame level of its s-faces, its orthonormality flags from one batched test on first use."""
+    level = T._frame_table.get(s)
+    if level is None:
+        q = T._face_stacks[s][0]
+        gram = q @ np.swapaxes(q, -1, -2)
+        gram.reshape(len(q), s * s)[:, :: s + 1] -= 1.0
+        ok = np.abs(gram).max(axis=(-2, -1), initial=0.0) <= ORTHONORMAL_RTOL
+        level = T._frame_table[s] = _FrameLevel(ok, {})
+    return level
+
+
+def _face_compound(T: GeometricSimplex, s: int, at: int, k: int) -> np.ndarray:
+    """The k-th compound of the tangent rows of the s-face at ``at``: a row of the level's (s, k) stack."""
+    compounds = T._frame_table[s].compounds
+    c = compounds.get(k)
+    if c is None:
+        c = compounds[k] = compound(T._face_stacks[s][0], k)
+        c.flags.writeable = False
+    return c[at]
 
 
 def surface_gradient(T: GeometricSimplex, f: AbstractSimplex, i: int) -> np.ndarray:
     """Tangential part of grad lambda_i on f: f's own gradient if i is in f, else zero."""
     face = _face(T, f.vertices)
     if i not in f.vertices:
+        if i not in T.labels:
+            raise ValueError(f"label {i} is not a vertex of the simplex with labels {T.labels}")
         return np.zeros(T.ambient_dim)
     return face.gradients[f.vertices.index(i)]
 

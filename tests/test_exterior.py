@@ -1,6 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
+from tnforms import exterior
 from tnforms.combinatorics import binomial, sequence_position, sequences
 from tnforms.errors import ORTHONORMAL_RTOL
 from tnforms.exterior import (
@@ -198,6 +202,9 @@ class TestAgainstReference:
             if other <= d:
                 with pytest.raises(ValueError, match=rf"wedge_all takes 1-forms, got degrees \[1, {other}\]"):
                     wedge_all([random_form(d, 1), random_form(d, other)], d=d)
+        # one ambient space: a factor on another R^n is named, as in wedge
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            wedge_all([random_form(d, 1), random_form(d + 1, 1)], d=d)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_contraction(self, d):
@@ -260,6 +267,24 @@ class TestCompound:
                 for k in range(max(m, n) + 2):
                     got, ref = compound(A, k), _ref_compound(A, k)
                     assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (m, n, k)
+
+    @pytest.mark.parametrize("batch", [(0,), (3,), (2, 3)])
+    def test_leading_axes_are_a_batch(self, batch):
+        # each matrix of a stack gets its own compound, bit for bit
+        rng = np.random.default_rng(47)
+        for m in range(5):
+            for n in range(6):
+                A = rng.standard_normal(batch + (m, n))
+                for k in range(min(m, n) + 2):
+                    got = compound(A, k)
+                    per = [compound(a, k) for a in A.reshape((math.prod(batch), m, n))]
+                    ref = np.array(per).reshape(batch + (binomial(m, k), binomial(n, k)))
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (batch, m, n, k)
+
+    @pytest.mark.parametrize("A, k", [(np.ones((3, 4)), -1), (np.ones(4), 1), (np.float64(2.0), 0)])
+    def test_bad_input_is_named(self, A, k):
+        with pytest.raises(ValueError, match=re.escape(f"got k={k}, shape {np.shape(A)}")):
+            compound(A, k)
 
     def test_cauchy_binet(self):
         A, B = RNG.standard_normal((4, 5)), RNG.standard_normal((5, 3))
@@ -436,9 +461,8 @@ class TestSubspaceHodge:
     def test_builds_one_form(self, monkeypatch):
         # only the result: restriction, residual and star stay coefficient arrays
         frame, w = self.xy_frame(), basis_form(3, 1, (1,))
-        built = []
-        init = AltForm.__post_init__
-        monkeypatch.setattr(AltForm, "__post_init__", lambda self: built.append(init(self)))
+        built, form = [], exterior._form
+        monkeypatch.setattr(exterior, "_form", lambda *args: built.append(args) or form(*args))
         hodge_star_in_subspace(frame, w)
         assert len(built) == 1
 

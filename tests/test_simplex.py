@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from tnforms import simplex as simplex_module
 from tnforms.combinatorics import simplex, subsimplices
 from tnforms.errors import DegenerateSimplexError
+from tnforms.exterior import Frame, compound
 from tnforms.simplex import (
     DEGENERACY_RTOL,
     GeometricSimplex,
@@ -307,6 +309,11 @@ class TestSurfaceGradient:
         T = random_simplex(3, RNG)
         assert np.allclose(surface_gradient(T, simplex(1), 2), 0.0)
 
+    def test_label_outside_the_cell_is_named(self):
+        T = random_simplex(3, RNG)
+        with pytest.raises(ValueError, match=r"label 9 is not a vertex of the simplex with labels \(0, 1, 2, 3\)"):
+            surface_gradient(T, simplex(0, 1), 9)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_scaled_duality_orthogonality(self, d):
         # grad_{f+i} lambda_i is orthogonal to grad lambda_j for j != i outside f
@@ -577,6 +584,42 @@ class TestOrientedSubframe:
         f = simplex(0, 1, 2)
         a, b = oriented_subframe(T1, f), oriented_subframe(T2, f)
         assert np.array_equal(a.vectors, b.vectors)
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_compounds_read_the_face_table(self, d, scale):
+        T = GeometricSimplex(scale * random_simplex(d, np.random.default_rng(300 + d)).vertices)
+        for f in _faces(T)[d + 1 :]:  # the faces of dimension >= 1
+            frame = oriented_subframe(T, f)
+            for k in range(f.dim + 2):
+                ref = compound(np.array(frame.vectors), k)
+                assert frame._compound(k).tobytes() == ref.tobytes() and frame._compound(k).shape == ref.shape
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_rows_are_the_checked_frame_rows(self, d):
+        T = random_simplex(d, RNG)
+        for f in _faces(T)[d + 1 :]:
+            frame = oriented_subframe(T, f)
+            assert frame.vectors.tobytes() == Frame(tangent_basis(T, f)).vectors.tobytes()
+            with pytest.raises(ValueError):
+                frame.vectors[0, 0] = 1.0
+
+    def test_one_compound_per_face_dimension_and_degree(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simplex_module, "compound", lambda A, k: calls.append((len(A[0]), k)) or compound(A, k))
+        T = random_simplex(4, RNG)
+        for _ in range(2):
+            for f in _faces(T)[5:]:
+                frame = oriented_subframe(T, f)
+                for k in range(f.dim + 1):
+                    frame._compound(k)
+        assert sorted(calls) == [(s, k) for s in range(1, 5) for k in range(s + 1)]
+
+    def test_failed_orthonormality_flag_raises_the_frame_message(self, monkeypatch):
+        monkeypatch.setattr(simplex_module, "ORTHONORMAL_RTOL", -1.0)
+        T = random_simplex(3, RNG)
+        with pytest.raises(ValueError, match="frame vectors are not orthonormal"):
+            oriented_subframe(T, simplex(0, 2))
 
 
 class TestFacetFrames:
