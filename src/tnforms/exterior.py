@@ -29,16 +29,19 @@ The tables fix the shape of every kernel result, so ``wedge``,
 ``contraction``, ``hodge_star``, ``restrict_to_frame``, ``pullback_embed``
 and ``hodge_star_in_subspace`` build it through ``_form``, which skips the
 checks of ``AltForm.__post_init__``; only forms made from outside data are
-checked.  A :class:`Frame` reads its compounds from one source per frame:
-``compound`` of its rows, or a per-cell table of face compounds
-(``simplex.oriented_subframe``).
+checked.  A :class:`Frame` is one row of a read-only stack of row sets, and
+its k-th compound is that row of ``compound`` of the whole stack, built once
+per k in a cache the stack's frames share: a plain frame is a stack of one,
+the face frames of a cell (``simplex.oriented_subframe``) are the rows of
+the cell's tangent stack of their dimension.  ``_orthonormal`` is the one
+orthonormality test, of a frame or of every row set of a stack at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -239,18 +242,30 @@ def volume_coefficient(omega: AltForm) -> float:
     return float(omega.coeffs[0])
 
 
+def _orthonormal(stack: np.ndarray) -> np.ndarray:
+    """Per row set of a stack (..., s, n): is its Gram matrix within ORTHONORMAL_RTOL of the identity?
+
+    The ``<=`` test is false on NaN, so non-finite rows fail.
+    """
+    s = stack.shape[-2]
+    gram = stack @ np.swapaxes(stack, -1, -2)
+    gram.reshape(gram.shape[:-2] + (s * s,))[..., :: s + 1] -= 1.0
+    return np.abs(gram).max(axis=(-2, -1), initial=0.0) <= ORTHONORMAL_RTOL
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Ordered orthonormal frame of a subspace of R^d, one vector per row.
 
     The row order is meaningful: it fixes the orientation used by the
-    subspace Hodge star.  Rows whose Gram matrix is not within
-    ``ORTHONORMAL_RTOL`` of the identity are rejected, non-finite rows too.
-    The frame keeps a read-only copy of its rows, so the compounds it caches
-    for restriction and pullback stay valid.  A face frame of
-    ``simplex.oriented_subframe`` holds instead a read-only row of its
-    cell's tangent table, already tested there, and reads its compounds
-    from that cell's batched ones.
+    subspace Hodge star.  Rows that fail ``_orthonormal`` are rejected,
+    non-finite rows too.  A frame is row ``_at`` of a read-only stack of row
+    sets, ``vectors`` that row's view, and reads its k-th compound from the
+    stack's compound, built once per k into the ``_compounds`` cache that
+    every frame of the stack shares.  ``Frame(rows)`` is a stack of one over
+    a read-only copy of the rows, so the compounds stay valid; a face frame
+    of ``simplex.oriented_subframe`` is a row of its cell's tangent stack,
+    tested there.
     """
 
     vectors: np.ndarray
@@ -259,27 +274,25 @@ class Frame:
         v = np.array(self.vectors, dtype=float)
         if v.ndim != 2:
             raise ValueError("frame vectors must form a 2-D array (rows = vectors)")
-        gram = v @ v.T
-        gram.reshape(-1)[:: v.shape[0] + 1] -= 1.0
-        if not (np.abs(gram).max(initial=0.0) <= ORTHONORMAL_RTOL):
+        if not _orthonormal(v):
             raise ValueError("frame vectors are not orthonormal")
         v.flags.writeable = False
-        self.__dict__.update(vectors=v, _source=partial(compound, v), _compounds={})
+        self.__dict__.update(vectors=v, _stack=v[None], _at=0, _compounds={})
 
     @classmethod
-    def _of_rows(cls, vectors: np.ndarray, source) -> "Frame":
-        """A frame over read-only rows that already passed the test above; ``source(k)`` gives their k-th compound."""
+    def _of_row(cls, stack: np.ndarray, at: int, compounds: dict[int, np.ndarray]) -> "Frame":
+        """Row ``at`` of a read-only stack whose rows passed ``_orthonormal``; ``compounds`` is the stack's cache."""
         frame = object.__new__(cls)
-        frame.__dict__.update(vectors=vectors, _source=source, _compounds={})
+        frame.__dict__.update(vectors=stack[at], _stack=stack, _at=at, _compounds=compounds)
         return frame
 
     def _compound(self, k: int) -> np.ndarray:
-        """The k-th compound of the rows, from the frame's source once per k; read-only."""
+        """The k-th compound of the rows: a row of the stack's compound, built once per k; read-only."""
         c = self._compounds.get(k)
         if c is None:
-            c = self._compounds[k] = self._source(k)
+            c = self._compounds[k] = compound(self._stack, k)
             c.flags.writeable = False
-        return c
+        return c[self._at]
 
     @property
     def size(self) -> int:

@@ -2,16 +2,17 @@
 
 A :class:`GeometricSimplex` may be full-dimensional (a cell) or embedded
 (a sub-simplex of a cell, carrying its own vertex coordinates).  Every
-tangent, gradient and volume comes from one face table per simplex, built
-lazily on first use.  Per face dimension, one batched QR of the face edge
-rows v_j - v_0 (ascending vertex labels), with the diagonal of R made
-positive, gives the face's orthonormal tangent rows, the rows Gram-Schmidt
-would give; a triangular solve with R gives its barycentric gradients.
-The vertex level has no edges and is built from constants: no tangent
-rows, the gradient -0.0 and volume 1, what the QR and solve give there.
-The table's arrays are read-only.  An entry depends only on the
-coordinates of the face's own vertices in ascending label order, so two
-cells sharing a face derive identical frames from it.
+tangent, gradient and volume is read from one record per face dimension s,
+a ``_Level`` of read-only stacks over the s-faces in lexicographic order of
+vertex positions, built lazily on first use; ``_face_at`` maps a face's
+labels to its position in its level.  One batched QR of the face edge rows
+v_j - v_0 (ascending vertex labels), with the diagonal of R made positive,
+gives the level's orthonormal tangent rows, the rows Gram-Schmidt would
+give; a triangular solve with R gives its barycentric gradients.  The
+vertex level has no edges and is built from constants: no tangent rows, the
+gradient -0.0 and volume 1, what the QR and solve give there.  An entry
+depends only on the coordinates of the face's own vertices in ascending
+label order, so two cells sharing a face derive identical frames from it.
 
 The n-e-f frames of the face pairs e in f are batched the same way, one
 group per (|f|, |e|).  A cached, label-free table of every such pair of
@@ -28,73 +29,66 @@ the containment error.
 Groups are built on a cell the first time one of their pairs is asked
 for, not all at once: a t-n basis reads only the groups with f the cell,
 and the whole table of a 6-cell holds thousands of pairs it never uses.
-Faces, groups and frame sets are ``NamedTuple`` records (``_Face``,
-``_NefGroup``, ``TnFrameSet``), cheap to build by the thousand per cell.
+Levels, groups and frame sets are ``NamedTuple`` records (``_Level``,
+``_NefGroup``, ``TnFrameSet``).
 
-The face frames of ``oriented_subframe`` read a per-cell frame table, also
-filled on first use, one ``_FrameLevel`` per face dimension s: one batched
-form of :class:`Frame`'s orthonormality test over the s-face tangent stack
-(a flag per face), and per degree k one batched, read-only ``compound`` of
-that stack.  A face frame is then the stack's row view, unchecked and
-uncopied, whose k-th compound is row ``at`` of the (s, k) stack: one test
-per face dimension and one determinant call per (s, k), not one of each
-per frame.
+A level also holds its faces' frames: one batched ``exterior._orthonormal``
+test of its tangent stack when it is built (a flag per face), and the
+compound cache of that stack.  The frame of ``oriented_subframe`` is the
+stack's row at the face's position, unchecked and uncopied, sharing the
+level's cache: one test per face dimension and one determinant call per
+(s, k), not one of each per frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, isfinite
 from typing import NamedTuple
 
 import numpy as np
 
 from .combinatorics import AbstractSimplex, subsimplices
-from .errors import DEGENERACY_RTOL, ORTHONORMAL_RTOL, PAIRING_RTOL, DegenerateSimplexError
-from .exterior import Frame, compound
+from .errors import DEGENERACY_RTOL, PAIRING_RTOL, DegenerateSimplexError
+from .exterior import Frame, _orthonormal
 
 
-class _Face(NamedTuple):
-    """One face: orthonormal tangent rows, barycentric gradients in its plane, volume.
+class _Level(NamedTuple):
+    """The s-faces of one cell, lexicographic in vertex positions, as stacks over the faces.
 
-    ``at`` is its position among the faces of its dimension, lexicographic in
-    vertex positions: its index into the per-dimension stacks.
+    ``tangents`` (faces, s, d) holds their orthonormal tangent rows,
+    ``gradients`` (faces, s + 1, d) their barycentric gradients in their
+    planes and ``volumes`` their s-volumes; the two row stacks are
+    read-only.  ``ok[at]`` flags a face whose tangent rows pass
+    ``_orthonormal``; ``compounds`` maps k to the read-only compound of the
+    tangent stack, filled on first use by the face frames that share it.
     """
 
     tangents: np.ndarray
     gradients: np.ndarray
-    volume: float
-    at: int
+    volumes: np.ndarray
+    ok: np.ndarray
+    compounds: dict[int, np.ndarray]
 
 
 class _NefGroup(NamedTuple):
     """The n-e-f frames of every face pair with given (|f|, |e|) on one cell, read-only.
 
-    ``index`` maps the pair (f.at, e.at) to its row; ``frame_face`` and
-    ``frame_tn`` are (pairs, |f| - 1, d), e's |e| - 1 tangents then the
-    |f| - |e| normals of one flavour, views of one array.  ``normal_pos``
+    ``index`` maps the pair of f's and e's level positions to its row;
+    ``frame_face`` and ``frame_tn`` are (pairs, |f| - 1, d), e's |e| - 1
+    tangents then the |f| - |e| normals of one flavour, views of one array.  ``normal_pos``
     holds each pair's positions in f of its normal labels (shared with the
     label-free pair table) and ``ratio`` each pair's off-diagonal/diagonal
-    pairing ratio.
+    pairing ratio, a Python float.
     """
 
     index: dict[tuple[int, int], int]
     frame_face: np.ndarray
     frame_tn: np.ndarray
     normal_pos: tuple[tuple[int, ...], ...]
-    ratio: np.ndarray
-
-
-class _FrameLevel(NamedTuple):
-    """The frames of the s-faces of one cell: ``ok[at]`` flags a face whose
-    tangent rows pass Frame's orthonormality test; ``compounds[k]`` is the
-    read-only (faces, C(s, k), C(d, k)) compound stack, filled on first use.
-    """
-
-    ok: np.ndarray
-    compounds: dict[int, np.ndarray]
+    ratio: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,15 +142,15 @@ class GeometricSimplex:
     @property
     def volume(self) -> float:
         """Euclidean m-volume; a vertex has volume 1 so point moments reduce to evaluation."""
-        return self._faces[self.labels].volume
+        return float(self._levels[-1].volumes[0])
 
     @property
     def _gradients(self) -> np.ndarray:
-        return self._faces[self.labels].gradients
+        return self._levels[-1].gradients[0]
 
     @cached_property
-    def _face_stacks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(tangents, gradients, volumes) of the s-faces, lexicographic, per s, from one batched QR each.
+    def _levels(self) -> list[_Level]:
+        """The level of the s-faces, per s, each from one batched QR.
 
         With edge rows E = R^T Q, the gradients of lambda_1..lambda_s are the
         rows of R^{-1} Q, and |det R| / s! is the volume.  A vertex has no
@@ -166,7 +160,7 @@ class GeometricSimplex:
         n, d = self.vertices.shape
         tangents, gradients = np.empty((n, 0, d)), np.full((n, 1, d), -0.0)
         tangents.flags.writeable = gradients.flags.writeable = False
-        stacks = [(tangents, gradients, np.ones(n))]
+        levels = [_Level(tangents, gradients, np.ones(n), _orthonormal(tangents), {})]
         for s in range(1, self.dim + 1):
             pts = self.vertices[_vertex_sets(self.dim + 1, s + 1)]
             q, r = _orthonormal_rows(pts[:, 1:] - pts[:, :1])
@@ -175,26 +169,17 @@ class GeometricSimplex:
             grads[:, 0] = -grads[:, 1:].sum(axis=1)
             vols = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) / factorial(s)
             q.flags.writeable = grads.flags.writeable = False
-            stacks.append((q, grads, vols))
-        return stacks
+            levels.append(_Level(q, grads, vols, _orthonormal(q), {}))
+        return levels
 
     @cached_property
-    def _faces(self) -> dict[tuple[int, ...], _Face]:
-        """Every face keyed by its labels, one view into the stacks each."""
-        table = {}
-        for s, (q, grads, vols) in enumerate(self._face_stacks):
-            for j, face in enumerate(combinations(self.labels, s + 1)):
-                table[face] = _Face(q[j], grads[j], float(vols[j]), j)
-        return table
+    def _face_at(self) -> dict[tuple[int, ...], int]:
+        """Every face's labels mapped to its position in its level."""
+        return {face: j for s in range(self.dim + 1) for j, face in enumerate(combinations(self.labels, s + 1))}
 
     @cached_property
     def _nef_table(self) -> dict[tuple[int, int], _NefGroup]:
         """The n-e-f groups built so far, keyed by (|f|, |e|); filled by ``_nef_group``."""
-        return {}
-
-    @cached_property
-    def _frame_table(self) -> dict[int, _FrameLevel]:
-        """The face-frame levels built so far, keyed by face dimension s; filled by ``_frame_level``."""
         return {}
 
     def full_simplex(self) -> AbstractSimplex:
@@ -208,7 +193,12 @@ def reference_simplex(d: int) -> GeometricSimplex:
 
 
 def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> GeometricSimplex:
-    """Well-shaped random simplex: perturbed reference, resampled until conditioned."""
+    """Well-shaped random simplex: perturbed reference, resampled until conditioned.
+
+    ``scale`` multiplies every vertex; a zero or non-finite scale is a ValueError.
+    """
+    if not (isfinite(scale) and scale != 0.0):
+        raise ValueError(f"random_simplex needs a finite, non-zero scale, got {scale}")
     base = np.eye(d + 1, d, k=-1)  # the reference vertices, without building the reference cell
     while True:
         v = scale * (base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape))
@@ -269,17 +259,18 @@ def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
     return _orthonormal_rows(np.asarray(vectors, dtype=float))[0]
 
 
-def _face(T: GeometricSimplex, face: tuple[int, ...]) -> _Face:
-    """The face-table entry of a face named by its labels; ValueError if T has no such face."""
+def _face(T: GeometricSimplex, face: tuple[int, ...]) -> int:
+    """The level position of a face named by its labels; ValueError if T has no such face."""
     try:
-        return T._faces[face]
+        return T._face_at[face]
     except KeyError:
         raise ValueError(f"{face} is not a face of the simplex with labels {T.labels}") from None
 
 
 def tangent_basis(T: GeometricSimplex, e: AbstractSimplex) -> np.ndarray:
     """Orthonormal tangent rows of a subsimplex, (s, d), from its ascending edges; read-only."""
-    return _face(T, e.vertices).tangents
+    at = _face(T, e.vertices)
+    return T._levels[e.dim].tangents[at]
 
 
 def oriented_subframe(T: GeometricSimplex, f: AbstractSimplex) -> Frame:
@@ -290,42 +281,21 @@ def oriented_subframe(T: GeometricSimplex, f: AbstractSimplex) -> Frame:
     """
     if f.dim < 1:
         raise ValueError("oriented frame needs a subsimplex of dimension >= 1")
-    face = _face(T, f.vertices)
-    if not _frame_level(T, f.dim).ok[face.at]:
+    at = _face(T, f.vertices)
+    level = T._levels[f.dim]
+    if not level.ok[at]:
         raise ValueError("frame vectors are not orthonormal")
-    return Frame._of_rows(face.tangents, partial(_face_compound, T, f.dim, face.at))
-
-
-def _frame_level(T: GeometricSimplex, s: int) -> _FrameLevel:
-    """The cell's frame level of its s-faces, its orthonormality flags from one batched test on first use."""
-    level = T._frame_table.get(s)
-    if level is None:
-        q = T._face_stacks[s][0]
-        gram = q @ np.swapaxes(q, -1, -2)
-        gram.reshape(len(q), s * s)[:, :: s + 1] -= 1.0
-        ok = np.abs(gram).max(axis=(-2, -1), initial=0.0) <= ORTHONORMAL_RTOL
-        level = T._frame_table[s] = _FrameLevel(ok, {})
-    return level
-
-
-def _face_compound(T: GeometricSimplex, s: int, at: int, k: int) -> np.ndarray:
-    """The k-th compound of the tangent rows of the s-face at ``at``: a row of the level's (s, k) stack."""
-    compounds = T._frame_table[s].compounds
-    c = compounds.get(k)
-    if c is None:
-        c = compounds[k] = compound(T._face_stacks[s][0], k)
-        c.flags.writeable = False
-    return c[at]
+    return Frame._of_row(level.tangents, at, level.compounds)
 
 
 def surface_gradient(T: GeometricSimplex, f: AbstractSimplex, i: int) -> np.ndarray:
     """Tangential part of grad lambda_i on f: f's own gradient if i is in f, else zero."""
-    face = _face(T, f.vertices)
+    at = _face(T, f.vertices)
     if i not in f.vertices:
         if i not in T.labels:
             raise ValueError(f"label {i} is not a vertex of the simplex with labels {T.labels}")
         return np.zeros(T.ambient_dim)
-    return face.gradients[f.vertices.index(i)]
+    return T._levels[f.dim].gradients[at, f.vertices.index(i)]
 
 
 class TnFrameSet(NamedTuple):
@@ -422,16 +392,15 @@ def _nef_group(T: GeometricSimplex, nf: int, ne: int) -> _NefGroup:
     group = T._nef_table.get((nf, ne))
     if group is None:
         index, anchor_at, normal_pos, (face_at, face_row, tn_at, tn_row) = _pair_table(T.dim + 1, nf, ne)
-        stacks = T._face_stacks
+        levels = T._levels
         frames = np.empty((2, len(index), nf - 1, T.ambient_dim))
         # take gives C-ordered rows; a fancy index keeps the transposed QR layout and broadcasts slower
-        frames[:, :, : ne - 1] = stacks[ne - 1][0].take(anchor_at, axis=0)
-        frames[0, :, ne - 1 :] = stacks[nf - 1][1][face_at, face_row]
-        frames[1, :, ne - 1 :] = stacks[min(ne, T.dim)][1][tn_at, tn_row]  # ne > dim only for e = f = T: no rows
+        frames[:, :, : ne - 1] = levels[ne - 1].tangents.take(anchor_at, axis=0)
+        frames[0, :, ne - 1 :] = levels[nf - 1].gradients[face_at, face_row]
+        frames[1, :, ne - 1 :] = levels[min(ne, T.dim)].gradients[tn_at, tn_row]  # ne > dim only for e = f = T: no rows
         frames.flags.writeable = False
         face, tn = frames[:, :, ne - 1 :]
-        ratio = _pairing_ratio(tn @ np.swapaxes(face, -1, -2))
-        ratio.flags.writeable = False
+        ratio = tuple(_pairing_ratio(tn @ np.swapaxes(face, -1, -2)).tolist())
         group = T._nef_table[nf, ne] = _NefGroup(index, frames[0], frames[1], normal_pos, ratio)
     return group
 
@@ -442,10 +411,10 @@ def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> T
     With f the cell these are the t-n frames of e; with e == f the normal
     families are empty.  A lookup into the cell's n-e-f group of (|f|, |e|).
     """
-    face, anchor = _face(T, f.vertices), _face(T, e.vertices)
+    f_at, e_at = _face(T, f.vertices), _face(T, e.vertices)
     nf, ne = len(f.vertices), len(e.vertices)
     group = _nef_group(T, nf, ne) if ne <= nf else None
-    j = None if group is None else group.index.get((face.at, anchor.at))
+    j = None if group is None else group.index.get((f_at, e_at))
     if j is None:
         raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}")
     _check_pairing(e.vertices, f.vertices, group.ratio[j])

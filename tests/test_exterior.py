@@ -517,6 +517,9 @@ class TestFrame:
         w = random_form(4, 2)
         before = restrict_to_frame(frame, w).coeffs
         assert np.array_equal(before, compound(rows, 2) @ w.coeffs)
+        for k in range(frame.size + 2):
+            ref = compound(rows, k)
+            assert frame._compound(k).tobytes() == ref.tobytes() and frame._compound(k).shape == ref.shape
         rows[0] = rows[1]
         assert np.array_equal(restrict_to_frame(frame, w).coeffs, before)
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from tnforms import simplex as simplex_module
+from tnforms import exterior
 from tnforms.combinatorics import simplex, subsimplices
 from tnforms.errors import DegenerateSimplexError
 from tnforms.exterior import Frame, compound
@@ -606,7 +606,7 @@ class TestOrientedSubframe:
 
     def test_one_compound_per_face_dimension_and_degree(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(simplex_module, "compound", lambda A, k: calls.append((len(A[0]), k)) or compound(A, k))
+        monkeypatch.setattr(exterior, "compound", lambda A, k: calls.append((len(A[0]), k)) or compound(A, k))
         T = random_simplex(4, RNG)
         for _ in range(2):
             for f in _faces(T)[5:]:
@@ -616,7 +616,7 @@ class TestOrientedSubframe:
         assert sorted(calls) == [(s, k) for s in range(1, 5) for k in range(s + 1)]
 
     def test_failed_orthonormality_flag_raises_the_frame_message(self, monkeypatch):
-        monkeypatch.setattr(simplex_module, "ORTHONORMAL_RTOL", -1.0)
+        monkeypatch.setattr(exterior, "ORTHONORMAL_RTOL", -1.0)
         T = random_simplex(3, RNG)
         with pytest.raises(ValueError, match="frame vectors are not orthonormal"):
             oriented_subframe(T, simplex(0, 2))
@@ -668,6 +668,16 @@ class TestHelpers:
         a = random_simplex(3, np.random.default_rng(5)).vertices
         b = random_simplex(3, np.random.default_rng(5)).vertices
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, math.nan, math.inf])
+    def test_random_simplex_rejects_a_bad_scale(self, scale):
+        with pytest.raises(ValueError, match=f"non-zero scale, got {scale}"):
+            random_simplex(3, np.random.default_rng(5), scale)
+
+    def test_random_simplex_negative_scale(self):
+        a = random_simplex(3, np.random.default_rng(5), -2.0).vertices
+        b = random_simplex(3, np.random.default_rng(5)).vertices
+        assert np.array_equal(a, -2.0 * b)
 
     def test_tangent_basis_of_vertex_empty(self):
         T = random_simplex(2, RNG)
