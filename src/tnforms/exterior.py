@@ -242,15 +242,16 @@ def volume_coefficient(omega: AltForm) -> float:
     return float(omega.coeffs[0])
 
 
-def _orthonormal(stack: np.ndarray) -> np.ndarray:
+def _orthonormal(stack: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
     """Per row set of a stack (..., s, n): is its Gram matrix within ORTHONORMAL_RTOL of the identity?
 
-    The ``<=`` test is false on NaN, so non-finite rows fail.
+    ``where`` (..., s, s) masks the Gram entries tested, every one by
+    default.  The ``<=`` test is false on NaN, so non-finite rows fail.
     """
     s = stack.shape[-2]
     gram = stack @ np.swapaxes(stack, -1, -2)
     gram.reshape(gram.shape[:-2] + (s * s,))[..., :: s + 1] -= 1.0
-    return np.abs(gram).max(axis=(-2, -1), initial=0.0) <= ORTHONORMAL_RTOL
+    return np.abs(gram).max(axis=(-2, -1), initial=0.0, where=where) <= ORTHONORMAL_RTOL
 
 
 @dataclass(frozen=True, eq=False)

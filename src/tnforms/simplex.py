@@ -4,48 +4,55 @@ A :class:`GeometricSimplex` may be full-dimensional (a cell) or embedded
 (a sub-simplex of a cell, carrying its own vertex coordinates).  Every
 tangent, gradient and volume is read from one record per face dimension s,
 a ``_Level`` of read-only stacks over the s-faces in lexicographic order of
-vertex positions, built lazily on first use; ``_face_at`` maps a face's
-labels to its position in its level.  One batched QR of the face edge rows
-v_j - v_0 (ascending vertex labels), with the diagonal of R made positive,
-gives the level's orthonormal tangent rows, the rows Gram-Schmidt would
-give; a triangular solve with R gives its barycentric gradients.  The
-vertex level has no edges and is built from constants: no tangent rows, the
-gradient -0.0 and volume 1, what the QR and solve give there.  An entry
-depends only on the coordinates of the face's own vertices in ascending
-label order, so two cells sharing a face derive identical frames from it.
+vertex positions; ``_face_at`` maps a face's labels to its position in its
+level.  One pass builds every level on first use.  One batched QR takes
+the edge rows v_j - v_0 (ascending vertex labels) of every face of
+dimension 1..m, each face's s rows padded with zero rows to m, and makes
+the diagonal of R positive; Householder's prefix property leaves a face's
+first s rows of Q and leading s x s block of R as its own rows alone would
+give them, so the level's tangents are those first rows, the rows
+Gram-Schmidt would give.  The degeneracy floor tests a face's own s
+diagonal entries only.  One solve with R per level gives its barycentric
+gradients; the face volumes and the orthonormality flags come from the
+whole padded stack at once.  The vertex level has no edges and is built
+from constants: no tangent rows, the gradient -0.0 and volume 1, what the
+QR and solve give there.  An entry depends only on the coordinates of the
+face's own vertices in ascending label order, so two cells sharing a face
+derive identical frames from it.
 
-The n-e-f frames of the face pairs e in f are batched the same way, one
-group per (|f|, |e|).  A cached, label-free table of every such pair of
-positions holds e's position, the positions in f of the vertices outside e,
-and the gather indices of f's gradients of those vertices (the face
-normals) and, for each such vertex i, of the gradient of lambda_i in e + i
-(the t-n normals).  The group stores whole frame matrices, e's tangents
-then the normals, in one (2, pairs, |f| - 1, d) array filled by one slice
-assignment for the tangents and one per normal family; one batched product
-gives the pairing ratio of every pair at once.  ``nef_frames`` is a lookup
-into its group: row views of the stored frames, and the normal labels read
-off f at the cached positions.  A pair missing from the group's index is
-the containment error.
-Groups are built on a cell the first time one of their pairs is asked
-for, not all at once: a t-n basis reads only the groups with f the cell,
-and the whole table of a 6-cell holds thousands of pairs it never uses.
-Levels, groups and frame sets are ``NamedTuple`` records (``_Level``,
-``_NefGroup``, ``TnFrameSet``).
+The n-e-f frames of the face pairs e in f are built per face size |f|,
+every e in f (e = f included) at once.  A frame matrix holds e's |e| - 1
+tangents then its |f| - |e| normals, |f| - 1 rows whatever |e| is, so one
+``take`` from the cell's ``_rows`` (every level's tangent rows, then its
+gradient rows) fills a (2, pairs, |f| - 1, d) array of the face and t-n
+frames.  The face normals are f's gradients of the vertices outside e; the
+t-n normal of such a vertex i is the gradient of lambda_i in e + i.  The
+gather indices, each pair's vertices outside e and the masks of the normal
+block of a frame product are a label-free table per (n, |f|),
+``_nef_index``.  One batched product and masked reductions give every
+pair's pairing ratio.  The build fills the cell's ``_nef`` dict, keyed by
+(f labels, e labels), with each pair's ratio, normal labels and two
+read-only row views of the one array.  ``nef_frames`` is one read of that
+dict; on a miss it names labels outside the cell, builds f's size if it is
+not built yet, and otherwise reports e not contained in f.  Sizes are
+built on a cell the first time one of their pairs is asked for, not all at
+once: a t-n basis reads only |f| = d + 1, and the whole table of a 6-cell
+holds thousands of pairs it never uses.
 
-A level also holds its faces' frames: one batched ``exterior._orthonormal``
-test of its tangent stack when it is built (a flag per face), and the
-compound cache of that stack.  The frame of ``oriented_subframe`` is the
-stack's row at the face's position, unchecked and uncopied, sharing the
-level's cache: one test per face dimension and one determinant call per
-(s, k), not one of each per frame.
+A level also holds its faces' frames: the ``exterior._orthonormal`` flag of
+each face's tangent rows and the compound cache of the level's stack.  The
+frame of ``oriented_subframe`` is the stack's row at the face's position,
+unchecked and uncopied, sharing the level's cache: one test per cell and
+one determinant call per (s, k), not one of each per frame.  Levels and
+frame sets are ``NamedTuple`` records (``_Level``, ``TnFrameSet``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
-from math import factorial, isfinite
+from itertools import accumulate, combinations
+from math import comb, factorial, isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -71,24 +78,6 @@ class _Level(NamedTuple):
     volumes: np.ndarray
     ok: np.ndarray
     compounds: dict[int, np.ndarray]
-
-
-class _NefGroup(NamedTuple):
-    """The n-e-f frames of every face pair with given (|f|, |e|) on one cell, read-only.
-
-    ``index`` maps the pair of f's and e's level positions to its row;
-    ``frame_face`` and ``frame_tn`` are (pairs, |f| - 1, d), e's |e| - 1
-    tangents then the |f| - |e| normals of one flavour, views of one array.  ``normal_pos``
-    holds each pair's positions in f of its normal labels (shared with the
-    label-free pair table) and ``ratio`` each pair's off-diagonal/diagonal
-    pairing ratio, a Python float.
-    """
-
-    index: dict[tuple[int, int], int]
-    frame_face: np.ndarray
-    frame_tn: np.ndarray
-    normal_pos: tuple[tuple[int, ...], ...]
-    ratio: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +114,9 @@ class GeometricSimplex:
         svals = np.linalg.svd(self.edge_matrix, compute_uv=False) if m >= 1 else np.ones(1)
         if svals[-1] <= DEGENERACY_RTOL * svals[0]:
             raise DegenerateSimplexError(f"singular values {svals[-1]:.3e} <= {DEGENERACY_RTOL} * {svals[0]:.3e}")
+        content = prod(svals.tolist())  # m! times the volume; a Python product overflows to inf without a warning
+        if not (0.0 < content and isfinite(content)):
+            raise DegenerateSimplexError(f"singular values multiply to {content:.3e}: the volume is not representable")
 
     @property
     def ambient_dim(self) -> int:
@@ -150,26 +142,33 @@ class GeometricSimplex:
 
     @cached_property
     def _levels(self) -> list[_Level]:
-        """The level of the s-faces, per s, each from one batched QR.
+        """The level of the s-faces, per s, all from one batched QR.
 
-        With edge rows E = R^T Q, the gradients of lambda_1..lambda_s are the
-        rows of R^{-1} Q, and |det R| / s! is the volume.  A vertex has no
-        edge, so its level is constant: no tangents, the gradient -0.0 (minus
-        an empty sum) and volume 1.
+        Every face of dimension 1..m has its s edge rows padded with zero
+        rows to m; the first s rows of its Q and the leading s x s block of
+        its R are those of its unpadded rows.  With edge rows E = R^T Q, the
+        gradients of lambda_1..lambda_s are the rows of R^{-1} Q, one solve
+        per level, and |det R| / s! is the volume.  A vertex has no edge, so
+        its level is constant: no tangents, the gradient -0.0 (minus an empty
+        sum) and volume 1.
         """
         n, d = self.vertices.shape
         tangents, gradients = np.empty((n, 0, d)), np.full((n, 1, d), -0.0)
         tangents.flags.writeable = gradients.flags.writeable = False
         levels = [_Level(tangents, gradients, np.ones(n), _orthonormal(tangents), {})]
-        for s in range(1, self.dim + 1):
-            pts = self.vertices[_vertex_sets(self.dim + 1, s + 1)]
-            q, r = _orthonormal_rows(pts[:, 1:] - pts[:, :1])
-            grads = np.empty(pts.shape)
-            grads[:, 1:] = np.linalg.solve(r, q)
+        if n == 1:
+            return levels
+        apex, ends, own, block, bounds = _padded_faces(n)
+        q, r = _orthonormal_rows(self.vertices[ends] - self.vertices[apex], own)
+        ok = _orthonormal(q, block)
+        content = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1, where=own)
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+            tangents = q[lo:hi, :s]
+            grads = np.empty((hi - lo, s + 1, d))
+            grads[:, 1:] = np.linalg.solve(r[lo:hi, :s, :s], tangents)
             grads[:, 0] = -grads[:, 1:].sum(axis=1)
-            vols = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) / factorial(s)
-            q.flags.writeable = grads.flags.writeable = False
-            levels.append(_Level(q, grads, vols, _orthonormal(q), {}))
+            tangents.flags.writeable = grads.flags.writeable = False
+            levels.append(_Level(tangents, grads, content[lo:hi] / factorial(s), ok[lo:hi], {}))
         return levels
 
     @cached_property
@@ -178,8 +177,14 @@ class GeometricSimplex:
         return {face: j for s in range(self.dim + 1) for j, face in enumerate(combinations(self.labels, s + 1))}
 
     @cached_property
-    def _nef_table(self) -> dict[tuple[int, int], _NefGroup]:
-        """The n-e-f groups built so far, keyed by (|f|, |e|); filled by ``_nef_group``."""
+    def _rows(self) -> np.ndarray:
+        """Every level's tangent rows, then its gradient rows, level by level: the table n-e-f frames gather."""
+        d = self.ambient_dim
+        return np.concatenate([stack.reshape(-1, d) for level in self._levels for stack in level[:2]])
+
+    @cached_property
+    def _nef(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple]:
+        """(f labels, e labels) -> (pairing ratio, normal labels, frame_face, frame_tn), per face size built so far."""
         return {}
 
     def full_simplex(self) -> AbstractSimplex:
@@ -229,18 +234,35 @@ def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _vertex_sets(n: int, size: int) -> np.ndarray:
-    """Every size-subset of range(n), lexicographic, one per row; read-only."""
-    index = np.array(list(combinations(range(n), size)), dtype=np.intp)
-    index.flags.writeable = False
-    return index
+def _padded_faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Every face of dimension 1..n - 1 of range(n), by dimension then lexicographic, as padded edge ends.
+
+    Returns (apex, ends, own, block, bounds): face j's edge rows are
+    v[ends[j]] - v[apex[j]], its vertices after the first and then its
+    first vertex again, so the rows past its own s are exact zeros;
+    ``own[j]`` flags its s own rows and ``block[j]`` their s x s block of a
+    Gram matrix, and the faces of dimension s are rows bounds[s - 1] to
+    bounds[s].  The arrays are read-only.
+    """
+    faces = [face for size in range(2, n + 1) for face in combinations(range(n), size)]
+    ends = np.array([face[1:] + face[:1] * (n - len(face)) for face in faces], dtype=np.intp)
+    apex = np.array([face[:1] for face in faces], dtype=np.intp)
+    own = np.arange(n - 1) < np.array([len(face) - 1 for face in faces])[:, None]
+    block = own[:, :, None] & own[:, None, :]
+    bounds = (0, *accumulate(comb(n, size) for size in range(2, n + 1)))
+    for a in (apex, ends, own, block):
+        a.flags.writeable = False
+    return apex, ends, own, block, bounds
 
 
-def _orthonormal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormal_rows(rows: np.ndarray, own: np.ndarray | bool = True) -> tuple[np.ndarray, np.ndarray]:
     """QR of a stack of row sets: rows = R^T Q, Q orthonormal rows, diag(R) > 0.
 
-    Raises when a diagonal entry of R is at most DEGENERACY_RTOL times the
-    largest entry of its matrix: the rows are (nearly) linearly dependent.
+    Raises when a diagonal entry of R that ``own`` flags (every one, by
+    default) is at most DEGENERACY_RTOL times the largest entry of its
+    matrix: the rows are (nearly) linearly dependent.  Zero rows padded
+    under a set's own rows leave its leading rows of Q and block of R as
+    they are; ``own`` keeps their zero diagonal out of the test.
     """
     if rows.shape[-2] > rows.shape[-1]:
         raise DegenerateSimplexError("more vectors than dimensions in frame build")
@@ -249,7 +271,7 @@ def _orthonormal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q *= sign[..., None, :]
     r *= sign[..., :, None]
     floor = DEGENERACY_RTOL * np.abs(rows).max(axis=(-2, -1), initial=0.0)
-    if np.any(np.diagonal(r, axis1=-2, axis2=-1) <= floor[..., None]):
+    if np.any((np.diagonal(r, axis1=-2, axis2=-1) <= floor[..., None]) & own):
         raise DegenerateSimplexError("linearly dependent vectors in frame build")
     return np.swapaxes(q, -1, -2), r
 
@@ -332,94 +354,95 @@ class TnFrameSet(NamedTuple):
         return self.normals_tn @ self.normals_face.T
 
 
-def _pairing_ratio(p: np.ndarray) -> np.ndarray:
-    """Largest off-diagonal |entry| over the least diagonal entry, per matrix of a stack (..., r, r).
-
-    The ratio is inf for a matrix with a diagonal entry <= 0.  Works on the
-    flattened r*r axis, where the diagonal is every (r + 1)-th entry.
-    """
-    r = p.shape[-1]
-    flat = p.reshape(p.shape[:-2] + (r * r,))
-    diag = flat[..., :: r + 1]
-    off = np.abs(flat)
-    off[..., :: r + 1] = 0.0
-    positive = np.all(diag > 0.0, axis=-1)
-    ratio = np.full(positive.shape, np.inf)
-    np.divide(off.max(axis=-1, initial=0.0), diag.min(axis=-1, initial=np.inf), out=ratio, where=positive)
-    return ratio
-
-
 def _check_pairing(e: tuple[int, ...], f: tuple[int, ...], ratio: float):
     if ratio > PAIRING_RTOL:
         raise ValueError(f"pairing at e={e}, f={f} not diagonal: ratio {ratio:.3e} > {PAIRING_RTOL}")
 
 
 @lru_cache(maxsize=None)
-def _pair_table(n: int, nf: int, ne: int):
-    """Every face pair E in F of range(n) with |F| = nf, |E| = ne, and its gather indices.
+def _nef_index(n: int, nf: int):
+    """Every face pair E in F of range(n) with |F| = nf, and the gathers that build its n-e-f frames.
 
-    Returns (index, anchor_at, normal_pos, (face_at, face_row, tn_at, tn_row)):
-    ``index`` maps the pair's (F, E) positions among the faces of their
-    dimensions to its row, ``anchor_at`` holds each E's position and
-    ``normal_pos`` each pair's positions in F of the vertices of F minus E.
-    Entry (row, j) of the arrays locates, for the j-th vertex i of F minus E,
-    F's gradient of lambda_i in the stack of faces with nf vertices and the
-    gradient of lambda_i in E + i in the stack of faces with ne + 1 vertices.
+    Returns (pairs, normals, gather, off, diag).  ``pairs`` lists (F, E) by
+    F, then |E|, then lexicographic, and ``normals`` each pair's vertices of
+    F minus E.  ``gather`` (2, pairs, nf - 1) indexes the cell's ``_rows``:
+    E's tangent rows, then per vertex i of F minus E F's gradient of
+    lambda_i (face frame) or the gradient of lambda_i in E + i (t-n frame).
+    ``off`` and ``diag`` (pairs, nf - 1, nf - 1) mask the off-diagonal and
+    diagonal entries of the normal block of a frame product.  The arrays
+    are read-only.
     """
-    at = {s: {face: j for j, face in enumerate(combinations(range(n), s))} for s in (nf, ne, ne + 1)}
-    index, anchor_at, gather = {}, [], []
+    tangent_at, gradient_at, row = [], [], 0
+    for s in range(n):
+        tangent_at.append(row)
+        row += comb(n, s + 1) * s
+        gradient_at.append(row)
+        row += comb(n, s + 1) * (s + 1)
+    at = {face: j for size in range(1, n + 1) for j, face in enumerate(combinations(range(n), size))}
+    pairs, normals, gather, tangent_rows = [], [], [], []
     for F in combinations(range(n), nf):
-        for E in combinations(F, ne):
-            index[at[nf][F], at[ne][E]] = len(index)
-            anchor_at.append(at[ne][E])
-            rest = [i for i in F if i not in E]
-            up = [tuple(sorted(E + (i,))) for i in rest]
-            gather.append(
-                (
-                    [at[nf][F]] * len(rest),
-                    [F.index(i) for i in rest],
-                    [at[ne + 1][u] for u in up],
-                    [u.index(i) for i, u in zip(rest, up)],
-                )
-            )
-    normal_pos = tuple(tuple(rows[1]) for rows in gather)
-    columns = tuple(np.array(col, dtype=np.intp).reshape(len(index), nf - ne) for col in zip(*gather))
-    return index, np.array(anchor_at, dtype=np.intp), normal_pos, columns
+        for ne in range(1, nf + 1):
+            for E in combinations(F, ne):
+                rest = tuple(i for i in F if i not in E)
+                up = [tuple(sorted(E + (i,))) for i in rest]
+                tangents = [tangent_at[ne - 1] + at[E] * (ne - 1) + j for j in range(ne - 1)]
+                face = [gradient_at[nf - 1] + at[F] * nf + F.index(i) for i in rest]
+                tn = [gradient_at[ne] + at[u] * (ne + 1) + u.index(i) for i, u in zip(rest, up)]
+                pairs.append((F, E))
+                normals.append(rest)
+                gather.append((tangents + face, tangents + tn))
+                tangent_rows.append(ne - 1)
+    gather = np.array(gather, dtype=np.intp).reshape(len(pairs), 2, nf - 1).transpose(1, 0, 2).copy()
+    normal = np.arange(nf - 1) >= np.array(tangent_rows)[:, None]
+    block = normal[:, :, None] & normal[:, None, :]
+    diag = block & np.eye(nf - 1, dtype=bool)
+    off = block & ~diag
+    for a in (gather, off, diag):
+        a.flags.writeable = False
+    return pairs, normals, gather, off, diag
 
 
-def _nef_group(T: GeometricSimplex, nf: int, ne: int) -> _NefGroup:
-    """The cell's n-e-f group for faces with nf vertices and anchors with ne, built on first use."""
-    group = T._nef_table.get((nf, ne))
-    if group is None:
-        index, anchor_at, normal_pos, (face_at, face_row, tn_at, tn_row) = _pair_table(T.dim + 1, nf, ne)
-        levels = T._levels
-        frames = np.empty((2, len(index), nf - 1, T.ambient_dim))
-        # take gives C-ordered rows; a fancy index keeps the transposed QR layout and broadcasts slower
-        frames[:, :, : ne - 1] = levels[ne - 1].tangents.take(anchor_at, axis=0)
-        frames[0, :, ne - 1 :] = levels[nf - 1].gradients[face_at, face_row]
-        frames[1, :, ne - 1 :] = levels[min(ne, T.dim)].gradients[tn_at, tn_row]  # ne > dim only for e = f = T: no rows
-        frames.flags.writeable = False
-        face, tn = frames[:, :, ne - 1 :]
-        ratio = tuple(_pairing_ratio(tn @ np.swapaxes(face, -1, -2)).tolist())
-        group = T._nef_table[nf, ne] = _NefGroup(index, frames[0], frames[1], normal_pos, ratio)
-    return group
+def _build_nef(T: GeometricSimplex, nf: int):
+    """Fill the cell's ``_nef`` with every pair whose face has nf vertices: one gather, one frame product.
+
+    A pair's ratio is its normal block's largest off-diagonal |entry| over
+    its least diagonal entry, inf when a diagonal entry is <= 0.
+    """
+    n = len(T.labels)
+    pairs, normals, gather, off, diag = _nef_index(n, nf)
+    frames = T._rows.take(gather, axis=0)
+    frames.flags.writeable = False
+    p = frames[1] @ np.swapaxes(frames[0], -1, -2)
+    positive = np.all(p > 0.0, axis=(1, 2), where=diag)
+    least = p.min(axis=(1, 2), initial=np.inf, where=diag)
+    ratio = np.full(len(pairs), np.inf)
+    np.divide(np.abs(p).max(axis=(1, 2), initial=0.0, where=off), least, out=ratio, where=positive)
+    if T.labels != tuple(range(n)):
+        label = T.labels.__getitem__
+        pairs = [(tuple(map(label, F)), tuple(map(label, E))) for F, E in pairs]
+        normals = [tuple(map(label, rest)) for rest in normals]
+    T._nef.update(zip(pairs, zip(ratio.tolist(), normals, frames[0], frames[1])))
 
 
 def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> TnFrameSet:
     """Dual bases of the normal plane of e inside the tangent plane of f.
 
     With f the cell these are the t-n frames of e; with e == f the normal
-    families are empty.  A lookup into the cell's n-e-f group of (|f|, |e|).
+    families are empty.  One read of the cell's ``_nef``; a miss builds the
+    pairs of f's size, once.
     """
-    f_at, e_at = _face(T, f.vertices), _face(T, e.vertices)
-    nf, ne = len(f.vertices), len(e.vertices)
-    group = _nef_group(T, nf, ne) if ne <= nf else None
-    j = None if group is None else group.index.get((f_at, e_at))
-    if j is None:
-        raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}")
-    _check_pairing(e.vertices, f.vertices, group.ratio[j])
-    labels = f.vertices
-    return TnFrameSet(e, tuple([labels[p] for p in group.normal_pos[j]]), group.frame_face[j], group.frame_tn[j])
+    entry = T._nef.get((f.vertices, e.vertices))
+    if entry is None:
+        _face(T, f.vertices)  # labels outside the cell are named before containment is
+        _face(T, e.vertices)
+        if (f.vertices, f.vertices) not in T._nef:  # every built size holds each of its faces paired with itself
+            _build_nef(T, len(f.vertices))
+            entry = T._nef.get((f.vertices, e.vertices))
+        if entry is None:
+            raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}")
+    ratio, normal_labels, frame_face, frame_tn = entry
+    _check_pairing(e.vertices, f.vertices, ratio)
+    return TnFrameSet(e, normal_labels, frame_face, frame_tn)
 
 
 def outward_normal(T: GeometricSimplex, facet: AbstractSimplex) -> np.ndarray:

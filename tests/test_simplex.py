@@ -1,13 +1,14 @@
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from tnforms import exterior
 from tnforms.combinatorics import simplex, subsimplices
-from tnforms.errors import DegenerateSimplexError
-from tnforms.exterior import Frame, compound
+from tnforms.errors import PAIRING_RTOL, DegenerateSimplexError
+from tnforms.exterior import Frame, _orthonormal, compound
 from tnforms.simplex import (
     DEGENERACY_RTOL,
     GeometricSimplex,
@@ -25,7 +26,7 @@ from tnforms.simplex import (
     surface_gradient,
     tangent_basis,
 )
-from tnforms.simplex import _check_pairing, _pairing_ratio
+from tnforms.simplex import _check_pairing, _orthonormal_rows
 
 RNG = np.random.default_rng(7)
 
@@ -34,6 +35,23 @@ def subsimplex_geometry(T, f):
     """The embedded geometric realization of a subsimplex, keeping its labels."""
     idx = [T.labels.index(i) for i in f.vertices]
     return GeometricSimplex(T.vertices[idx], labels=f.vertices)
+
+
+def _pairing_ratio(p):
+    """Largest off-diagonal |entry| over the least diagonal entry, per matrix of a stack (..., r, r).
+
+    The ratio is inf for a matrix with a diagonal entry <= 0.  Works on the
+    flattened r*r axis, where the diagonal is every (r + 1)-th entry.
+    """
+    r = p.shape[-1]
+    flat = p.reshape(p.shape[:-2] + (r * r,))
+    diag = flat[..., :: r + 1]
+    off = np.abs(flat)
+    off[..., :: r + 1] = 0.0
+    positive = np.all(diag > 0.0, axis=-1)
+    ratio = np.full(positive.shape, np.inf)
+    np.divide(off.max(axis=-1, initial=0.0), diag.min(axis=-1, initial=np.inf), out=ratio, where=positive)
+    return ratio
 
 
 def validate(fr):
@@ -141,6 +159,61 @@ def _ref_nef_frames(geometry, f, e):
     )
 
 
+# Reference face pass: one QR per face dimension, and one n-e-f group per
+# (|f|, |e|) built by slice assignments, the layout the single pass replaced.
+
+
+def _ref_vertex_sets(n, size):
+    """Every size-subset of range(n), lexicographic, one per row."""
+    return np.array(list(combinations(range(n), size)), dtype=np.intp).reshape(-1, size)
+
+
+def _ref_levels(T):
+    """(tangents, gradients, volumes, ok) per face dimension, one QR and one solve each."""
+    n, d = T.vertices.shape
+    tangents = np.empty((n, 0, d))
+    levels = [(tangents, np.full((n, 1, d), -0.0), np.ones(n), _orthonormal(tangents))]
+    for s in range(1, n):
+        pts = T.vertices[_ref_vertex_sets(n, s + 1)]
+        q, r = _orthonormal_rows(pts[:, 1:] - pts[:, :1])
+        grads = np.empty(pts.shape)
+        grads[:, 1:] = np.linalg.solve(r, q)
+        grads[:, 0] = -grads[:, 1:].sum(axis=1)
+        vols = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) / math.factorial(s)
+        levels.append((q, grads, vols, _orthonormal(q)))
+    return levels
+
+
+def _ref_nef_group(T, nf, ne):
+    """{(f labels, e labels): (ratio, normal labels, frame_face, frame_tn)} for |f| = nf, |e| = ne."""
+    n = len(T.labels)
+    levels = _ref_levels(T)
+    at = {size: {face: j for j, face in enumerate(combinations(range(n), size))} for size in (nf, ne, ne + 1)}
+    keys, anchor_at, face_at, face_row, tn_at, tn_row = [], [], [], [], [], []
+    for F in combinations(range(n), nf):
+        for E in combinations(F, ne):
+            rest = [i for i in F if i not in E]
+            up = [tuple(sorted(E + (i,))) for i in rest]
+            keys.append((F, E, rest))
+            anchor_at.append(at[ne][E])
+            face_at.append([at[nf][F]] * len(rest))
+            face_row.append([F.index(i) for i in rest])
+            tn_at.append([at[ne + 1][u] for u in up])
+            tn_row.append([u.index(i) for i, u in zip(rest, up)])
+    gather = [np.array(col, dtype=np.intp).reshape(len(keys), nf - ne) for col in (face_at, face_row, tn_at, tn_row)]
+    frames = np.empty((2, len(keys), nf - 1, T.ambient_dim))
+    frames[:, :, : ne - 1] = levels[ne - 1][0].take(np.array(anchor_at, dtype=np.intp), axis=0)
+    frames[0, :, ne - 1 :] = levels[nf - 1][1][gather[0], gather[1]]
+    frames[1, :, ne - 1 :] = levels[min(ne, n - 1)][1][gather[2], gather[3]]
+    face, tn = frames[:, :, ne - 1 :]
+    ratio = _pairing_ratio(tn @ np.swapaxes(face, -1, -2)).tolist()
+    label = T.labels.__getitem__
+    return {
+        (tuple(map(label, F)), tuple(map(label, E))): (ratio[j], tuple(map(label, rest)), frames[0, j], frames[1, j])
+        for j, (F, E, rest) in enumerate(keys)
+    }
+
+
 def _with_normals_tn(fr, normals_tn):
     """The frame set with its t-n normal rows replaced."""
     return fr._replace(frame_tn=np.vstack([fr.tangents, normals_tn]))
@@ -191,6 +264,21 @@ class TestScaleAndSlivers:
         for F in subsimplices(T.full_simplex(), d - 1):
             frame, n = induced_facet_frame(T, F)
             assert abs(np.linalg.det(np.vstack([n, frame.vectors])) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 1e-310])
+    def test_unrepresentable_volume_rejected(self, scale):
+        # the volume underflows to 0, overflows to inf, or (subnormal coordinates) the gradients are NaN
+        unit = random_simplex(3, np.random.default_rng(13)).vertices
+        with pytest.raises(DegenerateSimplexError, match="the volume is not representable"):
+            GeometricSimplex(scale * unit)
+
+    @pytest.mark.parametrize("d,scale", [(5, 1e-14), (3, 1e-100)])
+    def test_small_representable_cell_builds(self, d, scale):
+        unit = random_simplex(d, np.random.default_rng(13))
+        T = GeometricSimplex(scale * unit.vertices)
+        assert T.volume == pytest.approx(scale**d * unit.volume, rel=1e-12)
+        assert np.isfinite(barycentric_gradients(T)).all()
+        assert np.allclose(scale * barycentric_gradients(T), barycentric_gradients(unit), rtol=1e-11, atol=0)
 
     def test_gram_schmidt_floor_is_relative(self):
         rows = RNG.standard_normal((3, 5))
@@ -514,8 +602,8 @@ class TestNefTable:
         for e in all_subsimplices(T):
             for k in range(T.dim + 1):
                 pairing_matrix(T, e, k)
-        assert {nf for nf, _ in T._nef_table} == {T.dim + 1}
-        assert {ne for _, ne in T._nef_table} == set(range(1, T.dim + 2))
+        assert {len(f) for f, _ in T._nef} == {T.dim + 1}
+        assert {len(e) for _, e in T._nef} == set(range(1, T.dim + 2))
 
     def test_frames_are_read_only(self):
         T = random_simplex(3, RNG)
@@ -527,23 +615,104 @@ class TestNefTable:
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_slices_are_views_into_the_group(self, d):
         # the three former fields are row slices of the two stored frame
-        # matrices, and both matrices live in their group's one array
+        # matrices, and every pair's matrices with one face size live in one
+        # (2, pairs, |f| - 1, d) array
         T = random_simplex(d, RNG)
         faces = _faces(T)
+        homes = {}
         for f in faces:
             for e in faces:
                 if not e.issubset(f):
                     continue
                 fr = nef_frames(T, f, e)
-                group = T._nef_table[len(f), len(e)]
                 assert fr.frame_face.shape == fr.frame_tn.shape == (f.dim, d)
                 assert fr.tangents.shape == (e.dim, d) and fr.normals_tn.shape == (f.dim - e.dim, d)
-                home = group.frame_face.base
-                assert home is group.frame_tn.base and home.shape == (2,) + group.frame_face.shape
+                home = homes.setdefault(len(f), fr.frame_face.base)
+                pairs = math.comb(d + 1, len(f)) * (2 ** len(f) - 1)
+                assert fr.frame_tn.base is home and home.shape == (2, pairs, f.dim, d)
                 for arr in (fr.tangents, fr.normals_face, fr.normals_tn):
                     assert not arr.flags.writeable and arr.base is home
                 assert np.array_equal(fr.tangents, fr.frame_tn[: e.dim])
                 assert np.array_equal(np.vstack([fr.tangents, fr.normals_face]), fr.frame_face)
+
+
+def _single_pass_cells():
+    """Every d = 1..6 at scales 1e-14, 1 and 1e3, an embedded cell and a relabelled one."""
+    cells = []
+    for d in range(1, 7):
+        unit = random_simplex(d, np.random.default_rng(400 + d)).vertices
+        cells += [GeometricSimplex(scale * unit) for scale in (1e-14, 1.0, 1e3)]
+    rng = np.random.default_rng(12)
+    cells.append(GeometricSimplex(rng.standard_normal((4, 6))))
+    cells.append(GeometricSimplex(random_simplex(4, rng).vertices, labels=(1, 3, 4, 8, 11)))
+    return cells
+
+
+def _ref_nef_table(T):
+    """Every pair's reference entry, all (|f|, |e|) groups merged."""
+    n = len(T.labels)
+    table = {}
+    for nf in range(1, n + 1):
+        for ne in range(1, nf + 1):
+            table.update(_ref_nef_group(T, nf, ne))
+    return table
+
+
+def _assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _cell_id(T):
+    return f"d{T.dim}in{T.ambient_dim}-{T.labels[0]}-{np.abs(T.vertices).max():.0e}"
+
+
+class TestSinglePassAgainstReference:
+    """The padded QR and the per-face-size tables against the per-dimension and per-(|f|, |e|) builds, bit for bit."""
+
+    @pytest.mark.parametrize("T", _single_pass_cells(), ids=_cell_id)
+    def test_levels(self, T):
+        ref = _ref_levels(T)
+        assert len(T._levels) == len(ref) == T.dim + 1
+        for level, want in zip(T._levels, ref):
+            for got, stack in zip(level[:4], want):
+                _assert_same_bits(got, stack)
+
+    @pytest.mark.parametrize("T", _single_pass_cells(), ids=_cell_id)
+    def test_nef_entries(self, T):
+        ref = _ref_nef_table(T)
+        for f in {f for f, _ in ref}:
+            nef_frames(T, simplex(*f), simplex(*f))  # builds f's size
+        assert T._nef.keys() == ref.keys()
+        for key, (ratio, labels, face, tn) in ref.items():
+            got_ratio, got_labels, got_face, got_tn = T._nef[key]
+            _assert_same_bits(got_ratio, ratio)
+            assert got_labels == labels, key
+            _assert_same_bits(got_face, face)
+            _assert_same_bits(got_tn, tn)
+
+    def test_sliver_raises_where_the_reference_ratio_fails(self):
+        rng = np.random.default_rng(801)
+        for _ in range(20):
+            T = GeometricSimplex(_flatten_last_vertex(random_simplex(4, rng).vertices.copy(), 1e-7))
+            ref = _ref_nef_table(T)
+            if any(ratio > PAIRING_RTOL for ratio, *_ in ref.values()):
+                break
+        else:
+            pytest.fail("no sliver with a failing pair")
+        outcome = {True: 0, False: 0}
+        for (f, e), (ratio, labels, face, tn) in ref.items():
+            outcome[ratio > PAIRING_RTOL] += 1
+            if ratio > PAIRING_RTOL:
+                msg = re.escape(f"pairing at e={e}, f={f} not diagonal: ratio {ratio:.3e}")
+                with pytest.raises(ValueError, match=msg):
+                    nef_frames(T, simplex(*f), simplex(*e))
+            else:
+                fr = nef_frames(T, simplex(*f), simplex(*e))
+                assert fr.normal_labels == labels
+                _assert_same_bits(fr.frame_face, face)
+                _assert_same_bits(fr.frame_tn, tn)
+        assert outcome[True] and outcome[False]
 
 
 class TestFaceLookup:
