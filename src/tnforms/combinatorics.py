@@ -50,6 +50,13 @@ class AbstractSimplex:
             raise ValueError(f"vertex labels must be strictly increasing: {verts}")
         object.__setattr__(self, "vertices", verts)
 
+    @classmethod
+    def _of(cls, labels: tuple[int, ...]) -> "AbstractSimplex":
+        """A simplex on labels the library enumerated itself: a nonempty ascending tuple of ints; not re-checked."""
+        simplex = object.__new__(cls)
+        simplex.__dict__["vertices"] = labels
+        return simplex
+
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1

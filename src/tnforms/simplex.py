@@ -43,8 +43,13 @@ A level also holds its faces' frames: the ``exterior._orthonormal`` flag of
 each face's tangent rows and the compound cache of the level's stack.  The
 frame of ``oriented_subframe`` is the stack's row at the face's position,
 unchecked and uncopied, sharing the level's cache: one test per cell and
-one determinant call per (s, k), not one of each per frame.  Levels and
-frame sets are ``NamedTuple`` records (``_Level``, ``TnFrameSet``).
+one determinant call per (s, k), not one of each per frame.  The facet
+frames of ``induced_facet_frame`` are the rows of one more stack, the
+cell's ``_facets`` record: the facet tangents with the last row negated
+where the cell's orientation asks it, beside the unit outward normals and
+the stack's own compound cache.  Levels and frame sets are ``NamedTuple``
+records (``_Level``, ``TnFrameSet``); ``nef_frames`` builds its set with
+``tuple.__new__``, past the record's Python-level constructor.
 """
 
 from __future__ import annotations
@@ -179,8 +184,25 @@ class GeometricSimplex:
     @cached_property
     def _rows(self) -> np.ndarray:
         """Every level's tangent rows, then its gradient rows, level by level: the table n-e-f frames gather."""
-        d = self.ambient_dim
-        return np.concatenate([stack.reshape(-1, d) for level in self._levels for stack in level[:2]])
+        d = self.ambient_dim  # the row count is explicit: a vertex in R^0 has empty stacks, where -1 is ambiguous
+        return np.concatenate([s.reshape(s.shape[0] * s.shape[1], d) for level in self._levels for s in level[:2]])
+
+    @cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+        """The facets of a full-dimensional cell in level order: unit outward normals, induced frames, their compounds.
+
+        Facet j omits vertex n - 1 - j; its normal is minus that vertex's
+        gradient over its norm.  Its frame is its tangent rows with the last
+        row negated where det [normal; rows] < 0, so normal and rows are a
+        positively oriented frame of R^d.  Both stacks are read-only; the
+        dict is the frame stack's compound cache.
+        """
+        normals = np.array([-g / np.linalg.norm(g) for g in self._gradients[::-1]])
+        rows = self._levels[-2].tangents.copy()
+        flip = np.linalg.det(np.concatenate([normals[:, None], rows], axis=1)) < 0
+        rows[:, -1:] *= np.where(flip, -1.0, 1.0)[:, None, None]
+        normals.flags.writeable = rows.flags.writeable = False
+        return normals, rows, {}
 
     @cached_property
     def _nef(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple]:
@@ -194,7 +216,14 @@ class GeometricSimplex:
 
 def reference_simplex(d: int) -> GeometricSimplex:
     """Unit reference simplex with vertices 0, e_1, ..., e_d."""
-    return GeometricSimplex(np.eye(d + 1, d, k=-1))
+    return GeometricSimplex(_reference_vertices(d))
+
+
+def _reference_vertices(d: int) -> np.ndarray:
+    """The vertices 0, e_1, ..., e_d as rows; a negative d is a ValueError."""
+    if d < 0:
+        raise ValueError(f"a simplex needs dimension d >= 0, got d={d}")
+    return np.eye(d + 1, d, k=-1)
 
 
 def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> GeometricSimplex:
@@ -204,12 +233,12 @@ def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> Geom
     """
     if not (isfinite(scale) and scale != 0.0):
         raise ValueError(f"random_simplex needs a finite, non-zero scale, got {scale}")
-    base = np.eye(d + 1, d, k=-1)  # the reference vertices, without building the reference cell
+    base = _reference_vertices(d)
     while True:
         v = scale * (base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape))
         e = (v[1:] - v[0]).T
         svals = np.linalg.svd(e, compute_uv=False)
-        if svals[-1] > 0.15 * svals[0]:
+        if d == 0 or svals[-1] > 0.15 * svals[0]:  # a vertex has no edges to condition
             return GeometricSimplex(v)
 
 
@@ -441,20 +470,24 @@ def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> T
         if entry is None:
             raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}")
     ratio, normal_labels, frame_face, frame_tn = entry
-    _check_pairing(e.vertices, f.vertices, ratio)
-    return TnFrameSet(e, normal_labels, frame_face, frame_tn)
+    if ratio > PAIRING_RTOL:
+        _check_pairing(e.vertices, f.vertices, ratio)
+    return tuple.__new__(TnFrameSet, (e, normal_labels, frame_face, frame_tn))
 
 
-def outward_normal(T: GeometricSimplex, facet: AbstractSimplex) -> np.ndarray:
-    """Unit outward normal of a facet of a full-dimensional cell."""
+def _facet(T: GeometricSimplex, facet: AbstractSimplex) -> int:
+    """The level position of a facet of a full-dimensional cell; ValueError otherwise."""
     if T.dim != T.ambient_dim:
         raise ValueError("outward normal defined on full-dimensional cells")
     if facet.dim != T.dim - 1:
         raise ValueError("facet must have codimension one")
-    _face(T, facet.vertices)  # a label outside the cell is named, not left to the unpacking below
-    (i,) = set(T.labels) - set(facet.vertices)
-    g = T._gradients[T.labels.index(i)]
-    return -g / np.linalg.norm(g)
+    return _face(T, facet.vertices)
+
+
+def outward_normal(T: GeometricSimplex, facet: AbstractSimplex) -> np.ndarray:
+    """Unit outward normal of a facet of a full-dimensional cell."""
+    at = _facet(T, facet)
+    return T._facets[0][at].copy()
 
 
 def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Frame, np.ndarray]:
@@ -462,15 +495,17 @@ def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Fr
 
     Returns (frame, n) with n the unit outward normal and (n, frame rows) a
     positively oriented frame of R^d.  This is the orientation under which
-    the tangential and normal traces are Hodge dual.
+    the tangential and normal traces are Hodge dual.  The frame is a row of
+    the cell's facet stack, gated by its level's orthonormality flag: a
+    negated row leaves the Gram matrix as it is.
     """
     if T.dim < 2:
         raise ValueError("induced facet frame needs ambient dimension >= 2")
-    n = outward_normal(T, facet)
-    rows = tangent_basis(T, facet).copy()
-    if np.linalg.det(np.vstack([n, rows])) < 0:
-        rows[-1] = -rows[-1]
-    return Frame(rows), n
+    at = _facet(T, facet)
+    if not T._levels[-2].ok[at]:
+        raise ValueError("frame vectors are not orthonormal")
+    normals, rows, compounds = T._facets
+    return Frame._of_row(rows, at, compounds), normals[at].copy()
 
 
 def all_subsimplices(T: GeometricSimplex) -> list[AbstractSimplex]:

@@ -17,7 +17,12 @@ arrays), so normal traces, the tangential traces of starred forms, need no
 basis of their own.
 Elements are ordered by face dimension, then face, then tangential
 sequence, which makes downstream degree-of-freedom matrices block lower
-triangular.
+triangular.  The elements ``decompose_altk`` and ``hodge_coefficient``
+return are named from ``_basis_table`` and the cell's labels, valid by
+construction, so they are built without re-validation
+(``TnBasisElement._of``, ``AbstractSimplex._of``): the degree, the anchor
+and the flavor are checked once per call, in that order.  Only elements
+made from outside data are checked element by element.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
-from .exterior import AltForm, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
+from .exterior import AltForm, _form, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
 from .simplex import GeometricSimplex, nef_frames
 
 FLAVORS = ("primal", "dual")
@@ -56,6 +61,13 @@ class TnBasisElement:
         if self.sigma not in sequence_position(len(self.sigma), self.e.dim):
             raise ValueError(f"sigma={self.sigma} is not an increasing sequence in 1..{self.e.dim} (dim e)")
 
+    @classmethod
+    def _of(cls, e: AbstractSimplex, f: AbstractSimplex, sigma: tuple[int, ...], flavor: str) -> "TnBasisElement":
+        """An element named from ``_basis_table``, valid by construction; not re-checked."""
+        elem = object.__new__(cls)
+        elem.__dict__.update(e=e, f=f, sigma=sigma, flavor=flavor)
+        return elem
+
 
 def decompose_altk(
     T: GeometricSimplex, e: AbstractSimplex, k: int, flavor: str = "primal"
@@ -67,9 +79,11 @@ def decompose_altk(
     increasing sequence of s + k - ell tangent indices.
     """
     _, elements, _ = _anchor_table(T.labels, e, k)
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
     outside = tuple(j for j in T.labels if j not in e)
     return [
-        TnBasisElement(e, AbstractSimplex(tuple(sorted(e.vertices + tuple(outside[i] for i in normals)))), sigma, flavor)
+        TnBasisElement._of(e, AbstractSimplex._of(tuple(sorted(e.vertices + tuple(outside[i] for i in normals)))), sigma, flavor)
         for sigma, normals in elements
     ]
 
@@ -158,14 +172,14 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     primal, dual = _frames(T, elem.e)
     d, rows = T.dim, _row_index(elem, T.labels)
     k = len(rows)
-    face = AbstractSimplex(tuple(j for j in T.labels if j in elem.e or j not in elem.f))
-    partner = TnBasisElement(elem.e, face, complement(elem.sigma, elem.e.dim))
+    face = AbstractSimplex._of(tuple(j for j in T.labels if j in elem.e or j not in elem.f))
+    partner = TnBasisElement._of(elem.e, face, complement(elem.sigma, elem.e.dim), "primal")
     # each form is the maximal minors of its rows; the partner wedges the complementary primal rows
     a = compound(dual[[i - 1 for i in rows]], k)[0]
     b = compound(primal[[i - 1 for i in complement(rows, d)]], d - k)[0]
-    dual_form = AltForm(d, k, a)
+    dual_form = _form(d, k, a)
 
-    denominator = volume_coefficient(wedge(dual_form, AltForm(d, d - k, b)))
+    denominator = volume_coefficient(wedge(dual_form, _form(d, d - k, b)))
     aa = float(a @ a)
     scale = math.sqrt(aa) * math.sqrt(b @ b)
     if abs(denominator) <= DEGENERACY_RTOL * scale:

@@ -555,7 +555,7 @@ class TestNefTable:
             for e in faces:
                 if e.issubset(f):
                     got, ref = nef_frames(T, f, e), _ref_nef_frames(geometry, f, e)
-                    assert got.e == e and got.normal_labels == ref.normal_labels
+                    assert type(got) is TnFrameSet and got.e == e and got.normal_labels == ref.normal_labels
                     for name in ("tangents", "normals_face", "normals_tn"):
                         assert np.array_equal(getattr(got, name), getattr(ref, name)), (f, e, name)
 
@@ -791,7 +791,58 @@ class TestOrientedSubframe:
             oriented_subframe(T, simplex(0, 2))
 
 
+# Reference facet frame: the fresh outward normal, determinant test and
+# checked Frame of the rows the facet record replaced.
+
+
+def _ref_induced_facet_frame(T, facet):
+    (i,) = set(T.labels) - set(facet.vertices)
+    g = barycentric_gradients(T)[T.labels.index(i)]
+    n = -g / np.linalg.norm(g)
+    rows = tangent_basis(T, facet).copy()
+    if np.linalg.det(np.vstack([n, rows])) < 0:
+        rows[-1] = -rows[-1]
+    return Frame(rows), n
+
+
 class TestFacetFrames:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_reference_bit_for_bit(self, d):
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 1e3):
+            T = GeometricSimplex(scale * random_simplex(d, rng).vertices)
+            for F in subsimplices(T.full_simplex(), d - 1):
+                (frame, n), (ref, ref_n) = induced_facet_frame(T, F), _ref_induced_facet_frame(T, F)
+                assert frame.vectors.tobytes() == ref.vectors.tobytes()
+                assert n.tobytes() == ref_n.tobytes() == outward_normal(T, F).tobytes()
+                for k in range(d):
+                    assert frame._compound(k).tobytes() == ref._compound(k).tobytes()
+
+    def test_rows_are_read_only_and_normals_fresh(self):
+        T = random_simplex(3, RNG)
+        F = simplex(0, 2, 3)
+        frame, n = induced_facet_frame(T, F)
+        with pytest.raises(ValueError):
+            frame.vectors[0, 0] = 1.0
+        n[:] = 0.0
+        assert np.linalg.norm(induced_facet_frame(T, F)[1]) == pytest.approx(1.0)
+        assert np.linalg.norm(outward_normal(T, F)) == pytest.approx(1.0)
+
+    def test_errors(self, monkeypatch):
+        segment = GeometricSimplex(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="needs ambient dimension >= 2"):
+            induced_facet_frame(segment, simplex(0))
+        embedded = GeometricSimplex(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        T = random_simplex(3, RNG)
+        for build in (outward_normal, induced_facet_frame):
+            with pytest.raises(ValueError, match="outward normal defined on full-dimensional cells"):
+                build(embedded, simplex(0, 1))
+            with pytest.raises(ValueError, match="facet must have codimension one"):
+                build(T, simplex(0, 1))
+        monkeypatch.setattr(exterior, "ORTHONORMAL_RTOL", -1.0)
+        with pytest.raises(ValueError, match="frame vectors are not orthonormal"):
+            induced_facet_frame(random_simplex(3, RNG), simplex(0, 1, 2))
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_induced_orientation(self, d):
         T = random_simplex(d, RNG)
@@ -847,6 +898,17 @@ class TestHelpers:
         a = random_simplex(3, np.random.default_rng(5), -2.0).vertices
         b = random_simplex(3, np.random.default_rng(5)).vertices
         assert np.array_equal(a, -2.0 * b)
+
+    def test_random_vertex(self):
+        T = random_simplex(0, np.random.default_rng(5))
+        assert T.vertices.shape == (1, 0) and T.dim == 0 and T.labels == (0,)
+
+    @pytest.mark.parametrize("d", [-1, -3])
+    def test_negative_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match=f"got d={d}"):
+            reference_simplex(d)
+        with pytest.raises(ValueError, match=f"got d={d}"):
+            random_simplex(d, np.random.default_rng(5))
 
     def test_tangent_basis_of_vertex_empty(self):
         T = random_simplex(2, RNG)

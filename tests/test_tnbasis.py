@@ -47,7 +47,7 @@ from tnforms.tnbasis import (
     realize,
     realize_all,
 )
-from tnforms.tnbasis import _basis_table, _frames, _row_index
+from tnforms.tnbasis import _anchor_table, _basis_table, _frames, _row_index
 
 RNG = np.random.default_rng(2024)
 
@@ -89,6 +89,16 @@ def _ref_elements(cell, e, k, flavor="primal"):
         for ell in range(max(s, k), min(k + s, d) + 1)
         for f in _ref_supersimplices(e, ell, cell)
         for sig in sequences(s + k - ell, s)
+    ]
+
+
+def _ref_decompose_altk(T, e, k, flavor="primal"):
+    """The table comprehension with every face and element validated by its public constructor."""
+    _, elements, _ = _anchor_table(T.labels, e, k)
+    outside = tuple(j for j in T.labels if j not in e)
+    return [
+        TnBasisElement(e, AbstractSimplex(tuple(sorted(e.vertices + tuple(outside[i] for i in normals)))), sigma, flavor)
+        for sigma, normals in elements
     ]
 
 
@@ -335,6 +345,77 @@ class TestDecomposition:
             TnBasisElement(e, f, (3,))
         with pytest.raises(ValueError, match=r"anchor e=\(0, 3\) must be contained in the face f=\(0, 1, 2\)"):
             TnBasisElement(simplex(0, 3), f, ())
+
+
+def _fields(el):
+    return el.e.vertices, el.f.vertices, el.sigma, el.flavor
+
+
+class TestUncheckedElements:
+    @pytest.mark.parametrize("d", range(7))
+    def test_match_validated_elements(self, d):
+        # elements named from the table equal, and hash like, the validated
+        # ones, on default and spread labels, for every anchor, degree and flavor
+        for labels in (tuple(range(d + 1)), tuple(range(2, 3 * d + 3, 3))):
+            T = GeometricSimplex(reference_simplex(d).vertices, labels=labels)
+            for e in all_subsimplices(T):
+                for k in range(d + 1):
+                    for flavor in FLAVORS:
+                        got, want = decompose_altk(T, e, k, flavor), _ref_decompose_altk(T, e, k, flavor)
+                        assert got == want
+                        assert [_fields(el) for el in got] == [_fields(el) for el in want]
+                        assert [hash(el) for el in got] == [hash(el) for el in want]
+                        assert all(type(i) is int for el in got for i in el.f.vertices)
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_hodge_partner_is_a_validated_element(self, d):
+        T = GeometricSimplex(random_simplex(d, RNG).vertices, labels=tuple(range(2, 3 * d + 3, 3)))
+        for e in all_subsimplices(T):
+            for k in range(d + 1):
+                for el in decompose_altk(T, e, k, "dual"):
+                    _, partner = hodge_coefficient(T, el)
+                    want = TnBasisElement(partner.e, AbstractSimplex(partner.f.vertices), partner.sigma)
+                    assert partner == want and hash(partner) == hash(want)
+                    assert _fields(partner) == _fields(want)
+
+    def test_error_order(self):
+        # the degree is checked first, then the anchor, then the flavor
+        T = random_simplex(3, RNG)
+        with pytest.raises(ValueError, match="got k=5, d=3"):
+            decompose_altk(T, simplex(7), 5, "nope")
+        with pytest.raises(ValueError, match=r"anchor e=\(7,\) is not a face"):
+            decompose_altk(T, simplex(7), 1, "nope")
+        with pytest.raises(ValueError, match="unknown flavor 'nope'"):
+            decompose_altk(T, simplex(0), 1, "nope")
+
+    def test_no_element_is_validated_per_call(self, monkeypatch):
+        T = random_simplex(4, RNG)
+        anchors = all_subsimplices(T)
+        elements = [el for e in anchors for k in range(5) for el in decompose_altk(T, e, k, "dual")]
+        calls = []
+        for cls in (AbstractSimplex, TnBasisElement):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: calls.append(self) or check(self))
+        for e in anchors:
+            for k in range(5):
+                for flavor in FLAVORS:
+                    decompose_altk(T, e, k, flavor)
+        for el in elements:
+            hodge_coefficient(T, el)
+        assert calls == []
+
+
+class TestZeroSimplex:
+    def test_every_t_n_call(self):
+        T = reference_simplex(0)
+        e = T.full_simplex()
+        assert np.array_equal(pairing_matrix(T, e, 0), [[1.0]])
+        for flavor in FLAVORS:
+            assert np.array_equal(realize_all(T, e, 0, flavor), [[1.0]])
+            (el,) = decompose_altk(T, e, 0, flavor)
+            assert np.array_equal(realize(el, T).coeffs, [1.0])
+        c, partner = hodge_coefficient(T, decompose_altk(T, e, 0, "dual")[0])
+        assert c == 1.0 and partner == TnBasisElement(e, e, ())
 
 
 class TestRealization:
