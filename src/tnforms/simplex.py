@@ -50,6 +50,11 @@ where the cell's orientation asks it, beside the unit outward normals and
 the stack's own compound cache.  Levels and frame sets are ``NamedTuple``
 records (``_Level``, ``TnFrameSet``); ``nef_frames`` builds its set with
 ``tuple.__new__``, past the record's Python-level constructor.
+
+A face can also be named by its position mask, bit i for the cell's i-th
+label.  ``_position_mask`` sums the labels' bits from the cell's ``_bits``
+and ``_masked_face`` names a mask's face once per cell, in ``_masked``: at
+most 2^n - 1 faces for n labels, freed with the cell.
 """
 
 from __future__ import annotations
@@ -205,6 +210,16 @@ class GeometricSimplex:
         return normals, rows, {}
 
     @cached_property
+    def _bits(self) -> dict[int, int]:
+        """Each label's position bit: 1 << its position among the cell's labels."""
+        return {j: 1 << i for i, j in enumerate(self.labels)}
+
+    @cached_property
+    def _masked(self) -> dict[int, AbstractSimplex]:
+        """Faces named so far by ``_masked_face``, keyed by their position masks."""
+        return {}
+
+    @cached_property
     def _nef(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple]:
         """(f labels, e labels) -> (pairing ratio, normal labels, frame_face, frame_tn), per face size built so far."""
         return {}
@@ -316,6 +331,22 @@ def _face(T: GeometricSimplex, face: tuple[int, ...]) -> int:
         return T._face_at[face]
     except KeyError:
         raise ValueError(f"{face} is not a face of the simplex with labels {T.labels}") from None
+
+
+def _position_mask(T: GeometricSimplex, labels: tuple[int, ...]) -> int | None:
+    """The bits of the positions of distinct labels among the cell's; None if one is not a label of the cell."""
+    try:
+        return sum(map(T._bits.__getitem__, labels))
+    except KeyError:
+        return None
+
+
+def _masked_face(T: GeometricSimplex, mask: int) -> AbstractSimplex:
+    """The face on the labels at the positions a nonzero mask's bits name; built once per cell and mask."""
+    face = T._masked.get(mask)
+    if face is None:
+        face = T._masked[mask] = AbstractSimplex._of(tuple(j for i, j in enumerate(T.labels) if mask >> i & 1))
+    return face
 
 
 def tangent_basis(T: GeometricSimplex, e: AbstractSimplex) -> np.ndarray:

@@ -17,12 +17,20 @@ arrays), so normal traces, the tangential traces of starred forms, need no
 basis of their own.
 Elements are ordered by face dimension, then face, then tangential
 sequence, which makes downstream degree-of-freedom matrices block lower
-triangular.  The elements ``decompose_altk`` and ``hodge_coefficient``
-return are named from ``_basis_table`` and the cell's labels, valid by
-construction, so they are built without re-validation
-(``TnBasisElement._of``, ``AbstractSimplex._of``): the degree, the anchor
-and the flavor are checked once per call, in that order.  Only elements
-made from outside data are checked element by element.
+triangular.
+Faces are named by position masks, bit i for the cell's i-th label: an
+anchor is a mask, and an element at it is (normal-offset mask, sigma), bit
+i of the former for the i-th label outside the anchor.  ``_deposit(anchor
+mask, n)`` turns normal-offset masks into face masks and back, and the
+cell names each face mask once (``simplex._masked_face``).  An element's
+frame rows, its complementary rows and its Hodge partner come from one
+label-free table per (s, d), ``_element_table``, so no call scans labels.
+The elements ``decompose_altk`` and ``hodge_coefficient`` return are valid
+by construction and built without re-validation (``TnBasisElement._of``):
+each entry point checks, of the degree, the anchor (``_anchor``, one
+message for all five), the flavor and the face, those it takes, once per
+call and in that order.  Only elements made from outside data are checked
+element by element.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import numpy as np
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, _form, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
-from .simplex import GeometricSimplex, nef_frames
+from .simplex import GeometricSimplex, _masked_face, _position_mask, nef_frames
 
 FLAVORS = ("primal", "dual")
 
@@ -78,14 +86,11 @@ def decompose_altk(
     admissible window, each face f containing e contributes one element per
     increasing sequence of s + k - ell tangent indices.
     """
-    _, elements, _ = _anchor_table(T.labels, e, k)
+    at, (_, elements, _) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    outside = tuple(j for j in T.labels if j not in e)
-    return [
-        TnBasisElement._of(e, AbstractSimplex._of(tuple(sorted(e.vertices + tuple(outside[i] for i in normals)))), sigma, flavor)
-        for sigma, normals in elements
-    ]
+    faces = _deposit(at, len(T.labels))[0]
+    return [TnBasisElement._of(e, _masked_face(T, faces[m]), sigma, flavor) for sigma, m in elements]
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +100,10 @@ def _basis_table(s: int, d: int, k: int):
     An element wedges k of the d rows: tangents 1..s, then normal rows s + 1 + i,
     i the 0-based offset among the labels outside the anchor.  Sorted by normal
     count, normal rows and rows, the row sets give their positions in
-    ``sequences(k, d)`` and, per element, (sigma, normal offsets).  The third
-    entry holds the flat positions, in a C(d, k) x C(d, k) matrix, of the
-    elements' rows and columns (read-only): the gather ``pairing_matrix`` takes.
+    ``sequences(k, d)`` and, per element, (sigma, normal-offset mask), bit i of
+    the mask set for offset i.  The third entry holds the flat positions, in a
+    C(d, k) x C(d, k) matrix, of the elements' rows and columns (read-only):
+    the gather ``pairing_matrix`` takes.
     """
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
@@ -107,15 +113,67 @@ def _basis_table(s: int, d: int, k: int):
     at = np.array(idx, dtype=np.intp)
     flat_index = at[:, None] * len(idx) + at[None, :]
     flat_index.flags.writeable = False
-    return idx, tuple((r[: k - m], normals) for m, normals, r in keyed), flat_index
+    return idx, tuple((r[: k - m], sum(1 << i for i in normals)) for m, normals, r in keyed), flat_index
 
 
-def _anchor_table(labels: tuple[int, ...], e: AbstractSimplex, k: int):
-    """``_basis_table`` of anchor e, which must be a face of the cell with these labels."""
-    table = _basis_table(e.dim, len(labels) - 1, k)
-    if not set(labels).issuperset(e.vertices):
-        raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {labels}")
-    return table
+@lru_cache(maxsize=None)
+def _element_table(s: int, d: int) -> dict[tuple[int, tuple[int, ...]], tuple]:
+    """Every element at an s-dimensional anchor of a d-cell, of every degree, keyed by (normal-offset mask, sigma).
+
+    An entry holds the element's 0-based frame rows (sigma's tangents i - 1,
+    then the normal row s + i of each offset i in the mask), the complementary
+    rows, and the normal-offset mask and sigma of its Hodge partner, which
+    wedges those complementary rows.  The row arrays are read-only and shared:
+    an element's complementary rows are its partner's rows.  2^d entries, and
+    labels play no part.
+    """
+    full = (1 << (d - s)) - 1
+    taus = {sigma: complement(sigma, s) for j in range(s + 1) for sigma in sequences(j, s)}
+    rows = {}
+    for m in range(full + 1):
+        normals = [s + i for i in range(d - s) if m >> i & 1]
+        for sigma in taus:
+            rows[m, sigma] = r = np.array([i - 1 for i in sigma] + normals, dtype=np.intp)
+            r.flags.writeable = False
+    return {(m, sigma): (r, rows[full ^ m, taus[sigma]], full ^ m, taus[sigma]) for (m, sigma), r in rows.items()}
+
+
+@lru_cache(maxsize=None)
+def _deposit(at: int, n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The faces through the anchor at position mask ``at`` of a cell with n labels, by normal-offset mask, and back.
+
+    Offset i is the i-th position outside the anchor, ascending, so the face
+    of a normal-offset mask is the anchor's positions plus those its bits
+    name.  Returns the face position masks indexed by normal-offset mask, and
+    the dict that inverts it.
+    """
+    outside = [1 << i for i in range(n) if not at >> i & 1]
+    faces = tuple(at + sum(b for i, b in enumerate(outside) if m >> i & 1) for m in range(1 << len(outside)))
+    return faces, {face: m for m, face in enumerate(faces)}
+
+
+def _anchor(T: GeometricSimplex, e: AbstractSimplex) -> int:
+    """The position mask of anchor e in the cell: the one anchor check of every t-n entry point."""
+    at = _position_mask(T, e.vertices)
+    if at is None:
+        raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {T.labels}")
+    return at
+
+
+def _anchor_table(T: GeometricSimplex, e: AbstractSimplex, k: int):
+    """Anchor e's position mask and ``_basis_table``; the degree is checked before the anchor."""
+    table = _basis_table(e.dim, len(T.labels) - 1, k)
+    return _anchor(T, e), table
+
+
+def _entry(T: GeometricSimplex, elem: TnBasisElement, at: int):
+    """The element's ``_element_table`` entry and its anchor's face masks; raises when f is not a face of the cell."""
+    n = len(T.labels)
+    faces, normal_mask = _deposit(at, n)
+    m = normal_mask.get(_position_mask(T, elem.f.vertices))
+    if m is None:
+        raise ValueError(f"face f={elem.f.vertices} is not a face of the cell with labels {T.labels}")
+    return _element_table(elem.e.dim, n - 1)[m, elem.sigma], faces
 
 
 def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.ndarray]:
@@ -126,20 +184,13 @@ def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.nda
     return fs.frame_face, fs.frame_tn
 
 
-def _row_index(elem: TnBasisElement, labels: tuple[int, ...]) -> tuple[int, ...]:
-    """The 1-based, increasing frame rows an element wedges: its sigma tangents, then the normals of f minus e."""
-    normals = [j for j in labels if j not in elem.e]
-    rows = elem.sigma + tuple(elem.e.dim + 1 + i for i, j in enumerate(normals) if j in elem.f)
-    if len(rows) != len(elem.sigma) + elem.f.dim - elem.e.dim:
-        raise ValueError(f"face f={elem.f.vertices} is not a face of the cell with labels {labels}")
-    return rows
-
-
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
     """The constant-coefficient form of a basis element, in ambient coordinates."""
+    at = _anchor(T, elem.e)
     primal, dual = _frames(T, elem.e)
     frame = dual if elem.flavor == "dual" else primal
-    return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, T.labels)], d=len(frame))
+    (rows, *_), _ = _entry(T, elem, at)
+    return wedge_all([flat(frame[i]) for i in rows], d=len(frame))
 
 
 def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarray:
@@ -152,9 +203,9 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     pairing on its normals), so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
-    _, _, flat_index = _anchor_table(T.labels, e, k)
+    _, (_, _, flat_index) = _anchor_table(T, e, k)
     primal, dual = _frames(T, e)
-    return compound(primal @ dual.T, k).reshape(-1).take(flat_index)
+    return compound(primal.dot(dual.T), k).reshape(-1).take(flat_index)
 
 
 def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
@@ -167,32 +218,32 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     once through ``decompose_altk(T, e, d - k)``.  Raises when the pairing or
     collinearity fails its tolerance in :mod:`tnforms.errors`.
     """
+    at = _anchor(T, elem.e)
     if elem.flavor != "dual":
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
     primal, dual = _frames(T, elem.e)
-    d, rows = T.dim, _row_index(elem, T.labels)
-    k = len(rows)
-    face = AbstractSimplex._of(tuple(j for j in T.labels if j in elem.e or j not in elem.f))
-    partner = TnBasisElement._of(elem.e, face, complement(elem.sigma, elem.e.dim), "primal")
+    (rows, partner_rows, partner_mask, tau), faces = _entry(T, elem, at)
+    d, k = T.dim, len(rows)
+    partner = TnBasisElement._of(elem.e, _masked_face(T, faces[partner_mask]), tau, "primal")
     # each form is the maximal minors of its rows; the partner wedges the complementary primal rows
-    a = compound(dual[[i - 1 for i in rows]], k)[0]
-    b = compound(primal[[i - 1 for i in complement(rows, d)]], d - k)[0]
+    a = compound(dual.take(rows, axis=0), k)[0]
+    b = compound(primal.take(partner_rows, axis=0), d - k)[0]
     dual_form = _form(d, k, a)
 
     denominator = volume_coefficient(wedge(dual_form, _form(d, d - k, b)))
-    aa = float(a @ a)
-    scale = math.sqrt(aa) * math.sqrt(b @ b)
+    aa = float(a.dot(a))
+    scale = math.sqrt(aa) * math.sqrt(b.dot(b))
     if abs(denominator) <= DEGENERACY_RTOL * scale:
-        at = _context(elem, d, k)
-        raise ValueError(f"degenerate Hodge pairing at {at}: {abs(denominator):.3e} <= {DEGENERACY_RTOL} * {scale:.3e}")
+        where = _context(elem, d, k)
+        raise ValueError(f"degenerate Hodge pairing at {where}: {abs(denominator):.3e} <= {DEGENERACY_RTOL} * {scale:.3e}")
     c = aa / denominator
 
     starred = hodge_star(dual_form).coeffs
     r = starred - b * c
-    residual = math.sqrt(r @ r) / math.sqrt(starred @ starred)
+    residual = math.sqrt(r.dot(r)) / math.sqrt(starred.dot(starred))
     if residual > PAIRING_RTOL:
-        at = _context(elem, d, k)
-        raise ValueError(f"Hodge collinearity at {at}: relative residual {residual:.3e} > {PAIRING_RTOL}")
+        where = _context(elem, d, k)
+        raise ValueError(f"Hodge collinearity at {where}: relative residual {residual:.3e} > {PAIRING_RTOL}")
     return c, partner
 
 
@@ -210,8 +261,8 @@ def realize_all(
     element i's rows, so the whole basis is gathered from one compound of
     degree k.
     """
+    _, (idx, _, _) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    idx, _, _ = _anchor_table(T.labels, e, k)
     primal, dual = _frames(T, e)
     return compound(dual if flavor == "dual" else primal, k)[list(idx)]

@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 from itertools import combinations
 
@@ -31,6 +32,8 @@ from tnforms.simplex import (
     GeometricSimplex,
     all_subsimplices,
     barycentric_gradients,
+    _masked_face,
+    _position_mask,
     induced_facet_frame,
     nef_frames,
     random_simplex,
@@ -47,7 +50,8 @@ from tnforms.tnbasis import (
     realize,
     realize_all,
 )
-from tnforms.tnbasis import _anchor_table, _basis_table, _frames, _row_index
+import tnforms.tnbasis as tnbasis
+from tnforms.tnbasis import _anchor, _basis_table, _deposit, _element_table, _entry, _frames
 
 RNG = np.random.default_rng(2024)
 
@@ -92,14 +96,28 @@ def _ref_elements(cell, e, k, flavor="primal"):
     ]
 
 
+def _offsets(mask):
+    """The normal offsets a normal-offset mask's bits name, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _ref_decompose_altk(T, e, k, flavor="primal"):
-    """The table comprehension with every face and element validated by its public constructor."""
-    _, elements, _ = _anchor_table(T.labels, e, k)
+    """The former label merge: each face's labels sorted from e's and those its normal offsets name, validated."""
+    elements = _basis_table(e.dim, T.dim, k)[1]
+    assert set(T.labels).issuperset(e.vertices)
     outside = tuple(j for j in T.labels if j not in e)
     return [
-        TnBasisElement(e, AbstractSimplex(tuple(sorted(e.vertices + tuple(outside[i] for i in normals)))), sigma, flavor)
-        for sigma, normals in elements
+        TnBasisElement(e, AbstractSimplex(tuple(sorted(e.vertices + tuple(outside[i] for i in _offsets(m))))), sigma, flavor)
+        for sigma, m in elements
     ]
+
+
+def _ref_row_index(elem, labels):
+    """The 1-based, increasing frame rows an element wedges: its sigma tangents, then the normals of f minus e."""
+    normals = [j for j in labels if j not in elem.e]
+    rows = elem.sigma + tuple(elem.e.dim + 1 + i for i, j in enumerate(normals) if j in elem.f)
+    assert len(rows) == len(elem.sigma) + elem.f.dim - elem.e.dim
+    return rows
 
 
 def _ref_compound_positions(labels, e, k):
@@ -113,7 +131,7 @@ def _ref_compound_positions(labels, e, k):
 
 def _table_rows(s, d, k):
     """The frame rows of each element of ``_basis_table(s, d, k)``: sigma, then the normal rows."""
-    return [sigma + tuple(s + 1 + i for i in normals) for sigma, normals in _basis_table(s, d, k)[1]]
+    return [sigma + tuple(s + 1 + i for i in _offsets(m)) for sigma, m in _basis_table(s, d, k)[1]]
 
 
 # Reference hodge rows: the former hodge flavor, whose element (e, f, sigma)
@@ -145,7 +163,7 @@ def _ref_hodge_rows(T, e, k):
 
 
 def _ref_wedge_rows(frame, elem, labels):
-    return wedge_all([flat(frame[i - 1]) for i in _row_index(elem, labels)], d=len(frame))
+    return wedge_all([flat(frame[i - 1]) for i in _ref_row_index(elem, labels)], d=len(frame))
 
 
 def _ref_hodge_coefficient(T, elem):
@@ -218,12 +236,21 @@ class TestDecomposition:
                     assert all(c == binomial(s, ell - k) for c in per_face.values())
 
     def test_anchor_outside_cell_rejected(self):
+        # all five entry points name an anchor outside the cell alike, before the
+        # flavor of an element is looked at
         T = random_simplex(3, RNG)
-        for e in (simplex(7), simplex(2, 9)):
-            with pytest.raises(ValueError, match=r"e=\(.*\) is not a face of the cell with labels \(0, 1, 2, 3\)"):
-                decompose_altk(T, e, 1)
-            with pytest.raises(ValueError, match="is not a face of the cell"):
-                pairing_matrix(T, e, 1)
+        for e in (simplex(7), simplex(2, 9), simplex(0, 7)):
+            msg = rf"^anchor e={re.escape(str(e.vertices))} is not a face of the cell with labels \(0, 1, 2, 3\)$"
+            for call in (
+                lambda: decompose_altk(T, e, 1),
+                lambda: pairing_matrix(T, e, 1),
+                lambda: realize_all(T, e, 1),
+                lambda: realize(TnBasisElement(e, e, ()), T),
+                lambda: hodge_coefficient(T, TnBasisElement(e, e, (), "dual")),
+                lambda: hodge_coefficient(T, TnBasisElement(e, e, ())),
+            ):
+                with pytest.raises(ValueError, match=msg):
+                    call()
 
     @pytest.mark.parametrize("d", range(8))
     def test_table_matches_deleted_enumeration(self, d):
@@ -249,7 +276,7 @@ class TestDecomposition:
         assert np.array_equal(flat_index, np.arange(n * n).reshape(n, n)[np.ix_(idx, idx)])
         assert [sequences(k, d)[i] for i in idx] == rows
         # face dimension s + (number of normals) never decreases
-        counts = [len(normals) for _, normals in elements]
+        counts = [bin(m).count("1") for _, m in elements]
         assert counts == sorted(counts)
         # the complementary rows of degree k run once through those of degree d - k
         assert sorted(complement(r, d) for r in rows) == sorted(_table_rows(s, d, d - k))
@@ -351,12 +378,17 @@ def _fields(el):
     return el.e.vertices, el.f.vertices, el.sigma, el.flavor
 
 
+def _label_sets(d):
+    """Default labels, evenly spread labels and uneven ones, for a d-cell."""
+    return tuple(range(d + 1)), tuple(range(2, 3 * d + 3, 3)), tuple(range(2, 3 * d + 2, 3)) + (30,)
+
+
 class TestUncheckedElements:
     @pytest.mark.parametrize("d", range(7))
     def test_match_validated_elements(self, d):
         # elements named from the table equal, and hash like, the validated
-        # ones, on default and spread labels, for every anchor, degree and flavor
-        for labels in (tuple(range(d + 1)), tuple(range(2, 3 * d + 3, 3))):
+        # ones, on default, spread and uneven labels, for every anchor, degree and flavor
+        for labels in _label_sets(d):
             T = GeometricSimplex(reference_simplex(d).vertices, labels=labels)
             for e in all_subsimplices(T):
                 for k in range(d + 1):
@@ -387,15 +419,31 @@ class TestUncheckedElements:
             decompose_altk(T, simplex(7), 1, "nope")
         with pytest.raises(ValueError, match="unknown flavor 'nope'"):
             decompose_altk(T, simplex(0), 1, "nope")
+        with pytest.raises(ValueError, match="got k=5, d=3"):
+            realize_all(T, simplex(7), 5, "nope")
+        with pytest.raises(ValueError, match="got k=5, d=3"):
+            pairing_matrix(T, simplex(7), 5)
+        with pytest.raises(ValueError, match=r"anchor e=\(7,\) is not a face"):
+            realize_all(T, simplex(7), 1, "nope")
+        with pytest.raises(ValueError, match="unknown flavor 'nope'"):
+            realize_all(T, simplex(0), 1, "nope")
+        # an element's flavor is checked after its anchor and before its face
+        with pytest.raises(ValueError, match="defined for dual-flavor elements"):
+            hodge_coefficient(T, TnBasisElement(simplex(0), simplex(0, 7), ()))
 
     def test_no_element_is_validated_per_call(self, monkeypatch):
-        T = random_simplex(4, RNG)
-        anchors = all_subsimplices(T)
-        elements = [el for e in anchors for k in range(5) for el in decompose_altk(T, e, k, "dual")]
+        # no face or element is re-validated, and naming faces and partners reads
+        # masks, never AbstractSimplex.__contains__, on a fresh cell too
+        base = GeometricSimplex(random_simplex(4, RNG).vertices, labels=(2, 5, 8, 11, 30))
+        anchors = all_subsimplices(base)
+        elements = [el for e in anchors for k in range(5) for el in decompose_altk(base, e, k, "dual")]
+        T = GeometricSimplex(base.vertices, labels=base.labels)
         calls = []
         for cls in (AbstractSimplex, TnBasisElement):
             check = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: calls.append(self) or check(self))
+        contains = AbstractSimplex.__contains__
+        monkeypatch.setattr(AbstractSimplex, "__contains__", lambda self, j: calls.append(j) or contains(self, j))
         for e in anchors:
             for k in range(5):
                 for flavor in FLAVORS:
@@ -403,6 +451,71 @@ class TestUncheckedElements:
         for el in elements:
             hodge_coefficient(T, el)
         assert calls == []
+
+
+class TestMaskTables:
+    # rows, partners and faces are read from label-free tables keyed by position
+    # masks; the tables are sized by dimensions, and a cell's face cache by its faces
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_rows_match_row_index_oracle(self, d):
+        # for every anchor, degree and sigma the table's rows are the oracle's,
+        # 0-based, and its complementary rows are the partner's
+        for labels in _label_sets(d)[:2]:
+            T = GeometricSimplex(reference_simplex(d).vertices, labels=labels)
+            for e in all_subsimplices(T):
+                at, seen = _anchor(T, e), set()
+                for k in range(d + 1):
+                    for el in decompose_altk(T, e, k, "dual"):
+                        (rows, partner_rows, partner_mask, tau), faces = _entry(T, el, at)
+                        want = _ref_row_index(el, labels)
+                        assert tuple(rows.tolist()) == tuple(i - 1 for i in want)
+                        assert tuple(partner_rows.tolist()) == tuple(i - 1 for i in complement(want, d))
+                        partner = TnBasisElement(e, _masked_face(T, faces[partner_mask]), tau)
+                        assert _ref_row_index(partner, labels) == complement(want, d)
+                        assert faces[partner_mask] == _position_mask(T, partner.f.vertices)
+                        seen.add((el.f, el.sigma))
+                assert len(seen) == len(_element_table(e.dim, d)) == 2**d
+
+    def test_tables_are_sized_by_dimensions(self):
+        # the element table holds 2^d entries per (s, d) and the deposit table at
+        # most 3^n per n, whatever the cell, its labels or the number of calls
+        _element_table.cache_clear()
+        _deposit.cache_clear()
+
+        def sweep(T, realized):
+            for e in all_subsimplices(T):
+                for k in range(T.dim + 1):
+                    for el in decompose_altk(T, e, k, "dual"):
+                        hodge_coefficient(T, el)
+                        if realized:
+                            realize(el, T)
+
+        dims, rng = range(6), np.random.default_rng(130)
+        for d in dims:
+            sweep(random_simplex(d, rng), True)
+        sizes = _element_table.cache_info().currsize, _deposit.cache_info().currsize
+        assert sizes == (sum(d + 1 for d in dims), sum(2 ** (d + 1) - 1 for d in dims))
+        for d in dims:
+            sweep(GeometricSimplex(random_simplex(d, rng).vertices, labels=_label_sets(d)[2]), False)
+        assert (_element_table.cache_info().currsize, _deposit.cache_info().currsize) == sizes
+        elements = sum(len(_element_table(s, d)) for d in dims for s in range(d + 1))
+        assert elements <= sum((d + 1) * 2**d for d in dims)
+        for n in range(1, 8):
+            assert sum(len(_deposit(at, n)[0]) for at in range(1, 2**n)) <= 3**n
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_face_cache_is_bounded_by_the_faces(self, d):
+        T = GeometricSimplex(random_simplex(d, np.random.default_rng(140 + d)).vertices, labels=_label_sets(d)[2])
+        for _ in range(2):
+            for e in all_subsimplices(T):
+                for k in range(d + 1):
+                    for flavor in FLAVORS:
+                        for el in decompose_altk(T, e, k, flavor):
+                            assert T._masked[_position_mask(T, el.f.vertices)] is el.f
+                    hodge_coefficient(T, decompose_altk(T, e, k, "dual")[-1])
+            assert len(T._masked) <= 2 ** (d + 1) - 1
+        assert sorted(T._masked) == list(range(1, 2 ** (d + 1)))
 
 
 class TestZeroSimplex:
@@ -527,7 +640,7 @@ class TestAgainstReference:
                 assert all(p.flavor == "primal" and len(p.sigma) + p.f.dim - p.e.dim == d - k for p in partners)
                 # a partner wedges the complementary frame rows
                 for el, p in zip(dual, partners):
-                    assert _row_index(p, T.labels) == complement(_row_index(el, T.labels), d)
+                    assert _ref_row_index(p, T.labels) == complement(_ref_row_index(el, T.labels), d)
                 idx = [position[p.f, p.sigma] for p in partners]
                 assert sorted(idx) == list(range(binomial(d, k)))
                 starred = _star(realize_all(T, e, d - k), d - k, d)[idx]
@@ -540,14 +653,17 @@ class TestCoefficientArrays:
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_hodge_coefficient_matches_altform_chain(self, d):
-        T = random_simplex(d, np.random.default_rng(90 + d))
-        for e in all_subsimplices(T):
-            for k in range(d + 1):
-                for el in decompose_altk(T, e, k, "dual"):
-                    c, partner = hodge_coefficient(T, el)
-                    ref_c, ref_partner, residual = _ref_hodge_coefficient(T, el)
-                    assert type(c) is float and np.float64(c).tobytes() == np.float64(ref_c).tobytes()
-                    assert partner == ref_partner and residual <= 1e-12
+        unit = random_simplex(d, np.random.default_rng(90 + d))
+        for labels in _label_sets(d)[::2]:
+            T = GeometricSimplex(unit.vertices, labels=labels)
+            for e in all_subsimplices(T):
+                for k in range(d + 1):
+                    for el in decompose_altk(T, e, k, "dual"):
+                        c, partner = hodge_coefficient(T, el)
+                        ref_c, ref_partner, residual = _ref_hodge_coefficient(T, el)
+                        assert type(c) is float and c.hex() == ref_c.hex()
+                        assert partner == ref_partner and hash(partner) == hash(ref_partner)
+                        assert _fields(partner) == _fields(ref_partner) and residual <= 1e-12
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_pairing_matrix_matches_ix_gather(self, d):
@@ -647,7 +763,7 @@ class TestHodgeCoefficient:
         # d - dim f gradients of the opposite face, each scaling as 1/s, so c
         # scales as s^(d + dim e - 2 dim f) and the partner does not change.
         unit = random_simplex(d, np.random.default_rng(50 + d))
-        elems = [decompose_altk(unit, e, k, "dual")[0] for e in all_subsimplices(unit) for k in range(d + 1)]
+        elems = [el for e in all_subsimplices(unit) for k in range(d + 1) for el in decompose_altk(unit, e, k, "dual")]
         want = [hodge_coefficient(unit, el) for el in elems]
         for scale in (1e-6, 1e3, 1e6):
             T = GeometricSimplex(scale * unit.vertices)
