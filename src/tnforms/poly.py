@@ -7,10 +7,12 @@ points and Bernstein coefficients are interchangeable through a cached
 generalized Vandermonde matrix; degrees are capped at MAX_DEGREE because
 that conversion degrades for large r.
 
-Every monomial value goes through ``monomial_values_at``: it takes each
-barycentric power lambda_i^j once per point, in one power table, and
-gathers the lattice's exponents from it through a cached offset table, one
-barycentric column at a time.
+Every table reads the lattice from one cached integer array, ``_lattice_array``;
+the product table finds alpha + beta by its lexicographic rank, one binomial
+table read per coordinate.  ``monomial_values_at`` takes each barycentric
+power lambda_i^j once per point, in one power table, and gathers the
+lattice's exponents from it through a cached offset table, one barycentric
+column at a time.
 """
 
 from __future__ import annotations
@@ -35,11 +37,7 @@ def _lattice(dim: int, r: int) -> tuple[LatticeIndex, ...]:
         return ()
     if dim == 0:
         return ((r,),)
-    out = []
-    for first in range(r + 1):
-        for rest in _lattice(dim - 1, r - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(r + 1) for rest in _lattice(dim - 1, r - first))
 
 
 def lattice(dim: int, r: int) -> list[LatticeIndex]:
@@ -51,8 +49,11 @@ def lattice(dim: int, r: int) -> list[LatticeIndex]:
 
 
 @lru_cache(maxsize=None)
-def lattice_position(dim: int, r: int) -> dict[LatticeIndex, int]:
-    return {a: i for i, a in enumerate(_lattice(dim, r))}
+def _lattice_array(dim: int, r: int) -> np.ndarray:
+    """``_lattice(dim, r)`` as a read-only (M, dim + 1) integer array."""
+    out = np.array(_lattice(dim, r), dtype=np.intp).reshape(-1, dim + 1)
+    out.setflags(write=False)
+    return out
 
 
 def lattice_dimension(dim: int, r: int) -> int:
@@ -68,16 +69,14 @@ def interpolation_points(T: GeometricSimplex, r: int) -> np.ndarray:
     """Principal lattice points (1/r) sum alpha_i v_i, in lattice order."""
     if r < 1:
         raise ValueError("interpolation points need degree r >= 1")
-    idx = np.array(_lattice(T.dim, r), dtype=float)
-    return (idx @ T.vertices) / r
+    return (_lattice_array(T.dim, r).astype(float) @ T.vertices) / r
 
 
 @lru_cache(maxsize=None)
 def _exponent_offsets(dim: int, r: int) -> np.ndarray:
     """Row i holds i (r + 1) + alpha_i for every alpha: the row of
     lambda_i^alpha_i in the power table of ``monomial_values_at``."""
-    idx = np.array(_lattice(dim, r), dtype=np.intp).reshape(-1, dim + 1)
-    out = np.ascontiguousarray((idx + (r + 1) * np.arange(dim + 1)).T)
+    out = np.ascontiguousarray((_lattice_array(dim, r) + (r + 1) * np.arange(dim + 1)).T)
     out.setflags(write=False)
     return out
 
@@ -112,13 +111,9 @@ def monomial_values_at(dim: int, r: int, lams: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _moment_weights(dim: int, r: int) -> np.ndarray:
     """Moments of lambda^alpha over the unit-volume m-simplex, lattice order."""
-    out = np.array(
-        [
-            np.prod([factorial(a) for a in alpha]) * factorial(dim) / factorial(r + dim)
-            for alpha in _lattice(dim, r)
-        ],
-        dtype=float,
-    )
+    # Float products never wrap (int64 ones do once r! dim! passes 2^63) and are exact below 2^53; r < 0 has no points.
+    fact = np.array([factorial(a) for a in range(r + 1)], dtype=float)
+    out = fact[_lattice_array(dim, r)].prod(axis=1) * factorial(dim) / factorial(max(r, 0) + dim)
     out.setflags(write=False)
     return out
 
@@ -130,13 +125,16 @@ def bernstein_moments(T: GeometricSimplex, r: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _product_index(dim: int, r1: int, r2: int) -> np.ndarray:
-    """pos(alpha + beta) table for multiplying Bernstein coefficients."""
-    pos = lattice_position(dim, r1 + r2)
-    l1, l2 = _lattice(dim, r1), _lattice(dim, r2)
-    table = np.empty((len(l1), len(l2)), dtype=int)
-    for i, a in enumerate(l1):
-        for j, b in enumerate(l2):
-            table[i, j] = pos[tuple(x + y for x, y in zip(a, b))]
+    """pos(alpha + beta) table for multiplying Bernstein coefficients.
+
+    pos(gamma) = M - 1 - sum_{i >= 1} C(t_i + dim - i, dim - i + 1), the sum counting the lattice
+    points after gamma, with t_i = gamma_i + ... + gamma_dim; t_i adds, so a term is one read."""
+    r = r1 + r2
+    ta, tb = (np.cumsum(_lattice_array(dim, q)[:, ::-1], axis=1)[:, ::-1] for q in (r1, r2))
+    table = np.full((len(ta), len(tb)), lattice_dimension(dim, r) - 1, dtype=int)
+    for i in range(1, dim + 1):
+        after = np.array([binomial(t + dim - i, dim - i + 1) for t in range(r + 1)], dtype=int)
+        table -= after[ta[:, i, None] + tb[:, i]]
     table.setflags(write=False)
     return table
 
@@ -144,6 +142,9 @@ def _product_index(dim: int, r1: int, r2: int) -> np.ndarray:
 def multiply_bernstein(c1: np.ndarray, r1: int, c2: np.ndarray, r2: int, dim: int) -> np.ndarray:
     """Coefficients of the product polynomial, degree r1 + r2."""
     table = _product_index(dim, r1, r2)
+    got = (np.size(c1), np.size(c2))
+    if got != table.shape:
+        raise ValueError(f"degrees {(r1, r2)} on dim {dim} need coefficient lengths {table.shape}, got {got}")
     out = np.bincount(table.ravel(), weights=np.outer(c1, c2).ravel(), minlength=lattice_dimension(dim, r1 + r2))
     # bincount returns ints when the table is empty, at a negative degree.
     return out.astype(float, copy=False)
@@ -159,8 +160,7 @@ def nodal_vandermonde(dim: int, r: int) -> np.ndarray:
         raise ValueError("nodal basis needs degree r >= 1")
     if r > MAX_DEGREE:
         raise ValueError(f"degree {r} above supported cap {MAX_DEGREE}")
-    pts = np.array(_lattice(dim, r), dtype=float) / r
-    V = monomial_values_at(dim, r, pts)
+    V = monomial_values_at(dim, r, _lattice_array(dim, r) / r)
     V.setflags(write=False)
     return V
 

@@ -105,8 +105,6 @@ def _basis_table(s: int, d: int, k: int):
     C(d, k) x C(d, k) matrix, of the elements' rows and columns (read-only):
     the gather ``pairing_matrix`` takes.
     """
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
     keyed = sorted((sum(i > s for i in r), tuple(i - s - 1 for i in r if i > s), r) for r in sequences(k, d))
     pos = sequence_position(k, d)
     idx = tuple(pos[r] for _, _, r in keyed)
@@ -161,9 +159,11 @@ def _anchor(T: GeometricSimplex, e: AbstractSimplex) -> int:
 
 
 def _anchor_table(T: GeometricSimplex, e: AbstractSimplex, k: int):
-    """Anchor e's position mask and ``_basis_table``; the degree is checked before the anchor."""
-    table = _basis_table(e.dim, len(T.labels) - 1, k)
-    return _anchor(T, e), table
+    """Anchor e's position mask and ``_basis_table``; the degree is checked, then the anchor, then the table is built."""
+    d = len(T.labels) - 1
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
+    return _anchor(T, e), _basis_table(e.dim, d, k)
 
 
 def _entry(T: GeometricSimplex, elem: TnBasisElement, at: int):

@@ -1,4 +1,6 @@
 import tracemalloc
+from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from tnforms.poly import (
     lattice,
     lattice_carrier,
     lattice_dimension,
-    lattice_position,
     monomial_values_at,
     multiply_bernstein,
     nodal_to_bernstein,
@@ -31,6 +32,12 @@ from tnforms.simplex import (
 RNG = np.random.default_rng(99)
 
 
+@lru_cache(maxsize=None)
+def lattice_position(dim, r):
+    """Position of every multi-index of degree r in the lattice order."""
+    return {a: i for i, a in enumerate(lattice(dim, r))}
+
+
 def _bernstein_eval(coeffs, r, x, T):
     """sum_alpha c_alpha lambda(x)^alpha at one point x of T."""
     return float(monomial_values_at(T.dim, r, barycentric_coordinates(T, x))[0] @ np.asarray(coeffs))
@@ -44,7 +51,6 @@ def duffy_quadrature_integral(alpha, T, order):
     weights = 0.5 * weights
     total = 0.0
     from itertools import product
-    from math import factorial
 
     for combo in product(range(order), repeat=m):
         u = nodes[list(combo)]
@@ -314,6 +320,83 @@ def test_multiply_bernstein_matches_pair_loop(dim):
             got = multiply_bernstein(c1, r1, c2, r2, dim)
             assert got.dtype == np.float64
             assert np.array_equal(got, _ref_multiply_bernstein(c1, r1, c2, r2, dim))
+
+
+def test_product_length_mismatch_rejected():
+    # swapped vectors would pass bincount's total-length check and give a wrong product
+    c1, c2 = np.ones(lattice_dimension(2, 2)), np.ones(lattice_dimension(2, 3))
+    with pytest.raises(ValueError, match=r"^degrees \(2, 3\) on dim 2 need coefficient lengths \(6, 10\), got \(10, 6\)$"):
+        multiply_bernstein(c2, 2, c1, 3, 2)
+    with pytest.raises(ValueError, match=r"^degrees \(2, 3\) on dim 2 need coefficient lengths \(6, 10\), got \(6, 9\)$"):
+        multiply_bernstein(c1, 2, c2[:-1], 3, 2)
+    with pytest.raises(ValueError, match=r"^degrees \(-1, 1\) on dim 1 need coefficient lengths \(0, 2\), got \(1, 2\)$"):
+        multiply_bernstein(np.ones(1), -1, np.ones(2), 1, 1)
+
+
+def _ref_product_index(dim, r1, r2):
+    """The pair loop over position dicts that the lattice rank replaced."""
+    pos = lattice_position(dim, r1 + r2)
+    l1, l2 = lattice(dim, r1), lattice(dim, r2)
+    table = np.empty((len(l1), len(l2)), dtype=int)
+    for i, a in enumerate(l1):
+        for j, b in enumerate(l2):
+            table[i, j] = pos[tuple(x + y for x, y in zip(a, b))]
+    return table
+
+
+def _ref_moment_weights(dim, r):
+    """The factorial loop that the factorial table replaced."""
+    return np.array(
+        [np.prod([factorial(a) for a in alpha]) * factorial(dim) / factorial(r + dim) for alpha in lattice(dim, r)],
+        dtype=float,
+    )
+
+
+class TestTables:
+    @pytest.mark.parametrize("dim", range(7))
+    def test_lattice_array(self, dim):
+        for r in range(-1, MAX_DEGREE + 1):
+            got = poly._lattice_array(dim, r)
+            assert got.dtype == np.intp and got.shape == (lattice_dimension(dim, r), dim + 1)
+            assert not got.flags.writeable
+            assert got.tolist() == [list(a) for a in lattice(dim, r)]
+
+    @pytest.mark.parametrize("dim", range(7))
+    def test_product_index_matches_pair_loop(self, dim):
+        for r1 in range(-1, 6):
+            for r2 in range(-1, 6):
+                got, want = poly._product_index(dim, r1, r2), _ref_product_index(dim, r1, r2)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+
+    @pytest.mark.parametrize("dim", range(7))
+    def test_moment_weights_match_factorial_loop(self, dim):
+        for r in range(-1, MAX_DEGREE + 1):
+            got, want = poly._moment_weights(dim, r), _ref_moment_weights(dim, r)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("dim,r", [(3, 20), (5, 19), (2, 24)])
+    def test_moment_weights_do_not_wrap(self, dim, r):
+        # the int64 products of the factorial loop wrap once r! dim! passes 2^63
+        want = np.array([prod(map(factorial, a)) * factorial(dim) / factorial(r + dim) for a in lattice(dim, r)])
+        got = poly._moment_weights(dim, r)
+        assert np.max(np.abs(got - want) / want) <= 4 * np.finfo(float).eps
+
+    def test_product_index_working_set(self):
+        # no dense (r + 1)^(dim + 1) lookup: a cold table peaks near its own size
+        for table in (poly._product_index, poly._lattice_array, poly._lattice):
+            table.cache_clear()
+        tracemalloc.start()
+        try:
+            got = poly._product_index(6, 5, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (462, 462)
+        assert peak <= 6 * got.nbytes
 
 
 def _points_per_face(d, r):

@@ -597,6 +597,19 @@ class TestRealization:
                     decompose_altk(T, g, k)
         assert _basis_table.cache_info().currsize <= sum((d + 1) ** 2 for d in range(1, 7))
 
+    def test_rejected_anchors_build_no_table(self):
+        # the anchor is checked before the table is built, so an anchor with more
+        # labels than the cell leaves no table keyed by its size; the degree is still checked first
+        T = reference_simplex(3)
+        decompose_altk(T, simplex(0, 1), 1)
+        size = _basis_table.cache_info().currsize
+        for m in range(5, 40):
+            with pytest.raises(ValueError, match=r"^anchor e=\(0, 1, 2, .* is not a face"):
+                decompose_altk(T, simplex(*range(m)), 1)
+            with pytest.raises(ValueError, match="got k=5, d=3"):
+                decompose_altk(T, simplex(*range(m)), 5)
+        assert _basis_table.cache_info().currsize == size
+
     def test_k0_constant(self):
         T = random_simplex(2, RNG)
         elems = decompose_altk(T, simplex(1), 0)
