@@ -10,9 +10,9 @@ that conversion degrades for large r.
 Every table reads the lattice from one cached integer array, ``_lattice_array``;
 the product table finds alpha + beta by its lexicographic rank, one binomial
 table read per coordinate.  ``monomial_values_at`` takes each barycentric
-power lambda_i^j once per point, in one power table, and gathers the
-lattice's exponents from it through a cached offset table, one barycentric
-column at a time.
+power lambda_i^j once per point, in one power table made by one contiguous
+``**``, and gathers the lattice's exponents from it through a cached offset
+table, one barycentric column at a time, switching no floating-point state.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ LatticeIndex = tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _lattice(dim: int, r: int) -> tuple[LatticeIndex, ...]:
+    if dim < 0:
+        raise ValueError(f"a lattice needs dimension dim >= 0, got dim={dim}")
     if r < 0:
         return ()
     if dim == 0:
@@ -73,24 +75,25 @@ def interpolation_points(T: GeometricSimplex, r: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _exponent_offsets(dim: int, r: int) -> np.ndarray:
-    """Row i holds i (r + 1) + alpha_i for every alpha: the row of
-    lambda_i^alpha_i in the power table of ``monomial_values_at``."""
-    out = np.ascontiguousarray((_lattice_array(dim, r) + (r + 1) * np.arange(dim + 1)).T)
-    out.setflags(write=False)
-    return out
+def _power_tables(dim: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent j of power-table row i (r + 1) + j, and per column i the rows i (r + 1) + alpha_i."""
+    exps = np.tile(np.arange(r + 1.0), dim + 1)
+    off = np.ascontiguousarray((_lattice_array(dim, r) + (r + 1) * np.arange(dim + 1)).T)
+    exps.setflags(write=False)
+    off.setflags(write=False)
+    return exps, off
 
 
 def monomial_values_at(dim: int, r: int, lams: np.ndarray) -> np.ndarray:
     """Matrix of lambda^alpha values, one row per barycentric-coordinate row.
 
-    For P points and M monomials, one power table holds lambda_i^j for every
-    column i, j <= r and point, so pow runs P (dim + 1) (r + 1) times, not
-    P M (dim + 1).  The monomials are gathered from its rows one barycentric
-    column at a time and multiplied in column order, so besides the table
-    at most two arrays of the result's size are alive: the (M, P) product
-    and one gathered column, or at the end the product's C-ordered (P, M)
-    transpose, which is returned.
+    For P points and M monomials, row i (r + 1) + j of a ((dim + 1)(r + 1), P) power table
+    holds lambda_i^j: P (dim + 1) (r + 1) pow calls, not P M (dim + 1).  It is one ``**`` of
+    two C-contiguous operands of its shape, never an exponent numpy may take as a scalar:
+    its scalar loop squares by x * x, which differs from pow in the last bit.  Gathering
+    one barycentric column at a time and multiplying in place keeps at most two result-sized
+    arrays alive besides the table; the C-ordered (P, M) transpose is returned.  Finite
+    powers raise no warning; an infinite one times a zero power is NaN with a RuntimeWarning.
     """
     lams = np.atleast_2d(lams)
     if lams.ndim != 2 or lams.shape[1] != dim + 1:
@@ -99,12 +102,11 @@ def monomial_values_at(dim: int, r: int, lams: np.ndarray) -> np.ndarray:
         # The one monomial lambda_0^r.  A scalar exponent keeps numpy's exact
         # paths (x * x at r = 2), which an exponent table would bypass.
         return np.ones((lams.shape[0], 1)) * lams**r
-    off = _exponent_offsets(dim, r)
-    with np.errstate(invalid="ignore"):
-        pw = (lams[:, :, None] ** np.arange(r + 1)).reshape(len(lams), (dim + 1) * (r + 1)).T.copy()
-        vals = pw.take(off[0], axis=0).astype(float, copy=False)
-        for i in range(1, dim + 1):
-            vals *= pw.take(off[i], axis=0)
+    exps, off = _power_tables(dim, r)
+    pw = lams.T.repeat(r + 1, axis=0) ** exps.repeat(len(lams)).reshape(len(exps), len(lams))
+    vals = pw.take(off[0], axis=0).astype(float, copy=False)
+    for i in range(1, dim + 1):
+        vals *= pw.take(off[i], axis=0)
     return np.ascontiguousarray(vals.T)
 
 
@@ -184,6 +186,8 @@ def nodal_to_bernstein(dim: int, r: int) -> np.ndarray:
 
 def embed_lattice_index(alpha_local: LatticeIndex, e: AbstractSimplex, n_labels: int) -> LatticeIndex:
     """Lift a multi-index over the vertices of e to one over all n_labels vertices."""
+    if len(alpha_local) != len(e) or e.vertices[-1] >= n_labels:
+        raise ValueError(f"multi-index {alpha_local} on labels {e.vertices} does not embed in {n_labels} labels")
     full = [0] * n_labels
     for pos, label in enumerate(e.vertices):
         full[label] = alpha_local[pos]
@@ -192,4 +196,6 @@ def embed_lattice_index(alpha_local: LatticeIndex, e: AbstractSimplex, n_labels:
 
 def restrict_lattice_index(alpha: LatticeIndex, e: AbstractSimplex) -> LatticeIndex:
     """Restrict a full multi-index supported on e to e's own vertices."""
+    if any(a > 0 for label, a in enumerate(alpha) if label not in e):
+        raise ValueError(f"multi-index {alpha} is positive outside the labels {e.vertices} of e")
     return tuple(alpha[label] for label in e.vertices)

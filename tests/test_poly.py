@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from functools import lru_cache
 from math import factorial, prod
 
@@ -81,6 +82,22 @@ class TestLattice:
 
     def test_negative_degree_is_empty(self):
         assert lattice(2, -1) == []
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: lattice(-1, 2),
+            lambda: monomial_values_at(-1, 2, np.zeros((3, 0))),
+            lambda: multiply_bernstein(np.ones(1), 0, np.ones(1), 0, dim=-1),
+            lambda: nodal_vandermonde(-1, 2),
+            lambda: nodal_to_bernstein(-1, 2),
+        ],
+        ids=["lattice", "monomial_values_at", "multiply_bernstein", "nodal_vandermonde", "nodal_to_bernstein"],
+    )
+    def test_negative_dim_rejected(self, entry):
+        # used to recurse without end, to RecursionError
+        with pytest.raises(ValueError, match=r"dim=-1"):
+            entry()
 
     @pytest.mark.parametrize("dim,r", [(1, 4), (2, 3), (3, 5)])
     def test_counts(self, dim, r):
@@ -249,6 +266,18 @@ class TestProductsAndConversions:
         f = simplex(1, 3)
         beta = (2, 1)
         assert restrict_lattice_index(embed_lattice_index(beta, f, 5), f) == beta
+        assert restrict_lattice_index((2, 0, 1), simplex(0, 2)) == (2, 1)
+
+    def test_restrict_rejects_mass_outside_e(self):
+        # used to return (1,), a degree-1 index from a degree-2 one
+        with pytest.raises(ValueError, match=r"\(1, 1, 0\) is positive outside the labels \(0,\) of e"):
+            restrict_lattice_index((1, 1, 0), simplex(0))
+
+    @pytest.mark.parametrize("alpha,labels", [((1, 2, 3), (0, 2)), ((1,), (0, 2)), ((1, 2), (0, 4))])
+    def test_embed_rejects_a_mismatch(self, alpha, labels):
+        # the first used to drop the 3, the last to raise a bare IndexError
+        with pytest.raises(ValueError, match=r"does not embed in 4 labels"):
+            embed_lattice_index(alpha, simplex(*labels), 4)
 
 
 def _ref_monomial_values(dim, r, lams):
@@ -264,18 +293,35 @@ class TestMonomialValues:
         inside = RNG.dirichlet(np.ones(dim + 1), size=32)
         outside = RNG.standard_normal((8, dim + 1))
         vertices = np.eye(dim + 1, dtype=int)
-        for lams in (inside, outside, inside[0], vertices):
-            for r in range(-1, MAX_DEGREE + 1):
-                got = monomial_values_at(dim, r, lams)
-                assert got.shape == (len(np.atleast_2d(lams)), lattice_dimension(dim, r))
-                assert got.dtype == np.float64 and got.flags.c_contiguous
-                assert np.array_equal(got, _ref_monomial_values(dim, r, lams))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # finite rows warn nothing
+            for lams in (inside, outside, inside[0], vertices, inside[:0]):
+                for r in range(-1, MAX_DEGREE + 1):
+                    got = monomial_values_at(dim, r, lams)
+                    assert got.shape == (len(np.atleast_2d(lams)), lattice_dimension(dim, r))
+                    assert got.dtype == np.float64 and got.flags.c_contiguous
+                    assert np.array_equal(got, _ref_monomial_values(dim, r, lams))
 
     def test_vertex_rows_match_per_point_loop(self):
-        # dim = 0 has one monomial, lambda_0^r; many rows make a last-bit change in pow show
-        lams = RNG.standard_normal((2048, 1))
-        for r in range(-1, MAX_DEGREE + 1):
-            assert np.array_equal(monomial_values_at(0, r, lams), _ref_monomial_values(0, r, lams))
+        # many rows make a last-bit change in pow show, at dim = 0 (one monomial, lambda_0^r) and above
+        for dim in range(5):
+            lams = RNG.standard_normal((2048, dim + 1))
+            for r in range(-1, MAX_DEGREE + 1):
+                assert np.array_equal(monomial_values_at(dim, r, lams), _ref_monomial_values(dim, r, lams))
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
+    def test_non_finite_rows_match_per_point_loop(self, dim):
+        lams = RNG.standard_normal((64, dim + 1))
+        lams[RNG.random(lams.shape) < 0.3] = np.inf
+        lams[RNG.random(lams.shape) < 0.2] = -np.inf
+        lams[RNG.random(lams.shape) < 0.2] = np.nan
+        lams[RNG.random(lams.shape) < 0.2] = 0.0
+        lams[RNG.random(lams.shape) < 0.1] = -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0 in the products, here and in the loop
+            for r in range(-1, MAX_DEGREE + 1):
+                got, want = monomial_values_at(dim, r, lams), _ref_monomial_values(dim, r, lams)
+                assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_nodal_vandermonde_matches_per_point_loop(self, dim):
