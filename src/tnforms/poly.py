@@ -31,10 +31,14 @@ MAX_DEGREE = 10
 LatticeIndex = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _lattice(dim: int, r: int) -> tuple[LatticeIndex, ...]:
+def _check_dim(dim: int):
     if dim < 0:
         raise ValueError(f"a lattice needs dimension dim >= 0, got dim={dim}")
+
+
+@lru_cache(maxsize=None)
+def _lattice(dim: int, r: int) -> tuple[LatticeIndex, ...]:
+    _check_dim(dim)
     if r < 0:
         return ()
     if dim == 0:
@@ -59,6 +63,8 @@ def _lattice_array(dim: int, r: int) -> np.ndarray:
 
 
 def lattice_dimension(dim: int, r: int) -> int:
+    """The number of multi-indices ``lattice(dim, r)`` lists; a negative dim is a ValueError, as there."""
+    _check_dim(dim)
     return binomial(r + dim, dim) if r >= 0 else 0
 
 
@@ -196,6 +202,8 @@ def embed_lattice_index(alpha_local: LatticeIndex, e: AbstractSimplex, n_labels:
 
 def restrict_lattice_index(alpha: LatticeIndex, e: AbstractSimplex) -> LatticeIndex:
     """Restrict a full multi-index supported on e to e's own vertices."""
+    if len(alpha) <= e.vertices[-1]:
+        raise ValueError(f"multi-index {alpha} is too short for the labels {e.vertices} of e")
     if any(a > 0 for label, a in enumerate(alpha) if label not in e):
         raise ValueError(f"multi-index {alpha} is positive outside the labels {e.vertices} of e")
     return tuple(alpha[label] for label in e.vertices)

@@ -96,32 +96,46 @@ class GeometricSimplex:
 
     ``labels`` names the vertices; they default to 0..m and must ascend, so
     the stored vertex order is the ascending-label order that fixes the
-    simplex orientation.  They are checked by building the cell's
+    simplex orientation.  Given labels are checked by building the cell's
     :class:`AbstractSimplex` (non-negative, strictly increasing integers),
     which ``full_simplex`` returns.  Non-finite coordinates are a
     :class:`DegenerateSimplexError`.
+
+    The cell owns its vertices: ``vertices`` is a read-only float copy of
+    the input, so writing to the caller's array afterwards, or to
+    ``vertices``, cannot change a cell that passed its checks.  The
+    singular values of the edge matrix, descending, that the degeneracy and
+    volume checks read are kept read-only in ``_svals``.
     """
 
     vertices: np.ndarray
     labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)
         if v.ndim != 2:
             raise ValueError("vertices must be a 2-D array (rows = points)")
         if not np.isfinite(v).all():
             raise DegenerateSimplexError("non-finite vertex coordinates")
+        v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         m = v.shape[0] - 1
         if m > self.ambient_dim:
             raise ValueError(f"{m}-simplex cannot live in R^{self.ambient_dim}")
-        labels = tuple(range(m + 1)) if self.labels is None else tuple(self.labels)
-        if len(labels) != m + 1:
-            raise ValueError("one label per vertex required")
-        full = AbstractSimplex(labels)
+        if m < 0:  # default labels skip AbstractSimplex's checks; no vertex is the one they could fail
+            raise ValueError("abstract simplex needs at least one vertex")
+        if self.labels is None:
+            full = AbstractSimplex._of(tuple(range(m + 1)))
+        else:
+            labels = tuple(self.labels)
+            if len(labels) != m + 1:
+                raise ValueError("one label per vertex required")
+            full = AbstractSimplex(labels)
         object.__setattr__(self, "labels", full.vertices)
         object.__setattr__(self, "_full", full)
         svals = np.linalg.svd(self.edge_matrix, compute_uv=False) if m >= 1 else np.ones(1)
+        svals.flags.writeable = False
+        object.__setattr__(self, "_svals", svals)
         if svals[-1] <= DEGENERACY_RTOL * svals[0]:
             raise DegenerateSimplexError(f"singular values {svals[-1]:.3e} <= {DEGENERACY_RTOL} * {svals[0]:.3e}")
         content = prod(svals.tolist())  # m! times the volume; a Python product overflows to inf without a warning
@@ -234,27 +248,35 @@ def reference_simplex(d: int) -> GeometricSimplex:
     return GeometricSimplex(_reference_vertices(d))
 
 
+@lru_cache(maxsize=None)
 def _reference_vertices(d: int) -> np.ndarray:
-    """The vertices 0, e_1, ..., e_d as rows; a negative d is a ValueError."""
+    """The vertices 0, e_1, ..., e_d as read-only rows; a negative d is a ValueError."""
     if d < 0:
         raise ValueError(f"a simplex needs dimension d >= 0, got d={d}")
-    return np.eye(d + 1, d, k=-1)
+    out = np.eye(d + 1, d, k=-1)
+    out.flags.writeable = False
+    return out
 
 
 def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> GeometricSimplex:
     """Well-shaped random simplex: perturbed reference, resampled until conditioned.
 
-    ``scale`` multiplies every vertex; a zero or non-finite scale is a ValueError.
+    Each candidate is the reference cell with every coordinate moved by at
+    most 0.3, times ``scale``, built as a :class:`GeometricSimplex`; it is
+    resampled while the cell's own singular values have
+    sigma_min <= 0.15 sigma_max, so a candidate costs one SVD.  The
+    construction checks come first: a candidate within ``DEGENERACY_RTOL``
+    of degenerate, or of unrepresentable volume, raises rather than being
+    resampled.  A zero or non-finite ``scale`` is a ValueError, raised
+    before any draw.
     """
     if not (isfinite(scale) and scale != 0.0):
         raise ValueError(f"random_simplex needs a finite, non-zero scale, got {scale}")
     base = _reference_vertices(d)
     while True:
-        v = scale * (base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape))
-        e = (v[1:] - v[0]).T
-        svals = np.linalg.svd(e, compute_uv=False)
-        if d == 0 or svals[-1] > 0.15 * svals[0]:  # a vertex has no edges to condition
-            return GeometricSimplex(v)
+        T = GeometricSimplex(scale * (base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape)))
+        if T._svals[-1] > 0.15 * T._svals[0]:  # a vertex's one singular value 1 passes
+            return T
 
 
 def barycentric_gradients(T: GeometricSimplex) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -91,11 +92,19 @@ class TestLattice:
             lambda: multiply_bernstein(np.ones(1), 0, np.ones(1), 0, dim=-1),
             lambda: nodal_vandermonde(-1, 2),
             lambda: nodal_to_bernstein(-1, 2),
+            lambda: lattice_dimension(-1, 2),
         ],
-        ids=["lattice", "monomial_values_at", "multiply_bernstein", "nodal_vandermonde", "nodal_to_bernstein"],
+        ids=[
+            "lattice",
+            "monomial_values_at",
+            "multiply_bernstein",
+            "nodal_vandermonde",
+            "nodal_to_bernstein",
+            "lattice_dimension",
+        ],
     )
     def test_negative_dim_rejected(self, entry):
-        # used to recurse without end, to RecursionError
+        # used to recurse without end, to RecursionError; lattice_dimension returned 0
         with pytest.raises(ValueError, match=r"dim=-1"):
             entry()
 
@@ -272,6 +281,12 @@ class TestProductsAndConversions:
         # used to return (1,), a degree-1 index from a degree-2 one
         with pytest.raises(ValueError, match=r"\(1, 1, 0\) is positive outside the labels \(0,\) of e"):
             restrict_lattice_index((1, 1, 0), simplex(0))
+
+    @pytest.mark.parametrize("alpha", [(), (1,), (1, 0)])
+    def test_restrict_rejects_a_short_index(self, alpha):
+        # (1,) used to raise a bare IndexError
+        with pytest.raises(ValueError, match=rf"{re.escape(str(alpha))} is too short for the labels \(0, 2\) of e"):
+            restrict_lattice_index(alpha, simplex(0, 2))
 
     @pytest.mark.parametrize("alpha,labels", [((1, 2, 3), (0, 2)), ((1,), (0, 2)), ((1, 2), (0, 4))])
     def test_embed_rejects_a_mismatch(self, alpha, labels):

@@ -116,6 +116,17 @@ def _ref_pairing_ratio(p):
     return ratio
 
 
+def _ref_random_simplex(d, rng, scale=1.0):
+    """The two-SVD loop random_simplex replaced: its own SVD of each candidate, then the constructor's."""
+    base = np.eye(d + 1, d, k=-1)
+    while True:
+        v = scale * (base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape))
+        e = (v[1:] - v[0]).T
+        svals = np.linalg.svd(e, compute_uv=False)
+        if d == 0 or svals[-1] > 0.15 * svals[0]:
+            return GeometricSimplex(v)
+
+
 def _faces(T):
     cell = simplex(*T.labels)
     return [f for s in range(T.dim + 1) for f in subsimplices(cell, s)]
@@ -891,8 +902,11 @@ class TestHelpers:
 
     @pytest.mark.parametrize("scale", [0.0, -0.0, math.nan, math.inf])
     def test_random_simplex_rejects_a_bad_scale(self, scale):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match=f"non-zero scale, got {scale}"):
-            random_simplex(3, np.random.default_rng(5), scale)
+            random_simplex(3, rng, scale)
+        assert rng.bit_generator.state == state  # raised before any draw
 
     def test_random_simplex_negative_scale(self):
         a = random_simplex(3, np.random.default_rng(5), -2.0).vertices
@@ -913,3 +927,63 @@ class TestHelpers:
     def test_tangent_basis_of_vertex_empty(self):
         T = random_simplex(2, RNG)
         assert tangent_basis(T, simplex(1)).shape == (0, 2)
+
+
+class _Draws:
+    """A generator stand-in whose ``uniform`` returns the given arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def uniform(self, low, high, size):
+        out = next(self.draws)
+        assert out.shape == size
+        return out
+
+
+class TestCellConstruction:
+    @pytest.mark.parametrize("scale", [1e-14, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("d", range(7))
+    def test_random_simplex_matches_the_two_svd_loop(self, d, scale):
+        rng, ref_rng = np.random.default_rng([d, 23]), np.random.default_rng([d, 23])
+        for _ in range(50):
+            T, ref = random_simplex(d, rng, scale), _ref_random_simplex(d, ref_rng, scale)
+            assert T.vertices.tobytes() == ref.vertices.tobytes() and T.vertices.shape == ref.vertices.shape
+            assert T.labels == ref.labels
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_a_degenerate_candidate_raises(self):
+        # the one departure from the two-SVD loop, which resampled it: the constructor's check comes first
+        flat = np.array([[0.0, 0.0], [0.0, 0.0], [2.0 / 0.3, -1.0 / 0.3]])  # the last vertex lands on (2, 0)
+        regular = np.zeros((3, 2))
+        assert _ref_random_simplex(2, _Draws(flat, regular)).vertices.tobytes() == np.eye(3, 2, k=-1).tobytes()
+        with pytest.raises(DegenerateSimplexError, match="singular values"):
+            random_simplex(2, _Draws(flat, regular))
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_singular_values_are_kept_read_only(self, d):
+        T = random_simplex(d, RNG, 10.0 ** RNG.uniform(-3.0, 3.0))
+        want = np.linalg.svd(T.edge_matrix, compute_uv=False) if d else np.ones(1)
+        assert T._svals.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            T._svals[0] = 1.0
+
+    def test_a_cell_owns_its_vertices(self):
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        T = GeometricSimplex(v)
+        v[2] = [0.0, 1e-20]  # used to make T a degenerate triangle that still read volume 0.5
+        assert T.vertices.tobytes() == np.eye(3, 2, k=-1).tobytes() and T.volume == 0.5
+        assert not np.shares_memory(T.vertices, v)
+
+    def test_vertices_are_read_only(self):
+        T = GeometricSimplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            T.vertices[2] = [0.0, 1e-20]  # used to skip every construction check
+        R = reference_simplex(2)
+        assert not R.vertices.flags.writeable
+        assert not np.shares_memory(R.vertices, reference_simplex(2).vertices)
+
+    @pytest.mark.parametrize("labels", [None, ()])
+    def test_no_vertices_rejected(self, labels):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            GeometricSimplex(np.zeros((0, 2)), labels=labels)
