@@ -96,7 +96,7 @@ class GeometricSimplex:
 
     ``labels`` names the vertices; they default to 0..m and must ascend, so
     the stored vertex order is the ascending-label order that fixes the
-    simplex orientation.  Given labels are checked by building the cell's
+    simplex orientation.  They are checked by building the cell's
     :class:`AbstractSimplex` (non-negative, strictly increasing integers),
     which ``full_simplex`` returns.  Non-finite coordinates are a
     :class:`DegenerateSimplexError`.
@@ -122,15 +122,10 @@ class GeometricSimplex:
         m = v.shape[0] - 1
         if m > self.ambient_dim:
             raise ValueError(f"{m}-simplex cannot live in R^{self.ambient_dim}")
-        if m < 0:  # default labels skip AbstractSimplex's checks; no vertex is the one they could fail
-            raise ValueError("abstract simplex needs at least one vertex")
-        if self.labels is None:
-            full = AbstractSimplex._of(tuple(range(m + 1)))
-        else:
-            labels = tuple(self.labels)
-            if len(labels) != m + 1:
-                raise ValueError("one label per vertex required")
-            full = AbstractSimplex(labels)
+        labels = tuple(range(m + 1)) if self.labels is None else tuple(self.labels)
+        if len(labels) != m + 1:
+            raise ValueError("one label per vertex required")
+        full = AbstractSimplex(labels)
         object.__setattr__(self, "labels", full.vertices)
         object.__setattr__(self, "_full", full)
         svals = np.linalg.svd(self.edge_matrix, compute_uv=False) if m >= 1 else np.ones(1)

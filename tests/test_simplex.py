@@ -983,7 +983,28 @@ class TestCellConstruction:
         assert not R.vertices.flags.writeable
         assert not np.shares_memory(R.vertices, reference_simplex(2).vertices)
 
-    @pytest.mark.parametrize("labels", [None, ()])
-    def test_no_vertices_rejected(self, labels):
-        with pytest.raises(ValueError, match="at least one vertex"):
+    @pytest.mark.parametrize(
+        "labels, msg",
+        [(None, "at least one vertex"), ((), "at least one vertex"), ((0,), "one label per vertex required")],
+    )
+    def test_no_vertices_rejected(self, labels, msg):
+        with pytest.raises(ValueError, match=msg):
             GeometricSimplex(np.zeros((0, 2)), labels=labels)
+
+    def test_one_svd_per_candidate(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        sliver = np.array([[0.0, 0.0], [0.0, 0.0], [2.0 / 0.3, -0.9 / 0.3]])  # the last vertex lands on (2, 0.1)
+        regular = np.zeros((3, 2))
+        T = random_simplex(2, _Draws(sliver, regular))
+        assert T.vertices.tobytes() == np.eye(3, 2, k=-1).tobytes()
+        assert len(calls) == 2  # the resampled sliver, then the accepted cell
+        calls.clear()
+        _ref_random_simplex(2, _Draws(sliver, regular))
+        assert len(calls) == 3  # the two-SVD loop decomposed the accepted cell twice
