@@ -6,7 +6,6 @@ from .combinatorics import (
     binomial,
     complement,
     sequences,
-    simplex,
     subsimplices,
 )
 from .exterior import (

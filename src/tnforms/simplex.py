@@ -1,60 +1,50 @@
 """Geometric simplices: barycentric gradients, tangential-normal frames.
 
 A :class:`GeometricSimplex` may be full-dimensional (a cell) or embedded
-(a sub-simplex of a cell, carrying its own vertex coordinates).  Every
-tangent, gradient and volume is read from one record per face dimension s,
-a ``_Level`` of read-only stacks over the s-faces in lexicographic order of
-vertex positions; ``_face_at`` maps a face's labels to its position in its
-level.  One pass builds every level on first use.  One batched QR takes
-the edge rows v_j - v_0 (ascending vertex labels) of every face of
-dimension 1..m, each face's s rows padded with zero rows to m, and makes
-the diagonal of R positive; Householder's prefix property leaves a face's
-first s rows of Q and leading s x s block of R as its own rows alone would
-give them, so the level's tangents are those first rows, the rows
-Gram-Schmidt would give.  The degeneracy floor tests a face's own s
-diagonal entries only.  One solve with R per level gives its barycentric
-gradients; the face volumes and the orthonormality flags come from the
-whole padded stack at once.  The vertex level has no edges and is built
-from constants: no tangent rows, the gradient -0.0 and volume 1, what the
-QR and solve give there.  An entry depends only on the coordinates of the
-face's own vertices in ascending label order, so two cells sharing a face
-derive identical frames from it.
+(a sub-simplex of a cell, carrying its own vertex coordinates).  A face is
+named by its position mask, bit i for the cell's i-th label; bit
+arithmetic on masks lives in this module alone, and callers such as the
+t-n bases hold masks as opaque keys.  One label-free table per label count
+n, ``_face_index``, lists the faces of range(n) by size, then
+lexicographic, with their masks and each mask's position in its level.  A
+cell translates labels once per face: ``_face_at`` maps labels to masks,
+``_position_mask`` reads it, and ``_masked`` names every mask's face.
+``_deposit`` lists the faces through an anchor by normal offset, the i-th
+position outside the anchor, ascending, as a frame's normal rows are.
+
+Every tangent, gradient and volume is read from one record per face
+dimension s, a ``_Level`` of read-only stacks over the s-faces in that
+order, all built on first use by one batched QR (see ``_levels``).  The
+degeneracy floor tests a face's own diagonal entries of R only.  An entry
+depends only on the coordinates of the face's own vertices in ascending
+label order, so two cells sharing a face derive identical frames from it.
 
 The n-e-f frames of the face pairs e in f are built per face size |f|,
 every e in f (e = f included) at once.  A frame matrix holds e's |e| - 1
-tangents then its |f| - |e| normals, |f| - 1 rows whatever |e| is, so one
-``take`` from the cell's ``_rows`` (every level's tangent rows, then its
-gradient rows) fills a (2, pairs, |f| - 1, d) array of the face and t-n
-frames.  The face normals are f's gradients of the vertices outside e; the
-t-n normal of such a vertex i is the gradient of lambda_i in e + i.  The
-gather indices, each pair's vertices outside e and the masks of the normal
-block of a frame product are a label-free table per (n, |f|),
-``_nef_index``.  One batched product and masked reductions give every
-pair's pairing ratio.  The build fills the cell's ``_nef`` dict, keyed by
-(f labels, e labels), with each pair's ratio, normal labels and two
-read-only row views of the one array.  ``nef_frames`` is one read of that
-dict; on a miss it names labels outside the cell, builds f's size if it is
-not built yet, and otherwise reports e not contained in f.  Sizes are
-built on a cell the first time one of their pairs is asked for, not all at
-once: a t-n basis reads only |f| = d + 1, and the whole table of a 6-cell
-holds thousands of pairs it never uses.
+tangents then its |f| - |e| normals, so one ``take`` from the cell's
+``_rows`` (every level's tangent rows, then its gradient rows) fills a
+(2, pairs, |f| - 1, d) array of the face and t-n frames.  The face normals
+are f's gradients of the vertices outside e; the t-n normal of such a
+vertex i is the gradient of lambda_i in e + i.  The pairs' masks and the
+gathers are a label-free table per (n, |f|), ``_nef_index``, and batched
+masked reductions give every pair's pairing ratio.  The cell's ``_nef``
+dict maps (f mask, e mask) to the ratio and two read-only row views of the
+one array, so every labelling takes one path and builds the same keys.
+``nef_frames`` reads f's and e's masks, then ``_nef``; on a miss it names
+labels outside the cell, then reports e not contained in f, and otherwise
+builds f's size.  A t-n basis reads only |f| = d + 1, so sizes are built
+on first use, not all at once.
 
 A level also holds its faces' frames: the ``exterior._orthonormal`` flag of
 each face's tangent rows and the compound cache of the level's stack.  The
 frame of ``oriented_subframe`` is the stack's row at the face's position,
-unchecked and uncopied, sharing the level's cache: one test per cell and
-one determinant call per (s, k), not one of each per frame.  The facet
-frames of ``induced_facet_frame`` are the rows of one more stack, the
-cell's ``_facets`` record: the facet tangents with the last row negated
-where the cell's orientation asks it, beside the unit outward normals and
-the stack's own compound cache.  Levels and frame sets are ``NamedTuple``
-records (``_Level``, ``TnFrameSet``); ``nef_frames`` builds its set with
-``tuple.__new__``, past the record's Python-level constructor.
-
-A face can also be named by its position mask, bit i for the cell's i-th
-label.  ``_position_mask`` sums the labels' bits from the cell's ``_bits``
-and ``_masked_face`` names a mask's face once per cell, in ``_masked``: at
-most 2^n - 1 faces for n labels, freed with the cell.
+unchecked and uncopied, sharing the level's cache.  The facet frames of
+``induced_facet_frame`` are the rows of the cell's ``_facets`` stack: the
+facet tangents with the last row negated where the cell's orientation asks
+it, beside the unit outward normals and the stack's own compound cache.
+Levels and frame sets are ``NamedTuple`` records (``_Level``,
+``TnFrameSet``); ``nef_frames`` builds its set with ``tuple.__new__``,
+past the record's Python-level constructor.
 """
 
 from __future__ import annotations
@@ -67,9 +57,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import AbstractSimplex, subsimplices
+from .combinatorics import AbstractSimplex
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL, DegenerateSimplexError
 from .exterior import Frame, _orthonormal
+
+_HALF_MAX = float(np.finfo(float).max) / 2  # a - b stays finite for |a|, |b| at most this
 
 
 class _Level(NamedTuple):
@@ -99,7 +91,9 @@ class GeometricSimplex:
     simplex orientation.  They are checked by building the cell's
     :class:`AbstractSimplex` (non-negative, strictly increasing integers),
     which ``full_simplex`` returns.  Non-finite coordinates are a
-    :class:`DegenerateSimplexError`.
+    :class:`DegenerateSimplexError`, and so is a volume that is not
+    representable: an edge or singular value beyond the float range (no
+    numpy warning), or a product that overflows or underflows.
 
     The cell owns its vertices: ``vertices`` is a read-only float copy of
     the input, so writing to the caller's array afterwards, or to
@@ -115,7 +109,8 @@ class GeometricSimplex:
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2:
             raise ValueError("vertices must be a 2-D array (rows = points)")
-        if not np.isfinite(v).all():
+        reach = np.abs(v).max(initial=0.0)
+        if not isfinite(reach):  # a NaN coordinate makes the maximum NaN
             raise DegenerateSimplexError("non-finite vertex coordinates")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
@@ -128,9 +123,15 @@ class GeometricSimplex:
         full = AbstractSimplex(labels)
         object.__setattr__(self, "labels", full.vertices)
         object.__setattr__(self, "_full", full)
+        if reach > _HALF_MAX:  # an edge may overflow: that is the volume error, not a numpy warning
+            with np.errstate(over="ignore"):
+                if not np.isfinite(self.edge_matrix).all():
+                    raise DegenerateSimplexError("an edge overflows: the volume is not representable")
         svals = np.linalg.svd(self.edge_matrix, compute_uv=False) if m >= 1 else np.ones(1)
         svals.flags.writeable = False
         object.__setattr__(self, "_svals", svals)
+        if not isfinite(svals[0]):
+            raise DegenerateSimplexError(f"largest singular value {svals[0]:.3e}: the volume is not representable")
         if svals[-1] <= DEGENERACY_RTOL * svals[0]:
             raise DegenerateSimplexError(f"singular values {svals[-1]:.3e} <= {DEGENERACY_RTOL} * {svals[0]:.3e}")
         content = prod(svals.tolist())  # m! times the volume; a Python product overflows to inf without a warning
@@ -192,8 +193,9 @@ class GeometricSimplex:
 
     @cached_property
     def _face_at(self) -> dict[tuple[int, ...], int]:
-        """Every face's labels mapped to its position in its level."""
-        return {face: j for s in range(self.dim + 1) for j, face in enumerate(combinations(self.labels, s + 1))}
+        """Every face's labels mapped to its position mask, in ``_face_index`` order: the cell's one label translation."""
+        faces = (face for size in range(1, len(self.labels) + 1) for face in combinations(self.labels, size))
+        return dict(zip(faces, _face_index(len(self.labels))[1]))
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -219,18 +221,13 @@ class GeometricSimplex:
         return normals, rows, {}
 
     @cached_property
-    def _bits(self) -> dict[int, int]:
-        """Each label's position bit: 1 << its position among the cell's labels."""
-        return {j: 1 << i for i, j in enumerate(self.labels)}
-
-    @cached_property
     def _masked(self) -> dict[int, AbstractSimplex]:
-        """Faces named so far by ``_masked_face``, keyed by their position masks."""
-        return {}
+        """Every face, keyed by its position mask, in ``_face_at`` order: named once per cell, unchecked."""
+        return {mask: AbstractSimplex._of(face) for face, mask in self._face_at.items()}
 
     @cached_property
-    def _nef(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple]:
-        """(f labels, e labels) -> (pairing ratio, normal labels, frame_face, frame_tn), per face size built so far."""
+    def _nef(self) -> dict[tuple[int, int], tuple]:
+        """(f mask, e mask) -> (pairing ratio, frame_face, frame_tn), per face size built so far."""
         return {}
 
     def full_simplex(self) -> AbstractSimplex:
@@ -295,6 +292,20 @@ def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _face_index(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], dict[int, int]]:
+    """Every face of range(n), by size then lexicographic: (faces, masks, at).
+
+    ``faces[j]`` is a face's positions and ``masks[j]`` its position mask,
+    bit i for position i; ``at[mask]`` is the face's row in the cell's level
+    of its size.  The levels, the n-e-f pairs and ``_face_at`` follow this
+    one enumeration.
+    """
+    levels = [tuple(combinations(range(n), size)) for size in range(1, n + 1)]
+    masks = [[sum(1 << i for i in face) for face in level] for level in levels]
+    return sum(levels, ()), sum(map(tuple, masks), ()), {m: j for level in masks for j, m in enumerate(level)}
+
+
+@lru_cache(maxsize=None)
 def _padded_faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Every face of dimension 1..n - 1 of range(n), by dimension then lexicographic, as padded edge ends.
 
@@ -305,7 +316,7 @@ def _padded_faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     Gram matrix, and the faces of dimension s are rows bounds[s - 1] to
     bounds[s].  The arrays are read-only.
     """
-    faces = [face for size in range(2, n + 1) for face in combinations(range(n), size)]
+    faces = _face_index(n)[0][n:]
     ends = np.array([face[1:] + face[:1] * (n - len(face)) for face in faces], dtype=np.intp)
     apex = np.array([face[:1] for face in faces], dtype=np.intp)
     own = np.arange(n - 1) < np.array([len(face) - 1 for face in faces])[:, None]
@@ -345,25 +356,34 @@ def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
 def _face(T: GeometricSimplex, face: tuple[int, ...]) -> int:
     """The level position of a face named by its labels; ValueError if T has no such face."""
     try:
-        return T._face_at[face]
+        mask = T._face_at[face]
     except KeyError:
         raise ValueError(f"{face} is not a face of the simplex with labels {T.labels}") from None
+    return _face_index(len(T.labels))[2][mask]
 
 
 def _position_mask(T: GeometricSimplex, labels: tuple[int, ...]) -> int | None:
-    """The bits of the positions of distinct labels among the cell's; None if one is not a label of the cell."""
-    try:
-        return sum(map(T._bits.__getitem__, labels))
-    except KeyError:
-        return None
+    """The position mask of the face on ascending labels; None if T has no such face."""
+    return T._face_at.get(labels)
 
 
 def _masked_face(T: GeometricSimplex, mask: int) -> AbstractSimplex:
-    """The face on the labels at the positions a nonzero mask's bits name; built once per cell and mask."""
-    face = T._masked.get(mask)
-    if face is None:
-        face = T._masked[mask] = AbstractSimplex._of(tuple(j for i, j in enumerate(T.labels) if mask >> i & 1))
-    return face
+    """The face on the labels at the positions a nonzero mask's bits name, one object per cell and mask."""
+    return T._masked[mask]
+
+
+@lru_cache(maxsize=None)
+def _deposit(at: int, n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The faces through the anchor at position mask ``at`` of a cell with n labels, by normal-offset mask, and back.
+
+    Offset i is the i-th position outside the anchor, ascending, so the face
+    of a normal-offset mask is the anchor's positions plus those its bits
+    name.  Returns the face position masks indexed by normal-offset mask, and
+    the dict that inverts it.
+    """
+    outside = [1 << i for i in range(n) if not at >> i & 1]
+    faces = tuple(at + sum(b for i, b in enumerate(outside) if m >> i & 1) for m in range(1 << len(outside)))
+    return faces, {face: m for m, face in enumerate(faces)}
 
 
 def tangent_basis(T: GeometricSimplex, e: AbstractSimplex) -> np.ndarray:
@@ -403,17 +423,21 @@ class TnFrameSet(NamedTuple):
     ``frame_face`` and ``frame_tn`` are (|f| - 1, d) frame matrices: the
     dim e rows ``tangents``, an orthonormal basis of e's plane, then the
     face-normal vectors ``normals_face``, respectively the tangential-normal
-    vectors ``normals_tn``, normal row i belonging to ``normal_labels[i]``.
-    The normals pair diagonally, off-diagonals at most PAIRING_RTOL times
-    the least (positive) diagonal.  From ``nef_frames`` the arrays, and the
-    row slices the properties return, are read-only views into tables the
-    cell shares among all its frames.
+    vectors ``normals_tn``, normal row i belonging to ``normal_labels[i]``,
+    the i-th label of f outside e.  The normals pair diagonally,
+    off-diagonals at most PAIRING_RTOL times the least (positive) diagonal.
+    From ``nef_frames`` the arrays, and the row slices the properties
+    return, are read-only views into tables the cell shares among frames.
     """
 
     e: AbstractSimplex
-    normal_labels: tuple[int, ...]
+    f: AbstractSimplex
     frame_face: np.ndarray
     frame_tn: np.ndarray
+
+    @property
+    def normal_labels(self) -> tuple[int, ...]:
+        return tuple(i for i in self.f.vertices if i not in self.e.vertices)
 
     @property
     def tangents(self) -> np.ndarray:
@@ -440,33 +464,31 @@ def _check_pairing(e: tuple[int, ...], f: tuple[int, ...], ratio: float):
 def _nef_index(n: int, nf: int):
     """Every face pair E in F of range(n) with |F| = nf, and the gathers that build its n-e-f frames.
 
-    Returns (pairs, normals, gather, off, diag).  ``pairs`` lists (F, E) by
-    F, then |E|, then lexicographic, and ``normals`` each pair's vertices of
-    F minus E.  ``gather`` (2, pairs, nf - 1) indexes the cell's ``_rows``:
-    E's tangent rows, then per vertex i of F minus E F's gradient of
-    lambda_i (face frame) or the gradient of lambda_i in E + i (t-n frame).
+    Returns (pairs, gather, off, diag).  ``pairs`` lists the (F, E) position
+    masks by F, then |E|, then lexicographic.  ``gather`` (2, pairs, nf - 1)
+    indexes the cell's ``_rows``: E's tangent rows, then per vertex i of F
+    minus E F's gradient of lambda_i (face frame) or the gradient of
+    lambda_i in E + i (t-n frame).
     ``off`` and ``diag`` (pairs, nf - 1, nf - 1) mask the off-diagonal and
     diagonal entries of the normal block of a frame product.  The arrays
     are read-only.
     """
-    tangent_at, gradient_at, row = [], [], 0
-    for s in range(n):
-        tangent_at.append(row)
-        row += comb(n, s + 1) * s
-        gradient_at.append(row)
-        row += comb(n, s + 1) * (s + 1)
-    at = {face: j for size in range(1, n + 1) for j, face in enumerate(combinations(range(n), size))}
-    pairs, normals, gather, tangent_rows = [], [], [], []
-    for F in combinations(range(n), nf):
+    # per level s: comb(n, s + 1) faces of s tangent rows, then of s + 1 gradient rows
+    starts = list(accumulate((comb(n, s + 1) * r for s in range(n) for r in (s, s + 1)), initial=0))
+    tangent_at, gradient_at = starts[0::2], starts[1::2]
+    faces, masks, at = _face_index(n)
+    pairs, gather, tangent_rows = [], [], []
+    for F, f in zip(faces, masks):
+        if len(F) != nf:
+            continue
         for ne in range(1, nf + 1):
             for E in combinations(F, ne):
-                rest = tuple(i for i in F if i not in E)
-                up = [tuple(sorted(E + (i,))) for i in rest]
-                tangents = [tangent_at[ne - 1] + at[E] * (ne - 1) + j for j in range(ne - 1)]
-                face = [gradient_at[nf - 1] + at[F] * nf + F.index(i) for i in rest]
-                tn = [gradient_at[ne] + at[u] * (ne + 1) + u.index(i) for i, u in zip(rest, up)]
-                pairs.append((F, E))
-                normals.append(rest)
+                e = sum(1 << i for i in E)
+                rest = [i for i in F if i not in E]
+                tangents = [tangent_at[ne - 1] + at[e] * (ne - 1) + j for j in range(ne - 1)]
+                face = [gradient_at[nf - 1] + at[f] * nf + F.index(i) for i in rest]
+                tn = [gradient_at[ne] + at[e | 1 << i] * (ne + 1) + sum(j < i for j in E) for i in rest]
+                pairs.append((f, e))
                 gather.append((tangents + face, tangents + tn))
                 tangent_rows.append(ne - 1)
     gather = np.array(gather, dtype=np.intp).reshape(len(pairs), 2, nf - 1).transpose(1, 0, 2).copy()
@@ -476,7 +498,7 @@ def _nef_index(n: int, nf: int):
     off = block & ~diag
     for a in (gather, off, diag):
         a.flags.writeable = False
-    return pairs, normals, gather, off, diag
+    return pairs, gather, off, diag
 
 
 def _build_nef(T: GeometricSimplex, nf: int):
@@ -485,8 +507,7 @@ def _build_nef(T: GeometricSimplex, nf: int):
     A pair's ratio is its normal block's largest off-diagonal |entry| over
     its least diagonal entry, inf when a diagonal entry is <= 0.
     """
-    n = len(T.labels)
-    pairs, normals, gather, off, diag = _nef_index(n, nf)
+    pairs, gather, off, diag = _nef_index(len(T.labels), nf)
     frames = T._rows.take(gather, axis=0)
     frames.flags.writeable = False
     p = frames[1] @ np.swapaxes(frames[0], -1, -2)
@@ -494,33 +515,29 @@ def _build_nef(T: GeometricSimplex, nf: int):
     least = p.min(axis=(1, 2), initial=np.inf, where=diag)
     ratio = np.full(len(pairs), np.inf)
     np.divide(np.abs(p).max(axis=(1, 2), initial=0.0, where=off), least, out=ratio, where=positive)
-    if T.labels != tuple(range(n)):
-        label = T.labels.__getitem__
-        pairs = [(tuple(map(label, F)), tuple(map(label, E))) for F, E in pairs]
-        normals = [tuple(map(label, rest)) for rest in normals]
-    T._nef.update(zip(pairs, zip(ratio.tolist(), normals, frames[0], frames[1])))
+    T._nef.update(zip(pairs, zip(ratio.tolist(), frames[0], frames[1])))
 
 
 def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> TnFrameSet:
     """Dual bases of the normal plane of e inside the tangent plane of f.
 
     With f the cell these are the t-n frames of e; with e == f the normal
-    families are empty.  One read of the cell's ``_nef``; a miss builds the
-    pairs of f's size, once.
+    families are empty.  Two reads of the cell's ``_face_at`` and one of its
+    ``_nef``; a miss builds the pairs of f's size, once.
     """
-    entry = T._nef.get((f.vertices, e.vertices))
-    if entry is None:
+    at = T._face_at
+    try:
+        ratio, frame_face, frame_tn = T._nef[at[f.vertices], at[e.vertices]]
+    except KeyError:
         _face(T, f.vertices)  # labels outside the cell are named before containment is
         _face(T, e.vertices)
-        if (f.vertices, f.vertices) not in T._nef:  # every built size holds each of its faces paired with itself
-            _build_nef(T, len(f.vertices))
-            entry = T._nef.get((f.vertices, e.vertices))
-        if entry is None:
-            raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}")
-    ratio, normal_labels, frame_face, frame_tn = entry
+        if at[e.vertices] & ~at[f.vertices]:
+            raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}") from None
+        _build_nef(T, len(f.vertices))
+        ratio, frame_face, frame_tn = T._nef[at[f.vertices], at[e.vertices]]
     if ratio > PAIRING_RTOL:
         _check_pairing(e.vertices, f.vertices, ratio)
-    return tuple.__new__(TnFrameSet, (e, normal_labels, frame_face, frame_tn))
+    return tuple.__new__(TnFrameSet, (e, f, frame_face, frame_tn))
 
 
 def _facet(T: GeometricSimplex, facet: AbstractSimplex) -> int:
@@ -557,9 +574,5 @@ def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Fr
 
 
 def all_subsimplices(T: GeometricSimplex) -> list[AbstractSimplex]:
-    """Every subsimplex of the cell, by dimension then lexicographic."""
-    full = T.full_simplex()
-    out = []
-    for s in range(T.dim + 1):
-        out.extend(subsimplices(full, s))
-    return out
+    """Every subsimplex of the cell, by dimension then lexicographic, each named once per cell by its mask."""
+    return list(T._masked.values())

@@ -18,13 +18,14 @@ basis of their own.
 Elements are ordered by face dimension, then face, then tangential
 sequence, which makes downstream degree-of-freedom matrices block lower
 triangular.
-Faces are named by position masks, bit i for the cell's i-th label: an
-anchor is a mask, and an element at it is (normal-offset mask, sigma), bit
-i of the former for the i-th label outside the anchor.  ``_deposit(anchor
-mask, n)`` turns normal-offset masks into face masks and back, and the
-cell names each face mask once (``simplex._masked_face``).  An element's
-frame rows, its complementary rows and its Hodge partner come from one
-label-free table per (s, d), ``_element_table``, so no call scans labels.
+Faces are named by the cell's position masks (``simplex._position_mask``),
+which this module holds as opaque keys: an anchor is a mask, and an
+element at it is (normal-offset mask, sigma), bit i of the former for the
+i-th label outside the anchor.  ``simplex._deposit(anchor mask, n)`` turns
+normal-offset masks into face masks and back, and the cell names each face
+mask once (``simplex._masked_face``).  An element's frame rows, its
+complementary rows and its Hodge partner come from one label-free table
+per (s, d), ``_element_table``, so no call scans labels.
 The elements ``decompose_altk`` and ``hodge_coefficient`` return are valid
 by construction and built without re-validation (``TnBasisElement._of``):
 each entry point checks, of the degree, the anchor (``_anchor``, one
@@ -44,7 +45,7 @@ import numpy as np
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, _form, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
-from .simplex import GeometricSimplex, _masked_face, _position_mask, nef_frames
+from .simplex import GeometricSimplex, _deposit, _masked_face, _position_mask, nef_frames
 
 FLAVORS = ("primal", "dual")
 
@@ -134,20 +135,6 @@ def _element_table(s: int, d: int) -> dict[tuple[int, tuple[int, ...]], tuple]:
             rows[m, sigma] = r = np.array([i - 1 for i in sigma] + normals, dtype=np.intp)
             r.flags.writeable = False
     return {(m, sigma): (r, rows[full ^ m, taus[sigma]], full ^ m, taus[sigma]) for (m, sigma), r in rows.items()}
-
-
-@lru_cache(maxsize=None)
-def _deposit(at: int, n: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The faces through the anchor at position mask ``at`` of a cell with n labels, by normal-offset mask, and back.
-
-    Offset i is the i-th position outside the anchor, ascending, so the face
-    of a normal-offset mask is the anchor's positions plus those its bits
-    name.  Returns the face position masks indexed by normal-offset mask, and
-    the dict that inverts it.
-    """
-    outside = [1 << i for i in range(n) if not at >> i & 1]
-    faces = tuple(at + sum(b for i, b in enumerate(outside) if m >> i & 1) for m in range(1 << len(outside)))
-    return faces, {face: m for m, face in enumerate(faces)}
 
 
 def _anchor(T: GeometricSimplex, e: AbstractSimplex) -> int:

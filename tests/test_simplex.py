@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -56,8 +57,7 @@ def _pairing_ratio(p):
 
 def validate(fr):
     """Raise unless a frame set's pairing is diagonal to PAIRING_RTOL, as ``nef_frames`` checks it."""
-    f = tuple(sorted(fr.e.vertices + fr.normal_labels))
-    _check_pairing(fr.e.vertices, f, float(_pairing_ratio(fr.pairing())))
+    _check_pairing(fr.e.vertices, fr.f.vertices, float(_pairing_ratio(fr.pairing())))
 
 
 # Reference geometry: the modified Gram-Schmidt loop, normal-equation
@@ -164,7 +164,7 @@ def _ref_nef_frames(geometry, f, e):
     tangents = geometry[e.vertices][0]
     return TnFrameSet(
         e=e,
-        normal_labels=rest,
+        f=f,
         frame_face=np.vstack([tangents, grads_f[[f.vertices.index(i) for i in rest]]]),
         frame_tn=np.vstack([tangents, np.array(tn).reshape(len(rest), grads_f.shape[1])]),
     )
@@ -282,6 +282,30 @@ class TestScaleAndSlivers:
         unit = random_simplex(3, np.random.default_rng(13)).vertices
         with pytest.raises(DegenerateSimplexError, match="the volume is not representable"):
             GeometricSimplex(scale * unit)
+
+    def test_overflowing_edge_is_the_volume_error(self):
+        # finite vertices whose edge v_1 - v_0 leaves the float range: no numpy warning, no SVD of inf
+        v = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSimplexError, match="^an edge overflows: the volume is not representable$"):
+                GeometricSimplex(v)
+
+    @pytest.mark.parametrize("d,seed", [(4, 0), (5, 0), (6, 0), (6, 1), (6, 2)])
+    def test_overflowing_singular_value_is_the_volume_error(self, d, seed):
+        # finite edges whose largest singular value overflows: a well-shaped cell, not a degenerate one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSimplexError, match=r"^largest singular value inf: the volume is not representable$"):
+                random_simplex(d, np.random.default_rng(seed), 1e308)
+
+    def test_far_cell_with_representable_edges_builds(self):
+        # coordinates beyond half the float range take the guarded edge path and build as usual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T = GeometricSimplex(np.array([[1.4e308], [1.5e308]]))
+        assert T.volume == 1.5e308 - 1.4e308
+        assert np.allclose(T.volume * barycentric_gradients(T), [[-1.0], [1.0]], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("d,scale", [(5, 1e-14), (3, 1e-100)])
     def test_small_representable_cell_builds(self, d, scale):
@@ -613,8 +637,8 @@ class TestNefTable:
         for e in all_subsimplices(T):
             for k in range(T.dim + 1):
                 pairing_matrix(T, e, k)
-        assert {len(f) for f, _ in T._nef} == {T.dim + 1}
-        assert {len(e) for _, e in T._nef} == set(range(1, T.dim + 2))
+        assert {f.bit_count() for f, _ in T._nef} == {T.dim + 1}
+        assert {e.bit_count() for _, e in T._nef} == set(range(1, T.dim + 2))
 
     def test_frames_are_read_only(self):
         T = random_simplex(3, RNG)
@@ -669,6 +693,11 @@ def _ref_nef_table(T):
     return table
 
 
+def _mask(T, labels):
+    """The position mask of a face of T named by its labels, bit i for T's i-th label."""
+    return sum(1 << T.labels.index(j) for j in labels)
+
+
 def _assert_same_bits(got, ref):
     got, ref = np.asarray(got), np.asarray(ref)
     assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -694,11 +723,11 @@ class TestSinglePassAgainstReference:
         ref = _ref_nef_table(T)
         for f in {f for f, _ in ref}:
             nef_frames(T, simplex(*f), simplex(*f))  # builds f's size
-        assert T._nef.keys() == ref.keys()
-        for key, (ratio, labels, face, tn) in ref.items():
-            got_ratio, got_labels, got_face, got_tn = T._nef[key]
+        assert T._nef.keys() == {(_mask(T, f), _mask(T, e)) for f, e in ref}
+        for (f, e), (ratio, labels, face, tn) in ref.items():
+            got_ratio, got_face, got_tn = T._nef[_mask(T, f), _mask(T, e)]
             _assert_same_bits(got_ratio, ratio)
-            assert got_labels == labels, key
+            assert TnFrameSet(simplex(*e), simplex(*f), got_face, got_tn).normal_labels == labels, (f, e)
             _assert_same_bits(got_face, face)
             _assert_same_bits(got_tn, tn)
 
@@ -724,6 +753,68 @@ class TestSinglePassAgainstReference:
                 _assert_same_bits(fr.frame_face, face)
                 _assert_same_bits(fr.frame_tn, tn)
         assert outcome[True] and outcome[False]
+
+
+def _same_under_label_map(T, U):
+    """Assert that every (f, e) of T, contained or not, gives U under the label map what it gives T, bit for bit.
+
+    Returns T's error messages.
+    """
+    label = dict(zip(T.labels, U.labels))
+    faces, raised = all_subsimplices(T), []
+    for f in faces:
+        for e in faces:
+            g, a = (simplex(*map(label.get, x.vertices)) for x in (f, e))
+            try:
+                got = nef_frames(T, f, e)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as mapped:
+                    nef_frames(U, g, a)
+                # both messages name e first, then f: a pairing error or e not contained in f
+                want = str(exc).replace(f"e={e.vertices}", f"e={a.vertices}", 1)
+                want = want.replace(f"f={f.vertices}", f"f={g.vertices}", 1)
+                assert want != str(exc) and str(mapped.value) == want
+                raised.append(str(exc))
+                continue
+            ref = nef_frames(U, g, a)
+            assert ref.e is a and ref.f is g
+            assert ref.normal_labels == tuple(map(label.get, got.normal_labels))
+            _assert_same_bits(ref.frame_face, got.frame_face)
+            _assert_same_bits(ref.frame_tn, got.frame_tn)
+    assert T._nef.keys() == U._nef.keys()
+    for key, (ratio, face, tn) in T._nef.items():
+        assert U._nef[key][0] == ratio
+        _assert_same_bits(U._nef[key][1], face)
+        _assert_same_bits(U._nef[key][2], tn)
+    return raised
+
+
+def _spread(T):
+    """T's vertices labelled 3, 6, 9, ..."""
+    return GeometricSimplex(T.vertices, labels=tuple(range(3, 3 * len(T.labels) + 1, 3)))
+
+
+class TestLabelFreeTable:
+    """A cell's n-e-f table is keyed by position masks: any labelling of the same vertices builds the same one."""
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_spread_labels_give_the_same_frames(self, d):
+        T = random_simplex(d, np.random.default_rng(500 + d))
+        raised = _same_under_label_map(T, _spread(T))
+        n = d + 1  # every pair of the 2^n - 1 faces but the 3^n - 2^n with e in f
+        assert len(raised) == (2**n - 1) ** 2 - (3**n - 2**n) and all("must be contained" in msg for msg in raised)
+
+    def test_spread_labels_give_the_same_pairing_errors(self):
+        rng = np.random.default_rng(801)
+        for _ in range(20):
+            T = GeometricSimplex(_flatten_last_vertex(random_simplex(4, rng).vertices.copy(), 1e-7))
+            nef_frames(T, T.full_simplex(), T.full_simplex())
+            if any(ratio > PAIRING_RTOL for ratio, *_ in T._nef.values()):
+                break
+        else:
+            pytest.fail("no sliver with a failing pair")
+        raised = _same_under_label_map(T, _spread(T))
+        assert any("not diagonal" in msg for msg in raised)
 
 
 class TestFaceLookup:

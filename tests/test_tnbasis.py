@@ -32,6 +32,7 @@ from tnforms.simplex import (
     GeometricSimplex,
     all_subsimplices,
     barycentric_gradients,
+    _deposit,
     _masked_face,
     _position_mask,
     induced_facet_frame,
@@ -51,7 +52,7 @@ from tnforms.tnbasis import (
     realize_all,
 )
 import tnforms.tnbasis as tnbasis
-from tnforms.tnbasis import _anchor, _basis_table, _deposit, _element_table, _entry, _frames
+from tnforms.tnbasis import _anchor, _basis_table, _element_table, _entry, _frames
 
 RNG = np.random.default_rng(2024)
 
