@@ -15,7 +15,6 @@ from .exterior import (
     flat,
     hodge_star,
     hodge_star_in_subspace,
-    inner,
     pullback_embed,
     wedge,
 )

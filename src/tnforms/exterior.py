@@ -214,12 +214,6 @@ def hodge_star(omega: AltForm) -> AltForm:
     return _form(d, d - k, _star(omega.coeffs, k, d))
 
 
-def inner(omega: AltForm, eta: AltForm) -> float:
-    """Inner product; the dx_sigma form an orthonormal basis."""
-    _check_same_space(omega, eta)
-    return float(np.dot(omega.coeffs, eta.coeffs))
-
-
 def flat(v: np.ndarray) -> AltForm:
     """The 1-form v-flat with the same components as v."""
     v = np.asarray(v, dtype=float).reshape(-1)

@@ -8,7 +8,8 @@ t-n bases hold masks as opaque keys.  One label-free table per label count
 n, ``_face_index``, lists the faces of range(n) by size, then
 lexicographic, with their masks and each mask's position in its level.  A
 cell translates labels once per face: ``_face_at`` maps labels to masks,
-``_position_mask`` reads it, and ``_masked`` names every mask's face.
+``_mask`` reads it, raising one ValueError for every query on labels the
+cell lacks, and ``_masked`` names every mask's face.
 ``_deposit`` lists the faces through an anchor by normal offset, the i-th
 position outside the anchor, ascending, as a frame's normal rows are.
 
@@ -30,10 +31,10 @@ gathers are a label-free table per (n, |f|), ``_nef_index``, and batched
 masked reductions give every pair's pairing ratio.  The cell's ``_nef``
 dict maps (f mask, e mask) to the ratio and two read-only row views of the
 one array, so every labelling takes one path and builds the same keys.
-``nef_frames`` reads f's and e's masks, then ``_nef``; on a miss it names
-labels outside the cell, then reports e not contained in f, and otherwise
-builds f's size.  A t-n basis reads only |f| = d + 1, so sizes are built
-on first use, not all at once.
+``nef_frames`` reads f's and e's masks, then ``_nef``; on a miss
+``_mask`` names labels outside the cell, containment of e in f is checked
+next, and otherwise f's size is built.  A t-n basis reads only
+|f| = d + 1, so sizes are built on first use, not all at once.
 
 A level also holds its faces' frames: the ``exterior._orthonormal`` flag of
 each face's tangent rows and the compound cache of the level's stack.  The
@@ -260,13 +261,20 @@ def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> Geom
     construction checks come first: a candidate within ``DEGENERACY_RTOL``
     of degenerate, or of unrepresentable volume, raises rather than being
     resampled.  A zero or non-finite ``scale`` is a ValueError, raised
-    before any draw.
+    before any draw.  A candidate coordinate beyond the float range is the
+    volume error too, with no numpy warning; it can occur only where
+    |scale| exceeds half the float range, the one case that tests for it.
     """
     if not (isfinite(scale) and scale != 0.0):
         raise ValueError(f"random_simplex needs a finite, non-zero scale, got {scale}")
     base = _reference_vertices(d)
+    far = abs(scale) > _HALF_MAX  # a coordinate is |scale| times at most 1.3, so it may overflow
     while True:
-        T = GeometricSimplex(scale * (base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape)))
+        unit = base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape)
+        # halving is exact, so the halved product passes _HALF_MAX exactly where scale * unit overflows
+        if far and np.abs(unit).max(initial=0.0) * abs(scale / 2) > _HALF_MAX:
+            raise DegenerateSimplexError("a coordinate overflows: the volume is not representable")
+        T = GeometricSimplex(scale * unit)
         if T._svals[-1] > 0.15 * T._svals[0]:  # a vertex's one singular value 1 passes
             return T
 
@@ -280,14 +288,9 @@ def barycentric_gradients(T: GeometricSimplex) -> np.ndarray:
 
 
 def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of x; least squares on the affine hull if embedded."""
-    x = np.asarray(x, dtype=float).reshape(T.ambient_dim)
-    m = T.dim
-    A = np.vstack([np.ones(m + 1), T.vertices.T])
-    b = np.concatenate([[1.0], x])
-    if m == T.ambient_dim:
-        return np.linalg.solve(A, b)
-    lam, *_ = np.linalg.lstsq(A, b, rcond=None)
+    """Barycentric coordinates of x, from the cell's gradients; of x's orthogonal projection if embedded."""
+    lam = T._gradients @ (np.asarray(x, dtype=float).reshape(T.ambient_dim) - T.vertices[0])
+    lam[0] += 1.0
     return lam
 
 
@@ -353,18 +356,17 @@ def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
     return _orthonormal_rows(np.asarray(vectors, dtype=float))[0]
 
 
+def _mask(T: GeometricSimplex, labels: tuple[int, ...], role: str = "") -> int:
+    """The position mask of the face on ascending labels; a ValueError naming role and labels if T lacks it."""
+    try:
+        return T._face_at[labels]
+    except KeyError:
+        raise ValueError(f"{role}{labels} is not a face of the cell with labels {T.labels}") from None
+
+
 def _face(T: GeometricSimplex, face: tuple[int, ...]) -> int:
     """The level position of a face named by its labels; ValueError if T has no such face."""
-    try:
-        mask = T._face_at[face]
-    except KeyError:
-        raise ValueError(f"{face} is not a face of the simplex with labels {T.labels}") from None
-    return _face_index(len(T.labels))[2][mask]
-
-
-def _position_mask(T: GeometricSimplex, labels: tuple[int, ...]) -> int | None:
-    """The position mask of the face on ascending labels; None if T has no such face."""
-    return T._face_at.get(labels)
+    return _face_index(len(T.labels))[2][_mask(T, face)]
 
 
 def _masked_face(T: GeometricSimplex, mask: int) -> AbstractSimplex:
@@ -529,30 +531,14 @@ def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> T
     try:
         ratio, frame_face, frame_tn = T._nef[at[f.vertices], at[e.vertices]]
     except KeyError:
-        _face(T, f.vertices)  # labels outside the cell are named before containment is
-        _face(T, e.vertices)
-        if at[e.vertices] & ~at[f.vertices]:
+        f_at, e_at = _mask(T, f.vertices, "face f="), _mask(T, e.vertices, "anchor e=")  # named before containment is
+        if e_at & ~f_at:
             raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}") from None
         _build_nef(T, len(f.vertices))
-        ratio, frame_face, frame_tn = T._nef[at[f.vertices], at[e.vertices]]
+        ratio, frame_face, frame_tn = T._nef[f_at, e_at]
     if ratio > PAIRING_RTOL:
         _check_pairing(e.vertices, f.vertices, ratio)
     return tuple.__new__(TnFrameSet, (e, f, frame_face, frame_tn))
-
-
-def _facet(T: GeometricSimplex, facet: AbstractSimplex) -> int:
-    """The level position of a facet of a full-dimensional cell; ValueError otherwise."""
-    if T.dim != T.ambient_dim:
-        raise ValueError("outward normal defined on full-dimensional cells")
-    if facet.dim != T.dim - 1:
-        raise ValueError("facet must have codimension one")
-    return _face(T, facet.vertices)
-
-
-def outward_normal(T: GeometricSimplex, facet: AbstractSimplex) -> np.ndarray:
-    """Unit outward normal of a facet of a full-dimensional cell."""
-    at = _facet(T, facet)
-    return T._facets[0][at].copy()
 
 
 def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Frame, np.ndarray]:
@@ -566,7 +552,11 @@ def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Fr
     """
     if T.dim < 2:
         raise ValueError("induced facet frame needs ambient dimension >= 2")
-    at = _facet(T, facet)
+    if T.dim != T.ambient_dim:
+        raise ValueError("outward normal defined on full-dimensional cells")
+    if facet.dim != T.dim - 1:
+        raise ValueError("facet must have codimension one")
+    at = _face(T, facet.vertices)
     if not T._levels[-2].ok[at]:
         raise ValueError("frame vectors are not orthonormal")
     normals, rows, compounds = T._facets

@@ -18,10 +18,11 @@ basis of their own.
 Elements are ordered by face dimension, then face, then tangential
 sequence, which makes downstream degree-of-freedom matrices block lower
 triangular.
-Faces are named by the cell's position masks (``simplex._position_mask``),
-which this module holds as opaque keys: an anchor is a mask, and an
-element at it is (normal-offset mask, sigma), bit i of the former for the
-i-th label outside the anchor.  ``simplex._deposit(anchor mask, n)`` turns
+Faces are named by the cell's position masks (``simplex._mask``, whose one
+ValueError names an anchor or face the cell lacks), which this module holds
+as opaque keys: an anchor is a mask, and an element at it is
+(normal-offset mask, sigma), bit i of the former for the i-th label
+outside the anchor.  ``simplex._deposit(anchor mask, n)`` turns
 normal-offset masks into face masks and back, and the cell names each face
 mask once (``simplex._masked_face``).  An element's frame rows, its
 complementary rows and its Hodge partner come from one label-free table
@@ -37,6 +38,7 @@ element by element.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,7 +47,7 @@ import numpy as np
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, _form, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
-from .simplex import GeometricSimplex, _deposit, _masked_face, _position_mask, nef_frames
+from .simplex import GeometricSimplex, _deposit, _mask, _masked_face, nef_frames
 
 FLAVORS = ("primal", "dual")
 
@@ -55,6 +57,8 @@ class TnBasisElement:
     """One tangential-normal basis form, named by (anchor, face, sequence, flavor).
 
     ``sigma`` is an increasing tuple in 1..dim e picking tangent vectors of the anchor.
+    Its entries go through ``operator.index``, as simplex labels do: any
+    sequence of ints gives the same element, and a float entry is a TypeError.
     """
 
     e: AbstractSimplex
@@ -67,6 +71,7 @@ class TnBasisElement:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if not self.e.issubset(self.f):
             raise ValueError(f"anchor e={self.e.vertices} must be contained in the face f={self.f.vertices}")
+        object.__setattr__(self, "sigma", tuple(map(operator.index, self.sigma)))
         if self.sigma not in sequence_position(len(self.sigma), self.e.dim):
             raise ValueError(f"sigma={self.sigma} is not an increasing sequence in 1..{self.e.dim} (dim e)")
 
@@ -139,10 +144,7 @@ def _element_table(s: int, d: int) -> dict[tuple[int, tuple[int, ...]], tuple]:
 
 def _anchor(T: GeometricSimplex, e: AbstractSimplex) -> int:
     """The position mask of anchor e in the cell: the one anchor check of every t-n entry point."""
-    at = _position_mask(T, e.vertices)
-    if at is None:
-        raise ValueError(f"anchor e={e.vertices} is not a face of the cell with labels {T.labels}")
-    return at
+    return _mask(T, e.vertices, "anchor e=")
 
 
 def _anchor_table(T: GeometricSimplex, e: AbstractSimplex, k: int):
@@ -157,9 +159,7 @@ def _entry(T: GeometricSimplex, elem: TnBasisElement, at: int):
     """The element's ``_element_table`` entry and its anchor's face masks; raises when f is not a face of the cell."""
     n = len(T.labels)
     faces, normal_mask = _deposit(at, n)
-    m = normal_mask.get(_position_mask(T, elem.f.vertices))
-    if m is None:
-        raise ValueError(f"face f={elem.f.vertices} is not a face of the cell with labels {T.labels}")
+    m = normal_mask[_mask(T, elem.f.vertices, "face f=")]  # a face of the cell holding e is a face through e
     return _element_table(elem.e.dim, n - 1)[m, elem.sigma], faces
 
 

@@ -21,7 +21,6 @@ from tnforms.simplex import (
     induced_facet_frame,
     nef_frames,
     oriented_subframe,
-    outward_normal,
     random_simplex,
     reference_simplex,
     surface_gradient,
@@ -299,6 +298,21 @@ class TestScaleAndSlivers:
             with pytest.raises(DegenerateSimplexError, match=r"^largest singular value inf: the volume is not representable$"):
                 random_simplex(d, np.random.default_rng(seed), 1e308)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_overflowing_coordinate_is_the_volume_error(self, seed):
+        # scale times a perturbed reference coordinate leaves the float range: the volume error, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSimplexError, match=r"the volume is not representable$"):
+                random_simplex(3, np.random.default_rng(seed), 1.7e308)
+
+    def test_far_scale_builds_where_every_coordinate_is_representable(self):
+        # no coordinate of a vertex; a segment at seed 0 whose coordinates stay in range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert random_simplex(0, np.random.default_rng(0), 1.7e308).volume == 1.0
+            assert np.isfinite(random_simplex(1, np.random.default_rng(0), -1.7e308).volume)
+
     def test_far_cell_with_representable_edges_builds(self):
         # coordinates beyond half the float range take the guarded edge path and build as usual
         with warnings.catch_warnings():
@@ -397,6 +411,43 @@ class TestBarycentricGradients:
         g = barycentric_gradients(T)
         normal = np.cross(T.vertices[1] - T.vertices[0], T.vertices[2] - T.vertices[0])
         assert np.max(np.abs(g @ normal)) < 1e-10
+
+
+class TestBarycentricCoordinates:
+    """Coordinates of a point off an embedded cell's plane are those of its orthogonal projection."""
+
+    @staticmethod
+    def _embedded(shift):
+        rng = np.random.default_rng(31)
+        v = rng.uniform(-1.0, 1.0, size=(3, 4)) + shift
+        x = v.T @ np.array([0.2, 0.5, 0.3]) + 0.7 * np.linalg.svd((v[1:] - v[0]).T)[0][:, -1]  # off the plane
+        return GeometricSimplex(v), x
+
+    @staticmethod
+    def _projection_coordinates(T, x):
+        c = np.linalg.lstsq(T.edge_matrix, x - T.vertices[0], rcond=None)[0]
+        return np.concatenate([[1.0 - c.sum()], c])
+
+    @pytest.mark.parametrize("shift", [0.0, 10.0, 1e3])
+    def test_off_plane_point_far_from_origin(self, shift):
+        T, x = self._embedded(shift)
+        lam = barycentric_coordinates(T, x)
+        assert abs(lam.sum() - 1.0) <= 1e-12
+        assert np.allclose(lam, self._projection_coordinates(T, x), rtol=0, atol=1e-12)
+        assert np.allclose(lam, [0.2, 0.5, 0.3], rtol=0, atol=1e-12)
+
+    def test_unchanged_under_a_common_translation(self):
+        T, x = self._embedded(10.0)
+        t = np.array([100.0, -50.0, 25.0, 7.0])
+        moved = barycentric_coordinates(GeometricSimplex(T.vertices + t), x + t)
+        assert np.allclose(moved, barycentric_coordinates(T, x), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_full_dimensional_cell_matches_the_linear_system(self, d):
+        T = random_simplex(d, RNG)
+        x = RNG.uniform(-1.0, 1.0, size=d)
+        want = np.linalg.solve(np.vstack([np.ones(d + 1), T.vertices.T]), np.concatenate([[1.0], x]))
+        assert np.allclose(barycentric_coordinates(T, x), want, rtol=0, atol=1e-12)
 
 
 class TestVolume:
@@ -820,7 +871,7 @@ class TestLabelFreeTable:
 class TestFaceLookup:
     def test_labels_outside_the_cell_are_named(self):
         T = random_simplex(3, RNG)
-        msg = r"\(0, 9\) is not a face of the simplex with labels \(0, 1, 2, 3\)"
+        msg = r"\(0, 9\) is not a face of the cell with labels \(0, 1, 2, 3\)"
         with pytest.raises(ValueError, match=msg):
             nef_frames(T, simplex(0, 9), simplex(0))
         with pytest.raises(ValueError, match=msg):
@@ -828,9 +879,16 @@ class TestFaceLookup:
         with pytest.raises(ValueError, match=msg):
             surface_gradient(T, simplex(0, 9), 0)
 
+    def test_nef_frames_names_the_face_and_the_anchor(self):
+        T = random_simplex(3, RNG)
+        with pytest.raises(ValueError, match=r"^face f=\(0, 9\) is not a face of the cell with labels \(0, 1, 2, 3\)$"):
+            nef_frames(T, simplex(0, 9), simplex(9))
+        with pytest.raises(ValueError, match=r"^anchor e=\(9,\) is not a face of the cell with labels \(0, 1, 2, 3\)$"):
+            nef_frames(T, simplex(0, 1), simplex(9))
+
     def test_relabelled_cell_rejects_default_labels(self):
         T = GeometricSimplex(random_simplex(2, RNG).vertices, labels=(2, 5, 8))
-        with pytest.raises(ValueError, match=r"\(0, 1\) is not a face of the simplex with labels \(2, 5, 8\)"):
+        with pytest.raises(ValueError, match=r"\(0, 1\) is not a face of the cell with labels \(2, 5, 8\)"):
             nef_frames(T, simplex(0, 1), simplex(1))
         assert nef_frames(T, simplex(2, 5, 8), simplex(5)).normal_labels == (2, 8)
 
@@ -916,7 +974,7 @@ class TestFacetFrames:
             for F in subsimplices(T.full_simplex(), d - 1):
                 (frame, n), (ref, ref_n) = induced_facet_frame(T, F), _ref_induced_facet_frame(T, F)
                 assert frame.vectors.tobytes() == ref.vectors.tobytes()
-                assert n.tobytes() == ref_n.tobytes() == outward_normal(T, F).tobytes()
+                assert n.tobytes() == ref_n.tobytes()
                 for k in range(d):
                     assert frame._compound(k).tobytes() == ref._compound(k).tobytes()
 
@@ -928,7 +986,8 @@ class TestFacetFrames:
             frame.vectors[0, 0] = 1.0
         n[:] = 0.0
         assert np.linalg.norm(induced_facet_frame(T, F)[1]) == pytest.approx(1.0)
-        assert np.linalg.norm(outward_normal(T, F)) == pytest.approx(1.0)
+        for G in subsimplices(T.full_simplex(), 2):
+            assert np.linalg.norm(induced_facet_frame(T, G)[1]) == pytest.approx(1.0)
 
     def test_errors(self, monkeypatch):
         segment = GeometricSimplex(np.array([[0.0], [1.0]]))
@@ -936,11 +995,10 @@ class TestFacetFrames:
             induced_facet_frame(segment, simplex(0))
         embedded = GeometricSimplex(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         T = random_simplex(3, RNG)
-        for build in (outward_normal, induced_facet_frame):
-            with pytest.raises(ValueError, match="outward normal defined on full-dimensional cells"):
-                build(embedded, simplex(0, 1))
-            with pytest.raises(ValueError, match="facet must have codimension one"):
-                build(T, simplex(0, 1))
+        with pytest.raises(ValueError, match="outward normal defined on full-dimensional cells"):
+            induced_facet_frame(embedded, simplex(0, 1))
+        with pytest.raises(ValueError, match="facet must have codimension one"):
+            induced_facet_frame(T, simplex(0, 1))
         monkeypatch.setattr(exterior, "ORTHONORMAL_RTOL", -1.0)
         with pytest.raises(ValueError, match="frame vectors are not orthonormal"):
             induced_facet_frame(random_simplex(3, RNG), simplex(0, 1, 2))
@@ -956,16 +1014,15 @@ class TestFacetFrames:
     @pytest.mark.parametrize("facet", [(0, 1, 7), (0, 5, 7)])
     def test_facet_labels_outside_the_cell_are_named(self, facet):
         T = random_simplex(3, RNG)
-        msg = re.escape(f"{facet} is not a face of the simplex with labels (0, 1, 2, 3)")
-        for build in (outward_normal, induced_facet_frame):
-            with pytest.raises(ValueError, match=msg):
-                build(T, simplex(*facet))
+        msg = re.escape(f"{facet} is not a face of the cell with labels (0, 1, 2, 3)")
+        with pytest.raises(ValueError, match=msg):
+            induced_facet_frame(T, simplex(*facet))
 
     def test_outward_normal_points_away(self):
         T = random_simplex(3, RNG)
         centroid = T.vertices.mean(axis=0)
         for F in subsimplices(T.full_simplex(), 2):
-            n = outward_normal(T, F)
+            n = induced_facet_frame(T, F)[1]
             face_centroid = T.vertices[list(F.vertices)].mean(axis=0)
             assert n @ (face_centroid - centroid) > 0
 

@@ -21,7 +21,6 @@ from tnforms.exterior import (
     compound,
     flat,
     hodge_star,
-    inner,
     restrict_to_frame,
     volume_coefficient,
     wedge,
@@ -33,8 +32,8 @@ from tnforms.simplex import (
     all_subsimplices,
     barycentric_gradients,
     _deposit,
+    _mask,
     _masked_face,
-    _position_mask,
     induced_facet_frame,
     nef_frames,
     random_simplex,
@@ -156,6 +155,12 @@ def _ref_hodge_rows(T, e, k):
         for el in decompose_altk(T, e, k)
     ]
     return _star(compound(_frames(T, e)[0], d - k)[idx], d - k, d)
+
+
+def inner(a, b):
+    """The inner product of two forms of one space, in which the dx_sigma are orthonormal."""
+    assert (a.d, a.k) == (b.d, b.k)
+    return float(np.dot(a.coeffs, b.coeffs))
 
 
 # Reference Hodge coefficient and pairing: the chains the coefficient-array
@@ -364,6 +369,20 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="got k=5, d=2"):
             decompose_altk(T, simplex(0), 5)
 
+    def test_sigma_entries_are_integers(self):
+        # sigma is checked as labels are: any sequence of ints names the same element, a float entry is a TypeError
+        e = f = simplex(0, 1, 2)
+        want = TnBasisElement(e, f, (1, 2))
+        for sigma in ([1, 2], np.array([1, 2]), (np.int64(1), np.int64(2))):
+            got = TnBasisElement(e, f, sigma)
+            assert got == want and hash(got) == hash(want) and type(got.sigma) is tuple
+            assert all(type(i) is int for i in got.sigma)
+        for sigma in ((1.0,), [1, 2.0], np.array([1.0])):
+            with pytest.raises(TypeError):
+                TnBasisElement(e, f, sigma)
+        with pytest.raises(ValueError, match=r"sigma=\(2, 1\)"):
+            TnBasisElement(e, f, [2, 1])
+
     def test_validation(self):
         # sigma must be an increasing sequence in 1..dim e
         e = f = simplex(0, 1, 2)
@@ -474,7 +493,7 @@ class TestMaskTables:
                         assert tuple(partner_rows.tolist()) == tuple(i - 1 for i in complement(want, d))
                         partner = TnBasisElement(e, _masked_face(T, faces[partner_mask]), tau)
                         assert _ref_row_index(partner, labels) == complement(want, d)
-                        assert faces[partner_mask] == _position_mask(T, partner.f.vertices)
+                        assert faces[partner_mask] == _mask(T, partner.f.vertices)
                         seen.add((el.f, el.sigma))
                 assert len(seen) == len(_element_table(e.dim, d)) == 2**d
 
@@ -513,7 +532,7 @@ class TestMaskTables:
                 for k in range(d + 1):
                     for flavor in FLAVORS:
                         for el in decompose_altk(T, e, k, flavor):
-                            assert T._masked[_position_mask(T, el.f.vertices)] is el.f
+                            assert T._masked[_mask(T, el.f.vertices)] is el.f
                     hodge_coefficient(T, decompose_altk(T, e, k, "dual")[-1])
             assert len(T._masked) <= 2 ** (d + 1) - 1
         assert sorted(T._masked) == list(range(1, 2 ** (d + 1)))
