@@ -215,9 +215,11 @@ def hodge_star(omega: AltForm) -> AltForm:
 
 
 def flat(v: np.ndarray) -> AltForm:
-    """The 1-form v-flat with the same components as v."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return AltForm(v.shape[0], 1, v.copy())
+    """The 1-form v-flat with the same components as v, a 1-D array."""
+    v = np.array(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"flat needs a 1-D vector, got shape {v.shape}")
+    return AltForm(v.shape[0], 1, v)
 
 
 def evaluate(omega: AltForm, vectors) -> float:

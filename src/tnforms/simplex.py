@@ -3,8 +3,10 @@
 A :class:`GeometricSimplex` may be full-dimensional (a cell) or embedded
 (a sub-simplex of a cell, carrying its own vertex coordinates).  A face is
 named by its position mask, bit i for the cell's i-th label; bit
-arithmetic on masks lives in this module alone, and callers such as the
-t-n bases hold masks as opaque keys.  One label-free table per label count
+arithmetic on position masks lives in this module alone, and callers such
+as the t-n bases hold them as opaque keys (``tnbasis`` does bit arithmetic
+only on its normal-offset masks, bit i for the i-th label outside an
+anchor).  One label-free table per label count
 n, ``_face_index``, lists the faces of range(n) by size, then
 lexicographic, with their masks and each mask's position in its level.  A
 cell translates labels once per face: ``_face_at`` maps labels to masks,
@@ -413,8 +415,7 @@ def surface_gradient(T: GeometricSimplex, f: AbstractSimplex, i: int) -> np.ndar
     """Tangential part of grad lambda_i on f: f's own gradient if i is in f, else zero."""
     at = _face(T, f.vertices)
     if i not in f.vertices:
-        if i not in T.labels:
-            raise ValueError(f"label {i} is not a vertex of the simplex with labels {T.labels}")
+        _mask(T, (i,), "vertex i=")
         return np.zeros(T.ambient_dim)
     return T._levels[f.dim].gradients[at, f.vertices.index(i)]
 
@@ -553,7 +554,7 @@ def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Fr
     if T.dim < 2:
         raise ValueError("induced facet frame needs ambient dimension >= 2")
     if T.dim != T.ambient_dim:
-        raise ValueError("outward normal defined on full-dimensional cells")
+        raise ValueError(f"induced facet frame needs a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
     if facet.dim != T.dim - 1:
         raise ValueError("facet must have codimension one")
     at = _face(T, facet.vertices)

@@ -24,9 +24,10 @@ as opaque keys: an anchor is a mask, and an element at it is
 (normal-offset mask, sigma), bit i of the former for the i-th label
 outside the anchor.  ``simplex._deposit(anchor mask, n)`` turns
 normal-offset masks into face masks and back, and the cell names each face
-mask once (``simplex._masked_face``).  An element's frame rows, its
-complementary rows and its Hodge partner come from one label-free table
-per (s, d), ``_element_table``, so no call scans labels.
+mask once (``simplex._masked_face``).  All five entry points read one
+label-free table per (s, d), ``_element_table``: per degree, the element
+order, compound positions and pairing gather; per element, its frame rows,
+its complementary rows and its Hodge partner.  No call scans labels.
 The elements ``decompose_altk`` and ``hodge_coefficient`` return are valid
 by construction and built without re-validation (``TnBasisElement._of``):
 each entry point checks, of the degree, the anchor (``_anchor``, one
@@ -77,7 +78,7 @@ class TnBasisElement:
 
     @classmethod
     def _of(cls, e: AbstractSimplex, f: AbstractSimplex, sigma: tuple[int, ...], flavor: str) -> "TnBasisElement":
-        """An element named from ``_basis_table``, valid by construction; not re-checked."""
+        """An element named from ``_element_table``, valid by construction; not re-checked."""
         elem = object.__new__(cls)
         elem.__dict__.update(e=e, f=f, sigma=sigma, flavor=flavor)
         return elem
@@ -100,46 +101,35 @@ def decompose_altk(
 
 
 @lru_cache(maxsize=None)
-def _basis_table(s: int, d: int, k: int):
-    """The elements of degree k at an s-dimensional anchor of a d-cell, as frame rows; labels play no part.
+def _element_table(s: int, d: int):
+    """Every element at an s-dimensional anchor of a d-cell, of every degree, as frame rows; labels play no part.
 
-    An element wedges k of the d rows: tangents 1..s, then normal rows s + 1 + i,
-    i the 0-based offset among the labels outside the anchor.  Sorted by normal
-    count, normal rows and rows, the row sets give their positions in
-    ``sequences(k, d)`` and, per element, (sigma, normal-offset mask), bit i of
-    the mask set for offset i.  The third entry holds the flat positions, in a
-    C(d, k) x C(d, k) matrix, of the elements' rows and columns (read-only):
-    the gather ``pairing_matrix`` takes.
+    An element of degree k wedges k of the d rows: tangents 1..s, then normal
+    rows s + 1 + i, i the 0-based offset among the labels outside the anchor.
+    Per degree k, sorted by normal count, normal rows and rows, the row sets
+    give their positions in ``sequences(k, d)``, the elements as (sigma,
+    normal-offset mask), bit i of the mask set for offset i, and the flat
+    positions, in a C(d, k) x C(d, k) matrix, of the elements' rows and columns
+    (read-only): the gather ``pairing_matrix`` takes.  Per (mask, sigma), 2^d
+    in all, an entry holds the element's 0-based frame rows, the complementary
+    rows, and the mask and sigma of its Hodge partner, which wedges those
+    complementary rows.  The row arrays are read-only and shared: an element's
+    complementary rows are its partner's rows.
     """
-    keyed = sorted((sum(i > s for i in r), tuple(i - s - 1 for i in r if i > s), r) for r in sequences(k, d))
-    pos = sequence_position(k, d)
-    idx = tuple(pos[r] for _, _, r in keyed)
-    at = np.array(idx, dtype=np.intp)
-    flat_index = at[:, None] * len(idx) + at[None, :]
-    flat_index.flags.writeable = False
-    return idx, tuple((r[: k - m], sum(1 << i for i in normals)) for m, normals, r in keyed), flat_index
-
-
-@lru_cache(maxsize=None)
-def _element_table(s: int, d: int) -> dict[tuple[int, tuple[int, ...]], tuple]:
-    """Every element at an s-dimensional anchor of a d-cell, of every degree, keyed by (normal-offset mask, sigma).
-
-    An entry holds the element's 0-based frame rows (sigma's tangents i - 1,
-    then the normal row s + i of each offset i in the mask), the complementary
-    rows, and the normal-offset mask and sigma of its Hodge partner, which
-    wedges those complementary rows.  The row arrays are read-only and shared:
-    an element's complementary rows are its partner's rows.  2^d entries, and
-    labels play no part.
-    """
-    full = (1 << (d - s)) - 1
+    full, degrees, rows = (1 << (d - s)) - 1, [], {}
+    for k in range(0, d + 1):
+        order = sorted(sequences(k, d), key=lambda r: (sum(i > s for i in r), [i for i in r if i > s], r))
+        idx = tuple(map(sequence_position(k, d).__getitem__, order))
+        at = np.array(idx, dtype=np.intp)
+        flat_index = at[:, None] * len(idx) + at[None, :]
+        flat_index.flags.writeable = False
+        elements = tuple((tuple(i for i in r if i <= s), sum(1 << i - s - 1 for i in r if i > s)) for r in order)
+        degrees.append((idx, elements, flat_index))
+        for (sigma, m), r in zip(elements, order):
+            rows[m, sigma] = np.array(r, dtype=np.intp) - 1
+            rows[m, sigma].flags.writeable = False
     taus = {sigma: complement(sigma, s) for j in range(s + 1) for sigma in sequences(j, s)}
-    rows = {}
-    for m in range(full + 1):
-        normals = [s + i for i in range(d - s) if m >> i & 1]
-        for sigma in taus:
-            rows[m, sigma] = r = np.array([i - 1 for i in sigma] + normals, dtype=np.intp)
-            r.flags.writeable = False
-    return {(m, sigma): (r, rows[full ^ m, taus[sigma]], full ^ m, taus[sigma]) for (m, sigma), r in rows.items()}
+    return tuple(degrees), {(m, sig): (r, rows[full ^ m, taus[sig]], full ^ m, taus[sig]) for (m, sig), r in rows.items()}
 
 
 def _anchor(T: GeometricSimplex, e: AbstractSimplex) -> int:
@@ -148,11 +138,11 @@ def _anchor(T: GeometricSimplex, e: AbstractSimplex) -> int:
 
 
 def _anchor_table(T: GeometricSimplex, e: AbstractSimplex, k: int):
-    """Anchor e's position mask and ``_basis_table``; the degree is checked, then the anchor, then the table is built."""
+    """Anchor e's position mask and its degree-k elements; the degree is checked, then the anchor, then the table is built."""
     d = len(T.labels) - 1
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    return _anchor(T, e), _basis_table(e.dim, d, k)
+    return _anchor(T, e), _element_table(e.dim, d)[0][k]
 
 
 def _entry(T: GeometricSimplex, elem: TnBasisElement, at: int):
@@ -160,7 +150,7 @@ def _entry(T: GeometricSimplex, elem: TnBasisElement, at: int):
     n = len(T.labels)
     faces, normal_mask = _deposit(at, n)
     m = normal_mask[_mask(T, elem.f.vertices, "face f=")]  # a face of the cell holding e is a face through e
-    return _element_table(elem.e.dim, n - 1)[m, elem.sigma], faces
+    return _element_table(elem.e.dim, n - 1)[1][m, elem.sigma], faces
 
 
 def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +205,11 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     # each form is the maximal minors of its rows; the partner wedges the complementary primal rows
     a = compound(dual.take(rows, axis=0), k)[0]
     b = compound(primal.take(partner_rows, axis=0), d - k)[0]
+    # exact powers of two bring both arrays' largest entries into [1/2, 1): no
+    # product below over- or underflows on a representable cell, the two checks
+    # decide as unscaled, and c is scaled back exactly
+    ea, eb = math.frexp(max(map(abs, a.tolist())))[1], math.frexp(max(map(abs, b.tolist())))[1]
+    a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
     dual_form = _form(d, k, a)
 
     denominator = volume_coefficient(wedge(dual_form, _form(d, d - k, b)))
@@ -222,7 +217,8 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     scale = math.sqrt(aa) * math.sqrt(b.dot(b))
     if abs(denominator) <= DEGENERACY_RTOL * scale:
         where = _context(elem, d, k)
-        raise ValueError(f"degenerate Hodge pairing at {where}: {abs(denominator):.3e} <= {DEGENERACY_RTOL} * {scale:.3e}")
+        scaled = f"{abs(denominator):.3e} <= {DEGENERACY_RTOL} * {scale:.3e}, both times 2^{ea + eb}"
+        raise ValueError(f"degenerate Hodge pairing at {where}: {scaled}")
     c = aa / denominator
 
     starred = hodge_star(dual_form).coeffs
@@ -231,7 +227,7 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     if residual > PAIRING_RTOL:
         where = _context(elem, d, k)
         raise ValueError(f"Hodge collinearity at {where}: relative residual {residual:.3e} > {PAIRING_RTOL}")
-    return c, partner
+    return math.ldexp(c, ea - eb), partner
 
 
 def _context(elem: TnBasisElement, d: int, k: int) -> str:

@@ -421,6 +421,17 @@ class TestFlatSharp:
             u, w = RNG.standard_normal(4), RNG.standard_normal(4)
             assert abs(evaluate(flat(u), [w]) - np.dot(u, w)) < 1e-12
 
+    def test_flat_needs_a_vector(self):
+        # a matrix or a scalar is not read as a vector on R^(its size)
+        for v in (np.ones((2, 3)), np.ones((1, 3)), np.float64(2.0), [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match=r"flat needs a 1-D vector, got shape \("):
+                flat(v)
+        # the form owns its coefficients; lists are vectors
+        u = np.array([1.0, 2.0])
+        w = flat(u)
+        u[0] = 5.0
+        assert w.coeffs.tolist() == [1.0, 2.0] and flat([3, 4]).coeffs.tolist() == [3.0, 4.0]
+
 
 class TestSubspaceHodge:
     def xy_frame(self):
