@@ -15,15 +15,20 @@ slot; a wedge or a contraction is one gather and one ``np.bincount``.  The
 star is a signed permutation: ``_hodge_table`` holds, for each output
 sequence, the input sequence it is the ``complement`` of and the sign, and
 ``_star`` is one gather along the last axis, of one form or of a stack of
-coefficient rows.  ``compound(A, k)`` holds all k x k minors of A from one
-batched determinant over one gather along the last axis of A's flattened
-matrices, at the flat positions ``_minor_index(k, m, n)`` caches for an
-(m, n) matrix; leading axes of A are a batch, so one call serves a stack
-of frames.  Evaluation, wedges of 1-forms, restriction to a frame
-(``C_k(F) @ a``) and its pullback (``c @ C_k(F)``) are then products.  The
-subspace star fuses the three: with r = C_k(F) a, it is
-``_star(r) @ C_{l-k}(F)``, and r C_k(F) - a is the part of a normal to the
-frame; it builds one form, the result.
+coefficient rows.  ``compound(A, k)`` holds all k x k minors of A; leading
+axes of A are a batch, so one call serves a stack of frames.  The 0th and
+1st compounds are ones and A itself, exact.  For k >= 2 the minors' entries
+are one gather along the last axis of A's flattened matrices, at the flat
+positions ``_minor_index(k, m, n)`` caches for an (m, n) matrix.  Minors
+of order 2 and 3 are closed forms on it (ad - bc, the first-row cofactor
+expansion), scaled exactly when A is scaled by a power of two.  Order
+k >= 4 goes through one batched ``np.linalg.det``, which returns
+sign * exp(log|det|): its relative error grows with |log|det||, so those
+minors are neither exact nor exactly scaled.  Evaluation, wedges of
+1-forms, restriction to a frame (``C_k(F) @ a``) and its pullback
+(``c @ C_k(F)``) are then products.  The subspace star fuses the three:
+with r = C_k(F) a, it is ``_star(r) @ C_{l-k}(F)``, and r C_k(F) - a is
+the part of a normal to the frame; it builds one form, the result.
 
 The tables fix the shape of every kernel result, so ``wedge``,
 ``contraction``, ``hodge_star``, ``restrict_to_frame``, ``pullback_embed``
@@ -101,18 +106,35 @@ def _check_same_space(a: AltForm, b: AltForm):
 
 
 def compound(A: np.ndarray, k: int) -> np.ndarray:
-    """The k-th compound matrix of A: all k x k minors from one batched determinant.
+    """The k-th compound matrix of A: all k x k minors, in closed form for k <= 3.
 
     Entry (r, c) is the minor on the r-th row sequence and the c-th column
     sequence of length k, both in lexicographic order.  Leading axes are a
     batch: A of shape (..., m, n) gives (..., C(m, k), C(n, k)), each matrix
-    bit for bit its own compound.
+    bit for bit its own compound.  The 0th compound is ones and the 1st is a
+    copy of A, both exact.  For k = 2 and 3 each minor is ad - bc or its
+    first-row cofactor expansion, elementwise over one gather of the
+    entries, within 2u and 5u (u = 2^-53) of the sum of the absolute
+    Leibniz terms, and exactly scaled when A is scaled by a power of two.
+    For k >= 4 ``np.linalg.det`` takes the minors of the same gather: it
+    returns sign * exp(log|det|), so its relative error grows with
+    |log|det|| and its minors are neither exact nor exactly scaled.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or k < 0:
         raise ValueError(f"compound needs k >= 0 and a matrix or a stack of them, got k={k}, shape {A.shape}")
+    if k == 0:
+        return np.ones(A.shape[:-2] + (1, 1))
+    if k == 1:
+        return A.copy()
     m, n = A.shape[-2:]
-    return np.linalg.det(A.reshape(A.shape[:-2] + (m * n,)).take(_minor_index(k, m, n), axis=-1))
+    minors = A.reshape(A.shape[:-2] + (m * n,)).take(_minor_index(k, m, n), axis=-1)
+    if k == 2:
+        return minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0]
+    if k == 3:
+        a, b, c, d, e, f, g, h, i = (minors[..., r, s] for r in range(3) for s in range(3))
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.linalg.det(minors)
 
 
 @lru_cache(maxsize=None)

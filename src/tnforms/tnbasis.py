@@ -117,7 +117,7 @@ def _element_table(s: int, d: int):
     complementary rows are its partner's rows.
     """
     full, degrees, rows = (1 << (d - s)) - 1, [], {}
-    for k in range(0, d + 1):
+    for k in range(d + 1):
         order = sorted(sequences(k, d), key=lambda r: (sum(i > s for i in r), [i for i in r if i > s], r))
         idx = tuple(map(sequence_position(k, d).__getitem__, order))
         at = np.array(idx, dtype=np.intp)
@@ -207,7 +207,11 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     b = compound(primal.take(partner_rows, axis=0), d - k)[0]
     # exact powers of two bring both arrays' largest entries into [1/2, 1): no
     # product below over- or underflows on a representable cell, the two checks
-    # decide as unscaled, and c is scaled back exactly
+    # decide as unscaled, and c is scaled back exactly.  Scaling the cell by a
+    # power of two scales its frames, and compound's minors of order <= 3, by
+    # powers of two alone: with k, d - k <= 3, a and b are here bit for bit
+    # those of the unscaled cell, and c keeps its mantissa.  An LU minor of
+    # order >= 4 may move its last bits.
     ea, eb = math.frexp(max(map(abs, a.tolist())))[1], math.frexp(max(map(abs, b.tolist())))[1]
     a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
     dual_form = _form(d, k, a)

@@ -1,11 +1,14 @@
 import math
 import re
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tnforms import exterior
-from tnforms.combinatorics import binomial, sequence_position, sequences
+from tnforms.combinatorics import binomial, inversion_sign, sequence_position, sequences
 from tnforms.errors import ORTHONORMAL_RTOL
 from tnforms.exterior import (
     AltForm,
@@ -25,6 +28,21 @@ from tnforms.exterior import (
 from tnforms.exterior import _star
 
 RNG = np.random.default_rng(1234)
+
+# a matrix entry of size 2^-100..2^100, of either sign, or zero
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda x, negative: -x if negative else x, st.floats(2.0**-100, 2.0**100), st.booleans()),
+)
+
+
+def _matrices(min_rows=0):
+    """Matrices of at most 6 x 6, with at least ``min_rows`` rows, of _ENTRY entries."""
+    return st.tuples(st.integers(min_rows, 6), st.integers(0, 6)).flatmap(
+        lambda shape: st.lists(_ENTRY, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+            lambda v: np.reshape(np.array(v, dtype=float), shape)
+        )
+    )
 
 
 def basis_form(d, k, sigma):
@@ -148,12 +166,13 @@ def _ref_pullback_embed(frame, omega_sub):
     return acc
 
 
-# The gathers and compositions the fused kernels replaced; the fused ones
-# must match them byte for byte.
+# The gathers and compositions the fused kernels replaced.  The kernels must
+# match them byte for byte, except compound's minors of order 1 to 3: those
+# are closed forms, checked against exact arithmetic instead.
 
 
-def _ref_compound(A, k):
-    """All k x k minors through one broadcast 4-D fancy index."""
+def _ref_gather(A, k):
+    """The entries of all k x k minors through one broadcast 4-D fancy index."""
 
     def index(n):
         seqs = sequences(k, n)
@@ -161,7 +180,22 @@ def _ref_compound(A, k):
 
     A = np.asarray(A, dtype=float)
     rows, cols = index(A.shape[0]), index(A.shape[1])
-    return np.linalg.det(A[rows[:, None, :, None], cols[None, :, None, :]])
+    return A[rows[:, None, :, None], cols[None, :, None, :]]
+
+
+def _ref_compound(A, k):
+    """All k x k minors through one batched LU determinant of the gather."""
+    return np.linalg.det(_ref_gather(A, k))
+
+
+def _exact_minor_error(entries, got):
+    """|got - minor| and sum |Leibniz term| of one k x k minor, in exact rational arithmetic."""
+    k = len(entries)
+    exact, size = Fraction(0), Fraction(0)
+    for perm in permutations(range(k)):
+        term = inversion_sign(perm) * math.prod(Fraction(entries[r][perm[r]]) for r in range(k))
+        exact, size = exact + term, size + abs(term)
+    return abs(Fraction(got) - exact), size
 
 
 def _ref_hodge_star_in_subspace(frame, omega):
@@ -261,17 +295,65 @@ class TestCompound:
     def test_edge_degrees(self):
         A = RNG.standard_normal((3, 4))
         assert np.array_equal(compound(A, 0), np.ones((1, 1)))
-        assert np.allclose(compound(A, 1), A)
         assert compound(A, 4).shape == (0, 1)
+        # the first compound is A exactly, where LU's sign * exp(log|det|)
+        # moves most 1 x 1 minors by an ulp; a transposed view as well
+        for B in (A, 1e-100 * A.T, 1e100 * A.T):
+            got = compound(B, 1)
+            assert got.shape == B.shape and got.tobytes() == np.ascontiguousarray(B).tobytes()
 
     def test_matches_broadcast_gather(self):
+        # the gather is pinned for every order; the LU minors it feeds, of
+        # order 0 and >= 4, are pinned too
         rng = np.random.default_rng(41)
         for m in range(5):
             for n in range(6):
                 A = rng.standard_normal((n, m)).T  # a non-contiguous view as well
                 for k in range(max(m, n) + 2):
-                    got, ref = compound(A, k), _ref_compound(A, k)
-                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (m, n, k)
+                    gather, ref = A.reshape(-1).take(exterior._minor_index(k, m, n)), _ref_gather(A, k)
+                    assert gather.shape == ref.shape and gather.tobytes() == ref.tobytes(), (m, n, k)
+                    if k == 0 or k >= 4:
+                        got, ref = compound(A, k), _ref_compound(A, k)
+                        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (m, n, k)
+
+    @pytest.mark.parametrize("k, bound", [(2, 2), (3, 5)])
+    def test_closed_forms_meet_the_a_priori_bound(self, k, bound):
+        # |minor - exact| <= bound * u * sum |Leibniz term|, u = 2^-53, on
+        # random, widely scaled, near-singular and integer matrices (exact
+        # cancellation); the rational minor is of the float entries
+        rng = np.random.default_rng(53 + k)
+        cases = [rng.standard_normal((5, 6)) for _ in range(3)]
+        cases += [scale * rng.standard_normal((4, 5)) for scale in (1e-90, 1e-20, 1e20, 1e90)]
+        low_rank = rng.standard_normal((5, k - 1)) @ rng.standard_normal((k - 1, 5))
+        cases += [low_rank, low_rank + 1e-12 * rng.standard_normal((5, 5))]
+        cases += [rng.integers(-3, 4, (5, 5)).astype(float)]
+        u = Fraction(1, 2**53)
+        for A in cases:
+            m, n = A.shape
+            got = compound(A, k)
+            for r, rows in enumerate(sequences(k, m)):
+                for c, cols in enumerate(sequences(k, n)):
+                    entries = [[A[i - 1, j - 1] for j in cols] for i in rows]
+                    error, size = _exact_minor_error(entries, got[r, c])
+                    assert error <= bound * u * size, (A.shape, rows, cols)
+
+    @given(st.integers(0, 3), st.integers(-200, 200), _matrices())
+    def test_closed_forms_scale_exactly(self, k, j, A):
+        # entries of size 2^-100..2^100 or zero keep every product and
+        # difference normal at scales 2^-200..2^200, so scaling is exact
+        got, want = compound(2.0**j * A, k), 2.0 ** (j * k) * compound(A, k)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(_matrices(min_rows=2), st.data())
+    def test_row_swap_negates_second_compound(self, A, data):
+        m = A.shape[0]
+        p, q = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True).map(sorted))
+        swapped = A.copy()
+        swapped[[p, q]] = swapped[[q, p]]
+        at = sequence_position(2, m)[p + 1, q + 1]
+        # + 0.0 makes every zero +0, the one difference x - y and -(y - x) may show
+        got, want = compound(swapped, 2)[at] + 0.0, -compound(A, 2)[at] + 0.0
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("batch", [(0,), (3,), (2, 3)])
     def test_leading_axes_are_a_batch(self, batch):

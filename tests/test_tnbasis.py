@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from functools import reduce
@@ -833,6 +834,22 @@ class TestHodgeCoefficient:
                     c, partner = hodge_coefficient(T, el)
                     assert partner == partner0
                     assert abs(c / c0 * scale ** (2 * el.f.dim - d - el.e.dim) - 1.0) < (1e-12 if scale in far else 1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_power_of_two_scaling_keeps_the_mantissa(self, d):
+        # On a cell of dimension d <= 3 every minor has order <= 3, a closed
+        # form in compound that scales exactly: scaling the cell by 2^j keeps
+        # each c's mantissa and moves its exponent by j (d + dim e - 2 dim f).
+        rng = np.random.default_rng(60 + d)
+        for _ in range(3):
+            unit = random_simplex(d, rng)
+            elems = [el for e in all_subsimplices(unit) for k in range(d + 1) for el in decompose_altk(unit, e, k, "dual")]
+            want = [math.frexp(hodge_coefficient(unit, el)[0]) for el in elems]
+            for j in (-40, 37):
+                T = GeometricSimplex(2.0**j * unit.vertices)
+                for el, (mantissa, exponent) in zip(elems, want):
+                    shift = j * (d + el.e.dim - 2 * el.f.dim)
+                    assert math.frexp(hodge_coefficient(T, el)[0]) == (mantissa, exponent + shift), (j, el)
 
     def test_requires_dual_flavor(self):
         T = random_simplex(2, RNG)
