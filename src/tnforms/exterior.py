@@ -17,18 +17,19 @@ sequence, the input sequence it is the ``complement`` of and the sign, and
 ``_star`` is one gather along the last axis, of one form or of a stack of
 coefficient rows.  ``compound(A, k)`` holds all k x k minors of A; leading
 axes of A are a batch, so one call serves a stack of frames.  The 0th and
-1st compounds are ones and A itself, exact.  For k >= 2 the minors' entries
-are one gather along the last axis of A's flattened matrices, at the flat
-positions ``_minor_index(k, m, n)`` caches for an (m, n) matrix.  Minors
-of order 2 and 3 are closed forms on it (ad - bc, the first-row cofactor
-expansion), scaled exactly when A is scaled by a power of two.  Order
-k >= 4 goes through one batched ``np.linalg.det``, which returns
-sign * exp(log|det|): its relative error grows with |log|det||, so those
-minors are neither exact nor exactly scaled.  Evaluation, wedges of
-1-forms, restriction to a frame (``C_k(F) @ a``) and its pullback
-(``c @ C_k(F)``) are then products.  The subspace star fuses the three:
-with r = C_k(F) a, it is ``_star(r) @ C_{l-k}(F)``, and r C_k(F) - a is
-the part of a normal to the frame; it builds one form, the result.
+1st compounds are ones and A itself, exact.  For k >= 2 one cached
+``_laplace_plan(k, m, n)`` takes every minor of an (m, n) matrix by
+generalised Laplace expansion: an order-j minor is a signed sum of
+products of a minor of order j // 2 on its first rows and one of order
+j - j // 2 on the rest, both read from lower orders, down to A's flat
+entries.  Each order holds only the row sets the order above reads, and
+each step is two gathers and one ordered signed sum.  Products and sums
+alone make every minor exactly scaled when A is scaled by a power of two.
+Evaluation, wedges of 1-forms, restriction to a frame (``C_k(F) @ a``) and
+its pullback (``c @ C_k(F)``) are then products.  The subspace star fuses
+the three: with r = C_k(F) a, it is ``_star(r) @ C_{l-k}(F)``, and
+r C_k(F) - a is the part of a normal to the frame; it builds one form, the
+result.
 
 The tables fix the shape of every kernel result, so ``wedge``,
 ``contraction``, ``hodge_star``, ``restrict_to_frame``, ``pullback_embed``
@@ -106,19 +107,21 @@ def _check_same_space(a: AltForm, b: AltForm):
 
 
 def compound(A: np.ndarray, k: int) -> np.ndarray:
-    """The k-th compound matrix of A: all k x k minors, in closed form for k <= 3.
+    """The k-th compound matrix of A: all k x k minors, by generalised Laplace expansion.
 
     Entry (r, c) is the minor on the r-th row sequence and the c-th column
     sequence of length k, both in lexicographic order.  Leading axes are a
     batch: A of shape (..., m, n) gives (..., C(m, k), C(n, k)), each matrix
     bit for bit its own compound.  The 0th compound is ones and the 1st is a
-    copy of A, both exact.  For k = 2 and 3 each minor is ad - bc or its
-    first-row cofactor expansion, elementwise over one gather of the
-    entries, within 2u and 5u (u = 2^-53) of the sum of the absolute
-    Leibniz terms, and exactly scaled when A is scaled by a power of two.
-    For k >= 4 ``np.linalg.det`` takes the minors of the same gather: it
-    returns sign * exp(log|det|), so its relative error grows with
-    |log|det|| and its minors are neither exact nor exactly scaled.
+    copy of A, both exact.  For k >= 2 each step of ``_laplace_plan`` takes
+    the order-j minors that a higher step reads: two gathers of lower-order
+    minors, their products, and a signed sum of the products in order, for
+    orders 2 and 3 (signs + - and + - +) as array operations and above in
+    ``np.einsum``'s loop.  A BLAS product with the signs would order a row's
+    sum by the number of rows, so a minor would depend on the minors taken
+    beside it.  Products and sums alone: a minor is within 2, 5, 10, 17 and
+    30 u (k = 2..6, u = 2^-53) of the sum of its absolute Leibniz terms, to
+    first order, and exactly scaled when A is scaled by a power of two.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or k < 0:
@@ -128,13 +131,16 @@ def compound(A: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return A.copy()
     m, n = A.shape[-2:]
-    minors = A.reshape(A.shape[:-2] + (m * n,)).take(_minor_index(k, m, n), axis=-1)
-    if k == 2:
-        return minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0]
-    if k == 3:
-        a, b, c, d, e, f, g, h, i = (minors[..., r, s] for r in range(3) for s in range(3))
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.linalg.det(minors)
+    shape, steps = _laplace_plan(k, m, n)
+    minors = {1: A.reshape(A.shape[:-2] + (m * n,))}
+    for j, left, right, sign in steps:
+        terms, other = minors[j // 2].take(left, axis=-1), minors[j - j // 2].take(right, axis=-1)
+        if j > 3:
+            minors[j] = np.einsum("...t,...t,t->...", terms, other, sign)
+        else:  # signs + - or + - +: the same sum in order, in fewer calls than einsum sets up
+            terms *= other
+            minors[j] = terms[..., 0] - terms[..., 1] if j == 2 else terms[..., 0] - terms[..., 1] + terms[..., 2]
+    return minors[k].reshape(A.shape[:-2] + shape)
 
 
 @lru_cache(maxsize=None)
@@ -144,13 +150,79 @@ def _index_array(k: int, d: int) -> np.ndarray:
     return np.array(seqs, dtype=np.intp).reshape(len(seqs), k) - 1
 
 
+def _code(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row of entries in range(n) as one base-n number: lexicographic order is numeric order."""
+    return rows @ [n**i for i in range(rows.shape[-1] - 1, -1, -1)]
+
+
 @lru_cache(maxsize=None)
-def _minor_index(k: int, m: int, n: int) -> np.ndarray:
-    """Flat positions in an (m, n) matrix of every k x k minor's entries, (C(m, k), C(n, k), k, k); read-only."""
-    rows, cols = _index_array(k, m), _index_array(k, n)
-    index = rows[:, None, :, None] * n + cols[None, :, None, :]
-    index.flags.writeable = False
-    return index
+def _laplace_plan(k: int, m: int, n: int) -> tuple[tuple[int, int], tuple[tuple, ...]]:
+    """Shape (C(m, k), C(n, k)) and steps (j, left, right, sign), by rising j, of an (m, n) matrix's k-th compound.
+
+    The minors of order 1 are the matrix's flat entries, and those of order
+    j >= 2 a flat array over (row set, column sequence), with the row sets
+    of ``_row_split(k, m)``.  ``left`` and ``right`` (minors, C(j, j // 2))
+    hold the flat positions of the two factors of each term of
+    ``_column_split(j, n)``.  Read-only.
+    """
+
+    def flat(at: np.ndarray, col: np.ndarray, s: int) -> np.ndarray:
+        """Flat positions of the order-s minors on the row sets at ``at`` and the column sequences at ``col``."""
+        index = np.add.outer(at * binomial(n, s), col).reshape(-1, col.shape[1])
+        index.flags.writeable = False
+        return index
+
+    steps = []
+    for j, (left_at, right_at) in _row_split(k, m):
+        left, right, sign = _column_split(j, n)
+        steps.append((j, flat(left_at, left, j // 2), flat(right_at, right, j - j // 2), sign))
+    return (binomial(m, k), binomial(n, k)), tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _row_split(k: int, m: int) -> tuple[tuple[int, tuple[np.ndarray, np.ndarray]], ...]:
+    """Per order j >= 2 that the k-th compound of m rows takes, by rising j: how its row sets split.
+
+    Order k holds every k-sequence of rows, a lower order the row sets a
+    higher one reads, in lexicographic order, and order 1 every row.  For
+    each order-j row set R: the position of R[:j // 2] among the row sets of
+    order j // 2, and of R[j // 2:] among those of order j - j // 2.
+    """
+    rows, codes = {k: _index_array(k, m)}, {}
+    for j in range(k, 1, -1):  # an order's row sets are complete once every higher order is done
+        if j in rows:
+            if j < k:
+                codes[j], first = np.unique(_code(rows[j], m), return_index=True)
+                rows[j] = rows[j][first]
+            for part in (rows[j][:, : j // 2], rows[j][:, j // 2 :]):
+                s = part.shape[1]
+                if s > 1:
+                    rows[s] = np.concatenate([rows[s], part]) if s in rows else part
+
+    def at(part: np.ndarray) -> np.ndarray:
+        return part[:, 0] if part.shape[1] == 1 else np.searchsorted(codes[part.shape[1]], _code(part, m))
+
+    return tuple((j, (at(rows[j][:, : j // 2]), at(rows[j][:, j // 2 :]))) for j in sorted(rows))
+
+
+@lru_cache(maxsize=None)
+def _column_split(j: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of a Laplace expansion of every order-j minor on the first j // 2 rows and the rest.
+
+    A minor on columns C is the sum over the a-sequences S of C's positions,
+    a = j // 2, of sign[S] times the minors on columns C[S] and on the rest:
+    per column sequence of length j in range(n) (rows) and S (columns), the
+    positions of C[S] among the a-sequences in range(n) and of the rest
+    among the (j - a)-sequences; and each S's shuffle sign.  Read-only.
+    """
+    a = j // 2
+    cols = _index_array(j, n)
+    positions = _index_array(a, j), _index_array(j - a, j)[::-1]  # row t of the second is the rest of row t
+    split = [np.searchsorted(_code(_index_array(p.shape[1], n), n), _code(cols[:, p], n)) for p in positions]
+    split.append((-1.0) ** (positions[0].sum(axis=1) - a * (a - 1) // 2))
+    for array in split:
+        array.flags.writeable = False
+    return tuple(split)
 
 
 def _columns(rows) -> tuple[np.ndarray, ...]:

@@ -208,10 +208,9 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     # exact powers of two bring both arrays' largest entries into [1/2, 1): no
     # product below over- or underflows on a representable cell, the two checks
     # decide as unscaled, and c is scaled back exactly.  Scaling the cell by a
-    # power of two scales its frames, and compound's minors of order <= 3, by
-    # powers of two alone: with k, d - k <= 3, a and b are here bit for bit
-    # those of the unscaled cell, and c keeps its mantissa.  An LU minor of
-    # order >= 4 may move its last bits.
+    # power of two scales its frames, and compound's minors of every order, by
+    # powers of two alone: a and b are here bit for bit those of the unscaled
+    # cell, and c keeps its mantissa.
     ea, eb = math.frexp(max(map(abs, a.tolist())))[1], math.frexp(max(map(abs, b.tolist())))[1]
     a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
     dual_form = _form(d, k, a)

@@ -166,26 +166,8 @@ def _ref_pullback_embed(frame, omega_sub):
     return acc
 
 
-# The gathers and compositions the fused kernels replaced.  The kernels must
-# match them byte for byte, except compound's minors of order 1 to 3: those
-# are closed forms, checked against exact arithmetic instead.
-
-
-def _ref_gather(A, k):
-    """The entries of all k x k minors through one broadcast 4-D fancy index."""
-
-    def index(n):
-        seqs = sequences(k, n)
-        return np.array(seqs, dtype=np.intp).reshape(len(seqs), k) - 1
-
-    A = np.asarray(A, dtype=float)
-    rows, cols = index(A.shape[0]), index(A.shape[1])
-    return A[rows[:, None, :, None], cols[None, :, None, :]]
-
-
-def _ref_compound(A, k):
-    """All k x k minors through one batched LU determinant of the gather."""
-    return np.linalg.det(_ref_gather(A, k))
+# compound's minors are checked against exact arithmetic, and the fused
+# subspace star against the composition it replaced, byte for byte.
 
 
 def _exact_minor_error(entries, got):
@@ -302,45 +284,43 @@ class TestCompound:
             got = compound(B, 1)
             assert got.shape == B.shape and got.tobytes() == np.ascontiguousarray(B).tobytes()
 
-    def test_matches_broadcast_gather(self):
-        # the gather is pinned for every order; the LU minors it feeds, of
-        # order 0 and >= 4, are pinned too
-        rng = np.random.default_rng(41)
-        for m in range(5):
-            for n in range(6):
-                A = rng.standard_normal((n, m)).T  # a non-contiguous view as well
-                for k in range(max(m, n) + 2):
-                    gather, ref = A.reshape(-1).take(exterior._minor_index(k, m, n)), _ref_gather(A, k)
-                    assert gather.shape == ref.shape and gather.tobytes() == ref.tobytes(), (m, n, k)
-                    if k == 0 or k >= 4:
-                        got, ref = compound(A, k), _ref_compound(A, k)
-                        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (m, n, k)
-
-    @pytest.mark.parametrize("k, bound", [(2, 2), (3, 5)])
+    @pytest.mark.parametrize("k, bound", [(2, 2), (3, 5), (4, 10), (5, 17), (6, 30)])
     def test_closed_forms_meet_the_a_priori_bound(self, k, bound):
-        # |minor - exact| <= bound * u * sum |Leibniz term|, u = 2^-53, on
-        # random, widely scaled, near-singular and integer matrices (exact
+        # |minor - exact| <= bound * u * sum |Leibniz term|, u = 2^-53: the
+        # plan's first-order bound e_k, with e_1 = 0 and e_j = e_a + e_b +
+        # C(j, a) for a = j // 2, b = j - a (the factors' errors, one rounded
+        # product, then a sum of C(j, a) terms in order).  On random, widely
+        # scaled, low-rank, near-singular and integer matrices (exact
         # cancellation); the rational minor is of the float entries
         rng = np.random.default_rng(53 + k)
-        cases = [rng.standard_normal((5, 6)) for _ in range(3)]
-        cases += [scale * rng.standard_normal((4, 5)) for scale in (1e-90, 1e-20, 1e20, 1e90)]
-        low_rank = rng.standard_normal((5, k - 1)) @ rng.standard_normal((k - 1, 5))
-        cases += [low_rank, low_rank + 1e-12 * rng.standard_normal((5, 5))]
-        cases += [rng.integers(-3, 4, (5, 5)).astype(float)]
+        m = max(5, k)
+        cases = [rng.standard_normal((m, m + 1)) for _ in range(3)]
+        # scales past 1e+-(270 / k) are cut there, so every minor stays representable
+        cases += [10.0 ** np.clip(e, -270 / k, 270 / k) * rng.standard_normal((m - 1, m)) for e in (-90, -20, 20, 90)]
+        low_rank = rng.standard_normal((m, k - 1)) @ rng.standard_normal((k - 1, m))
+        cases += [low_rank, low_rank + 1e-12 * rng.standard_normal((m, m))]
+        cases += [rng.integers(-3, 4, (m, m)).astype(float)]
         u = Fraction(1, 2**53)
         for A in cases:
             m, n = A.shape
             got = compound(A, k)
+            assert got.shape == (binomial(m, k), binomial(n, k))
             for r, rows in enumerate(sequences(k, m)):
                 for c, cols in enumerate(sequences(k, n)):
                     entries = [[A[i - 1, j - 1] for j in cols] for i in rows]
                     error, size = _exact_minor_error(entries, got[r, c])
                     assert error <= bound * u * size, (A.shape, rows, cols)
 
-    @given(st.integers(0, 3), st.integers(-200, 200), _matrices())
-    def test_closed_forms_scale_exactly(self, k, j, A):
-        # entries of size 2^-100..2^100 or zero keep every product and
-        # difference normal at scales 2^-200..2^200, so scaling is exact
+    @given(st.integers(0, 6), st.data(), _matrices())
+    def test_closed_forms_scale_exactly(self, k, data, A):
+        # A nonzero minor of order i over entries of size 2^-E..2^E is at
+        # least 2^(-iE - 52(i - 1)): each of the i - 1 sums that build it,
+        # one per split of its rows, keeps at least the ulp of a term.
+        # Entries of size 2^-100..2^100 scaled by 2^j have E = 100 + |j|;
+        # with kE + 52(k - 1) <= 1022 every product and nonzero sum stays
+        # normal, and scaling is exact
+        limit = (1022 - 52 * max(k - 1, 0)) // max(k, 1) - 100
+        j = data.draw(st.integers(-limit, limit))
         got, want = compound(2.0**j * A, k), 2.0 ** (j * k) * compound(A, k)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

@@ -835,11 +835,11 @@ class TestHodgeCoefficient:
                     assert partner == partner0
                     assert abs(c / c0 * scale ** (2 * el.f.dim - d - el.e.dim) - 1.0) < (1e-12 if scale in far else 1e-10)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_power_of_two_scaling_keeps_the_mantissa(self, d):
-        # On a cell of dimension d <= 3 every minor has order <= 3, a closed
-        # form in compound that scales exactly: scaling the cell by 2^j keeps
-        # each c's mantissa and moves its exponent by j (d + dim e - 2 dim f).
+        # compound's minors of every order are products and sums alone, so
+        # they scale exactly: scaling the cell by 2^j keeps each c's mantissa
+        # and moves its exponent by j (d + dim e - 2 dim f).
         rng = np.random.default_rng(60 + d)
         for _ in range(3):
             unit = random_simplex(d, rng)
