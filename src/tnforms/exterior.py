@@ -6,31 +6,31 @@ oriented orthonormal frame dx_1, ..., dx_d.  Subspace computations go
 through explicit orthonormal :class:`Frame` objects; the frame's row order
 defines the orientation used by the subspace Hodge star.
 
-Operations never loop over index sequences when called.  Each sign and
-index fact is an integer table cached by degrees and dimension only, built
-from the tuples of ``combinatorics.sequences`` and the positions of
-``sequence_position``: ``_wedge_table(p, q, d)`` holds each disjoint pair
-of sequences with the position and sign of their merge, and a wedge is one
-gather and one ``np.bincount``.  Contraction with v is the adjoint of
-v-flat ^, so it reads ``_wedge_table(1, k - 1, d)`` the other way round:
-each entry (i, j, out, sign) adds sign v_i a_out to coefficient j.  The
-star is a signed permutation: ``_hodge_table`` holds, for each output
-sequence, the input sequence it is the ``complement`` of and the sign, and
-``_star`` is one gather along the last axis, of one form or of a stack of
-coefficient rows.  ``compound(A, k)`` holds all k x k minors of A; leading
-axes of A are a batch, so one call serves a stack of frames.  The 0th and
-1st compounds are ones and A itself, exact.  For k >= 2 one cached
+Operations never loop over index sequences when called.  Every sign and
+index fact is one integer table, cached by degrees and dimension only and
+built from the tuples of ``combinatorics.sequences`` and the positions of
+``sequence_position``: ``_shuffle_table(p, q, d)`` holds, for each
+(p + q)-sequence tau of 1..d and each p-sequence S of its positions, the
+positions of tau[S] and tau[T], T = ``complement(S, p + q)``, and the
+``inversion_sign`` of S + T, so that dx_tau[S] ^ dx_tau[T] = sign dx_tau.  Four
+kernels read it.  A wedge is two gathers and ``_shuffle_sum``, the signed
+sum over the last axis of a stack.  Contraction with v is the adjoint of
+v-flat ^, so it reads the (1, k - 1) table the other way round, in one
+``np.bincount``.  The star of a k-form is a signed reversal by the signs
+of the (k, d - k) table, of one form or of a stack of coefficient rows,
+since the complements of ``sequences(k, d)`` are ``sequences(d - k, d)``
+reversed.  ``compound(A, k)`` holds all k x k minors of A; leading axes of
+A are a batch, so one call serves a stack of frames.  The 0th and 1st
+compounds are ones and A itself, exact.  For k >= 2 one cached
 ``_laplace_plan(k, m, n)`` takes every minor of an (m, n) matrix by
-generalised Laplace expansion: an order-j minor is a signed sum of
-products of a minor of order j // 2 on its first rows and one of order
-j - j // 2 on the rest, both read from lower orders, down to A's flat
-entries.  The plan is built from sequence tuples too: order k's row sets
-are ``sequences(k, m)``, each lower order holds the sorted halves R[:j // 2]
-and R[j // 2:] the order above reads, and ``_column_split(j, n)`` splits
-each column sequence C into C[S] and C[complement(S, j)] with the shuffle
-sign ``inversion_sign``.  Each step is two gathers and one ordered signed
-sum.  Products and sums alone make every minor exactly scaled when A is
-scaled by a power of two.
+generalised Laplace expansion: an order-j minor is a signed sum of products of a minor of order
+j // 2 on its first rows and one of order j - j // 2 on the rest, both read
+from lower orders, down to A's flat entries.  Order k's row sets are
+``sequences(k, m)``, each lower order holds the sorted halves R[:j // 2]
+and R[j // 2:] the order above reads, and the column sequences split as
+the rows of ``_shuffle_table(j // 2, j - j // 2, n)``: each step is a
+wedge, two gathers and one ``_shuffle_sum``.  Products and sums alone make
+every minor exactly scaled when A is scaled by a power of two.
 Evaluation, wedges of 1-forms, restriction to a frame (``C_k(F) @ a``) and
 its pullback (``c @ C_k(F)``) are then products.  The subspace star fuses
 the three: with r = C_k(F) a, it is ``_star(r) @ C_{l-k}(F)``, and
@@ -119,16 +119,15 @@ def compound(A: np.ndarray, k: int) -> np.ndarray:
     sequence of length k, both in lexicographic order.  Leading axes are a
     batch: A of shape (..., m, n) gives (..., C(m, k), C(n, k)), each matrix
     bit for bit its own compound.  The 0th compound is ones and the 1st is a
-    copy of A, both exact.  For k >= 2 each step of ``_laplace_plan``, a
-    table built from the tuples of ``sequences``, takes the order-j minors
-    that a higher step reads (only those row sets): two gathers of lower-order
-    minors, their products, and a signed sum of the products in order, for
-    orders 2 and 3 (signs + - and + - +) as array operations and above in
-    ``np.einsum``'s loop.  A BLAS product with the signs would order a row's
-    sum by the number of rows, so a minor would depend on the minors taken
-    beside it.  Products and sums alone: a minor is within 2, 5, 10, 17 and
-    30 u (k = 2..6, u = 2^-53) of the sum of its absolute Leibniz terms, to
-    first order, and exactly scaled when A is scaled by a power of two.
+    copy of A, both exact.  For k >= 2 each step of ``_laplace_plan`` takes
+    the order-j minors that a higher step reads (only those row sets): two
+    gathers of lower-order minors through the table a wedge reads,
+    ``_shuffle_table(j // 2, j - j // 2, n)``, and their ``_shuffle_sum``.
+    A BLAS product with the signs would order a row's sum by the number of
+    rows, so a minor would depend on the minors taken beside it.  Products
+    and sums alone: a minor is within 2, 5, 10, 17 and 30 u (k = 2..6,
+    u = 2^-53) of the sum of its absolute Leibniz terms, to first order, and
+    exactly scaled when A is scaled by a power of two.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or k < 0:
@@ -141,13 +140,22 @@ def compound(A: np.ndarray, k: int) -> np.ndarray:
     shape, steps = _laplace_plan(k, m, n)
     minors = {1: A.reshape(A.shape[:-2] + (m * n,))}
     for j, left, right, sign in steps:
-        terms, other = minors[j // 2].take(left, axis=-1), minors[j - j // 2].take(right, axis=-1)
-        if j > 3:
-            minors[j] = np.einsum("...t,...t,t->...", terms, other, sign)
-        else:  # signs + - or + - +: the same sum in order, in fewer calls than einsum sets up
-            terms *= other
-            minors[j] = terms[..., 0] - terms[..., 1] if j == 2 else terms[..., 0] - terms[..., 1] + terms[..., 2]
+        minors[j] = _shuffle_sum(minors[j // 2].take(left, axis=-1), minors[j - j // 2].take(right, axis=-1), sign)
     return minors[k].reshape(A.shape[:-2] + shape)
+
+
+def _shuffle_sum(terms: np.ndarray, other: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of sign * terms * other, term by term in order; ``terms`` is overwritten.
+
+    A shuffle table of at most 3 columns has the signs +, + - or + - +, so
+    up to 3 terms the sum is array operations, in fewer calls than
+    ``np.einsum`` sets up; above, ``np.einsum``'s loop adds them in order.
+    """
+    if len(sign) > 3:
+        return np.einsum("...t,...t,t->...", terms, other, sign)
+    terms *= other
+    total = terms[..., 0] - terms[..., 1] if len(sign) > 1 else terms[..., 0]
+    return total + terms[..., 2] if len(sign) > 2 else total
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +167,8 @@ def _laplace_plan(k: int, m: int, n: int) -> tuple[tuple[int, int], tuple[tuple,
     row sets ``sequences(k, m)``, and a lower order the sorted tuples that
     a higher one reads: R[:j // 2] and R[j // 2:] of each of its row sets R.
     ``left`` and ``right`` (minors, C(j, j // 2)) hold the flat positions of
-    the two factors of each term of ``_column_split(j, n)``.  Read-only.
+    the two factors of each term of ``_shuffle_table(j // 2, j - j // 2, n)``,
+    whose rows are the column sequences.  Read-only.
     """
     rows = {1: set(sequences(1, m)), k: set(sequences(k, m))}  # order 1 is every row of the matrix
     for j in range(k, 1, -1):  # an order's row sets are complete once every higher order is done
@@ -178,76 +187,59 @@ def _laplace_plan(k: int, m: int, n: int) -> tuple[tuple[int, int], tuple[tuple,
 
     steps = []
     for j in sorted(rows)[1:]:
-        a, left, right, sign = j // 2, *_column_split(j, n)
+        a, left, right, sign = j // 2, *_shuffle_table(j // 2, j - j // 2, n)
         steps.append((j, flat([R[:a] for R in rows[j]], left, a), flat([R[a:] for R in rows[j]], right, j - a), sign))
     return (binomial(m, k), binomial(n, k)), tuple(steps)
 
 
 @lru_cache(maxsize=None)
-def _column_split(j: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms of a Laplace expansion of every order-j minor on the first j // 2 rows and the rest.
+def _shuffle_table(p: int, q: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, sign): dx_tau[S] ^ dx_tau[T] = sign[S] dx_tau, for every (p + q)-sequence tau of 1..d.
 
-    A minor on columns C is the sum over the a-sequences S of C's positions,
-    a = j // 2, of sign[S] times the minors on columns C[S] and on the rest
-    C[T], T = ``complement(S, j)``: per column sequence in ``sequences(j, n)``
-    (rows) and S in ``sequences(a, j)`` (columns), the positions of C[S] and
-    of C[T] from ``sequence_position``; and each S's shuffle sign, the
-    ``inversion_sign`` of S + T.  Read-only.
+    Per tau in ``sequences(p + q, d)`` (rows) and S in
+    ``sequences(p, p + q)`` (columns), ``left`` and ``right`` hold the
+    positions of tau[S] in ``sequences(p, d)`` and of tau[T],
+    T = ``complement(S, p + q)``, in ``sequences(q, d)``; ``sign`` holds
+    each S's shuffle sign, the ``inversion_sign`` of S + T.  Read-only.
     """
-    shuffles = [(S, complement(S, j)) for S in sequences(j // 2, j)]
+    shuffles = [(S, complement(S, p + q)) for S in sequences(p, p + q)]
 
     def positions(part: int) -> np.ndarray:
-        """Per column sequence C (rows) and shuffle (columns): the position of C at the shuffle's ``part``."""
-        pos = sequence_position(len(shuffles[0][part]), n)
-        at = [pos[tuple([C[i - 1] for i in shuffle[part]])] for C in sequences(j, n) for shuffle in shuffles]
+        """Per tau (rows) and shuffle (columns): the position of tau at the shuffle's ``part``."""
+        pos = sequence_position((p, q)[part], d)
+        at = [pos[tuple([tau[i - 1] for i in shuffle[part]])] for tau in sequences(p + q, d) for shuffle in shuffles]
         return np.array(at, dtype=np.intp).reshape(-1, len(shuffles))
 
-    split = positions(0), positions(1), np.array([inversion_sign(S + T) for S, T in shuffles], dtype=float)
-    for array in split:
+    table = positions(0), positions(1), np.array([inversion_sign(S + T) for S, T in shuffles], dtype=float)
+    for array in table:
         array.flags.writeable = False
-    return split
-
-
-def _columns(rows) -> tuple[np.ndarray, ...]:
-    return tuple(np.array(column) for column in zip(*rows))
-
-
-@lru_cache(maxsize=None)
-def _wedge_table(p: int, q: int, d: int) -> tuple[np.ndarray, ...]:
-    """(i, j, out, sign): dx_si ^ dx_sj = sign dx_out over every disjoint pair."""
-    pos = sequence_position(p + q, d)
-    return _columns(
-        (i, j, pos[tuple(sorted(si + sj))], inversion_sign(si + sj))
-        for i, si in enumerate(sequences(p, d))
-        for j, sj in enumerate(sequences(q, d))
-        if not set(si) & set(sj)
-    )
-
-
-@lru_cache(maxsize=None)
-def _hodge_table(k: int, d: int) -> tuple[np.ndarray, ...]:
-    """(src, sign): the i-th coefficient of a starred k-form is sign[i] times its coefficient src[i]."""
-    pos = sequence_position(k, d)
-    sigs = [complement(rest, d) for rest in sequences(d - k, d)]
-    return _columns((pos[sig], inversion_sign(sig + rest)) for sig, rest in zip(sigs, sequences(d - k, d)))
+    return table
 
 
 def _star(coeffs: np.ndarray, k: int, d: int) -> np.ndarray:
-    """Hodge star of k-form coefficients along the last axis: one signed gather."""
-    src, sign = _hodge_table(k, d)
-    return sign * coeffs.take(src, axis=-1)
+    """Hodge star of k-form coefficients along the last axis: one signed reversal.
+
+    a ^ b = <star a, b> vol, so star dx_S = sign[S] dx_T over the one row of
+    ``_shuffle_table(k, d - k, d)``; its T = ``complement(S, d)`` run through
+    ``sequences(d - k, d)`` in reverse, as S runs forward.
+    """
+    return _shuffle_table(k, d - k, d)[2][::-1] * coeffs[..., ::-1]
 
 
 def wedge(omega: AltForm, eta: AltForm) -> AltForm:
-    """Wedge product; degrees add and antisymmetry carries the usual sign."""
+    """Wedge product; degrees add and antisymmetry carries the usual sign.
+
+    A wedge is a Laplace step: coefficient tau is the signed sum, over the
+    columns S of ``_shuffle_table(p, q, d)`` in order, of omega at tau[S]
+    times eta at tau[T].
+    """
     if omega.d != eta.d:
-        raise ValueError("ambient dimension mismatch")
+        raise ValueError(f"ambient dimension mismatch: d = {omega.d} and d = {eta.d}")
     d, p, q = omega.d, omega.k, eta.k
     if p + q > d:
         raise ValueError(f"wedge degree {p}+{q} exceeds ambient dimension {d}")
-    i, j, out, sign = _wedge_table(p, q, d)
-    coeffs = np.bincount(out, weights=sign * omega.coeffs[i] * eta.coeffs[j], minlength=binomial(d, p + q))
-    return _form(d, p + q, coeffs)
+    left, right, sign = _shuffle_table(p, q, d)
+    return _form(d, p + q, _shuffle_sum(omega.coeffs.take(left), eta.coeffs.take(right), sign))
 
 
 def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:
@@ -259,7 +251,7 @@ def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:
     if any(w.k != 1 for w in forms):
         raise ValueError(f"wedge_all takes 1-forms, got degrees {[w.k for w in forms]}")
     if any(w.d != forms[0].d for w in forms):
-        raise ValueError("ambient dimension mismatch")
+        raise ValueError(f"ambient dimension mismatch: 1-forms on d = {sorted({w.d for w in forms})}")
     return AltForm(forms[0].d, len(forms), compound(np.vstack([w.coeffs for w in forms]), len(forms))[0])
 
 
@@ -267,10 +259,10 @@ def contraction(omega: AltForm, v: np.ndarray) -> AltForm:
     """Interior product omega .| v, plugging v into the first slot; v holds d entries, in any shape.
 
     iota_v is the adjoint of v-flat ^, so the terms are those of
-    ``_wedge_table(1, k - 1, d)``: dx_i ^ dx_tau = sign dx_sigma gives
-    sign v_i omega_sigma to tau.  For each tau the table lists them by
-    rising i, which is rising sigma, so ``np.bincount`` adds them in
-    lexicographic order of sigma.
+    ``_shuffle_table(1, k - 1, d)``: dx_tau[S] ^ dx_tau[T] = sign dx_tau
+    gives sign v_tau[S] omega_tau to tau[T].  The raveled table runs by
+    rising tau, so ``np.bincount`` adds the terms of each tau[T] in
+    lexicographic order of tau.
     """
     if omega.k == 0:
         raise ValueError("cannot contract a 0-form")
@@ -278,9 +270,9 @@ def contraction(omega: AltForm, v: np.ndarray) -> AltForm:
     v = np.asarray(v, dtype=float)
     if v.size != d:
         raise ValueError(f"contraction needs a vector of d = {d} entries, got shape {v.shape}")
-    slot, dst, src, sign = _wedge_table(1, k - 1, d)
-    coeffs = np.bincount(dst, weights=sign * omega.coeffs[src] * v.reshape(d)[slot], minlength=binomial(d, k - 1))
-    return _form(d, k - 1, coeffs)
+    slot, out, sign = _shuffle_table(1, k - 1, d)
+    terms = sign * v.reshape(d)[slot] * omega.coeffs[:, None]
+    return _form(d, k - 1, np.bincount(out.ravel(), weights=terms.ravel(), minlength=binomial(d, k - 1)))
 
 
 def hodge_star(omega: AltForm) -> AltForm:
@@ -298,18 +290,21 @@ def flat(v: np.ndarray) -> AltForm:
 
 
 def evaluate(omega: AltForm, vectors) -> float:
-    """Apply the multilinear functional to k vectors."""
+    """Apply the multilinear functional to k vectors, each of d entries in any shape."""
     k, d = omega.k, omega.d
-    vecs = [np.asarray(v, dtype=float).reshape(d) for v in vectors]
+    vecs = [np.asarray(v, dtype=float) for v in vectors]
     if len(vecs) != k:
         raise ValueError(f"expected {k} vectors, got {len(vecs)}")
-    return float(compound(np.reshape(vecs, (k, d)), k)[0] @ omega.coeffs)
+    for v in vecs:
+        if v.size != d:
+            raise ValueError(f"evaluate needs a vector of d = {d} entries, got shape {v.shape}")
+    return float(compound(np.reshape([v.reshape(d) for v in vecs], (k, d)), k)[0] @ omega.coeffs)
 
 
 def volume_coefficient(omega: AltForm) -> float:
     """Coefficient of the volume form dx_1 ^ ... ^ dx_d of a top-degree form."""
     if omega.k != omega.d:
-        raise ValueError("volume coefficient needs a top-degree form")
+        raise ValueError(f"volume coefficient needs a top-degree form, got (d, k) = ({omega.d}, {omega.k})")
     return float(omega.coeffs[0])
 
 
@@ -379,7 +374,7 @@ def _check_degree(frame: Frame, omega: AltForm) -> tuple[int, int]:
     """(frame size ell, form degree k) of a form on the frame's ambient space with k <= ell; raises otherwise."""
     ell, k = frame.size, omega.k
     if omega.d != frame.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
+        raise ValueError(f"ambient dimension mismatch: a form on d = {omega.d}, a frame in d = {frame.ambient_dim}")
     if k > ell:
         raise ValueError(f"cannot restrict a k={k} form to a frame of size ell={ell}: need k <= ell")
     return ell, k
@@ -403,7 +398,7 @@ def pullback_embed(frame: Frame, omega_sub: AltForm) -> AltForm:
     """
     ell = frame.size
     if omega_sub.d != ell:
-        raise ValueError("form not expressed over the frame's vectors")
+        raise ValueError(f"form not expressed over the frame's vectors: form on d = {omega_sub.d}, frame size {ell}")
     return _form(frame.ambient_dim, omega_sub.k, omega_sub.coeffs @ frame._compound(omega_sub.k))
 
 

@@ -76,23 +76,16 @@ def _ref_merge_sign(sigma, tau):
 
 
 def _ref_wedge(omega, eta):
+    """The sum over disjoint pairs (si, sj), by rising si then sj, of sign * a_si * b_sj, by merged sequence in a dict."""
     d, p, q = omega.d, omega.k, eta.k
-    out = np.zeros(binomial(d, p + q))
-    pos = sequence_position(p + q, d)
-    for i, si in enumerate(sequences(p, d)):
-        a = omega.coeffs[i]
-        if a == 0.0:
-            continue
-        for j, sj in enumerate(sequences(q, d)):
-            b = eta.coeffs[j]
-            if b == 0.0:
-                continue
+    out = {}
+    for a, si in zip(omega.coeffs, sequences(p, d)):
+        for b, sj in zip(eta.coeffs, sequences(q, d)):
             ms = _ref_merge_sign(si, sj)
-            if ms is None:
-                continue
-            sign, merged = ms
-            out[pos[merged]] += sign * a * b
-    return AltForm(d, p + q, out)
+            if ms is not None:
+                sign, merged = ms
+                out[merged] = out.get(merged, 0.0) + sign * a * b
+    return AltForm(d, p + q, [out[tau] for tau in sequences(p + q, d)])
 
 
 def _ref_contraction(omega, v):
@@ -203,12 +196,15 @@ DIMS = range(1, 7)
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("d", range(8))
     def test_wedge(self, d):
+        # the shuffle table adds each coefficient's terms in the order of the
+        # pair sum, so the two agree exactly (up to the sign of a zero)
         for p in range(d + 1):
             for q in range(d - p + 1):
                 w, e = random_form(d, p), random_form(d, q)
-                assert_matches(wedge(w, e), _ref_wedge(w, e))
+                got = wedge(w, e)
+                assert (got.d, got.k) == (d, p + q) and np.array_equal(got.coeffs, _ref_wedge(w, e).coeffs), (p, q)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_wedge_all_of_one_forms(self, d):
@@ -224,24 +220,34 @@ class TestAgainstReference:
                 with pytest.raises(ValueError, match=rf"wedge_all takes 1-forms, got degrees \[1, {other}\]"):
                     wedge_all([random_form(d, 1), random_form(d, other)], d=d)
         # one ambient space: a factor on another R^n is named, as in wedge
-        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        with pytest.raises(ValueError, match=re.escape(f"ambient dimension mismatch: 1-forms on d = {[d, d + 1]}")):
             wedge_all([random_form(d, 1), random_form(d + 1, 1)], d=d)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_contraction(self, d):
+        # the raveled (1, k - 1) shuffle table adds each coefficient's terms
+        # by rising sigma, as the reference loop does, so the two agree exactly
+        slot, out, sign = exterior._shuffle_table(1, d - 1, d)
+        assert np.array_equal(slot[0], np.arange(d)) and np.array_equal(sign, (-1.0) ** np.arange(d))
         for k in range(1, d + 1):
             w, v = random_form(d, k), RNG.standard_normal(d)
-            assert_matches(contraction(w, v), _ref_contraction(w, v))
+            got = contraction(w, v)
+            assert (got.d, got.k) == (d, k - 1) and np.array_equal(got.coeffs, _ref_contraction(w, v).coeffs)
 
-    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("d", range(9))
     def test_hodge_star(self, d):
-        # one gather stars a single form and a stack of coefficient rows alike
+        # one signed reversal stars a single form and a stack of coefficient
+        # rows alike: as S runs forward through sequences(k, d), its
+        # complement T runs backward through sequences(d - k, d), so the
+        # right column of the (k, d - k) shuffle table is the reversed range
         for k in range(d + 1):
-            rows = RNG.standard_normal((3, binomial(d, k)))
+            left, right, sign = exterior._shuffle_table(k, d - k, d)
+            n = binomial(d, k)
+            assert np.array_equal(left, np.arange(n)[None]) and np.array_equal(right, np.arange(n)[None, ::-1])
+            rows = RNG.standard_normal((3, n))
             for row, starred in zip(rows, _star(rows, k, d)):
                 w = AltForm(d, k, row)
-                assert_matches(hodge_star(w), _ref_hodge_star(w))
-                assert np.array_equal(hodge_star(w).coeffs, starred)
+                assert hodge_star(w).coeffs.tobytes() == _ref_hodge_star(w).coeffs.tobytes() == starred.tobytes()
 
     @pytest.mark.parametrize("d", DIMS)
     def test_evaluate(self, d):
@@ -444,7 +450,7 @@ class TestContraction:
     @given(st.data())
     def test_adjoint_of_wedge_with_flat(self, data):
         # <omega .| v, eta> = <omega, v-flat ^ eta>, the identity by which
-        # contraction reads the wedge table of (1, k - 1)-forms; small
+        # contraction reads the shuffle table of (1, k - 1)-forms; small
         # integer entries keep both sides exact
         d = data.draw(st.integers(1, 6))
         k = data.draw(st.integers(1, d))
@@ -662,3 +668,35 @@ class TestEmbedding:
             w_sub = random_form(3, k)
             back = restrict_to_frame(frame, pullback_embed(frame, w_sub))
             assert (back - w_sub).norm() < 1e-12
+
+
+class TestErrorsNameTheirDimensions:
+    def test_wedge(self):
+        with pytest.raises(ValueError, match=re.escape("ambient dimension mismatch: d = 3 and d = 4")):
+            wedge(random_form(3, 1), random_form(4, 1))
+
+    def test_frame_and_form_spaces(self):
+        frame = random_frame(2, 3)
+        for op in (restrict_to_frame, hodge_star_in_subspace):
+            with pytest.raises(ValueError, match=re.escape("ambient dimension mismatch: a form on d = 4, a frame in d = 3")):
+                op(frame, random_form(4, 1))
+        with pytest.raises(ValueError, match=re.escape("not expressed over the frame's vectors: form on d = 3, frame size 2")):
+            pullback_embed(frame, random_form(3, 1))
+
+    def test_volume_coefficient(self):
+        with pytest.raises(ValueError, match=re.escape("needs a top-degree form, got (d, k) = (3, 2)")):
+            volume_coefficient(random_form(3, 2))
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 2), ()])
+    def test_evaluate_names_a_wrong_size_vector(self, shape):
+        # the vector count is checked first, then each vector's size, in contraction's words
+        w = random_form(3, 2)
+        with pytest.raises(ValueError, match=re.escape("expected 2 vectors, got 1")):
+            evaluate(w, [np.ones(shape)])
+        with pytest.raises(ValueError, match=re.escape(f"evaluate needs a vector of d = 3 entries, got shape {shape}")):
+            evaluate(w, [np.ones(3), np.ones(shape)])
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3)])
+    def test_evaluate_takes_any_shape_of_d_entries(self, shape):
+        w, vecs = random_form(3, 2), RNG.standard_normal((2, 3))
+        assert evaluate(w, [vecs[0].reshape(shape), list(vecs[1])]) == evaluate(w, list(vecs))
