@@ -3,9 +3,13 @@
 A polynomial of degree r on an m-simplex is stored as coefficients of the
 monomials lambda^alpha over the lattice of multi-indices alpha with
 |alpha| = r, in lexicographic order.  Nodal values at the principal lattice
-points and Bernstein coefficients are interchangeable through a cached
-generalized Vandermonde matrix; degrees are capped at MAX_DEGREE because
-that conversion degrades for large r.
+points come from Bernstein coefficients through the cached nodal Vandermonde
+matrix, and go back through its inverse, the Lagrange basis, which
+``nodal_to_bernstein`` builds without a solve by Silvester's product formula:
+integer linear forms multiplied out in floating point, exact below 2^53, and
+one division per node, so every entry is the correctly rounded exact inverse.
+For M nodes it costs (dim + 1) M C(r + dim, dim + 1) multiply-adds.  Degrees
+are capped at MAX_DEGREE, where the exact range holds up to dim 7.
 
 Every table reads the lattice from one cached integer array, ``_lattice_array``;
 the product table finds alpha + beta by its lexicographic rank, one binomial
@@ -116,12 +120,18 @@ def monomial_values_at(dim: int, r: int, lams: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vals.T)
 
 
+def _index_factorials(dim: int, r: int) -> np.ndarray:
+    """alpha! = prod_i alpha_i! of every multi-index of degree r, lattice order, as floats.
+
+    Float products never wrap (int64 ones do once r! dim! passes 2^63) and are exact below 2^53; r < 0 has no points.
+    """
+    return np.array([factorial(a) for a in range(r + 1)], dtype=float)[_lattice_array(dim, r)].prod(axis=1)
+
+
 @lru_cache(maxsize=None)
 def _moment_weights(dim: int, r: int) -> np.ndarray:
     """Moments of lambda^alpha over the unit-volume m-simplex, lattice order."""
-    # Float products never wrap (int64 ones do once r! dim! passes 2^63) and are exact below 2^53; r < 0 has no points.
-    fact = np.array([factorial(a) for a in range(r + 1)], dtype=float)
-    out = fact[_lattice_array(dim, r)].prod(axis=1) * factorial(dim) / factorial(max(r, 0) + dim)
+    out = _index_factorials(dim, r) * factorial(dim) / factorial(max(r, 0) + dim)
     out.setflags(write=False)
     return out
 
@@ -175,15 +185,35 @@ def nodal_vandermonde(dim: int, r: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def nodal_to_bernstein(dim: int, r: int) -> np.ndarray:
-    """Inverse Vandermonde: Bernstein coefficients from nodal values.
+    """Bernstein coefficients from nodal values: the inverse of ``nodal_vandermonde``, built exactly.
 
-    Its columns are the Lagrange basis of the principal lattice, dual to
-    point values.  The product of the Frobenius norms of V and its inverse
-    bounds the condition number from above with no factorisation beyond
-    the inverse.
+    Column gamma holds the Lagrange polynomial of the node gamma / r, by Silvester's product formula
+    L_gamma = prod_i prod_{j < gamma_i} (r lambda_i - j) / (j + 1), which is 1 at its node and 0 at
+    every other.  With sum_m lambda_m = 1 each factor's numerator is the integer linear form
+    r lambda_i - j sum_m lambda_m, so the r numerators of every node are multiplied out for all nodes
+    at once, one degree per step through ``_product_index(dim, t, 1)``, and each column is divided
+    once by gamma!.  A factor's coefficients have absolute sum r + j (dim - 1), so every product and
+    partial sum is an integer of magnitude at most prod_{j < r} (r + j (dim - 1)), below 2^53 for
+    dim <= 7 at MAX_DEGREE: the numerators are exact, and each entry is the correctly rounded exact
+    inverse.  The cost is (dim + 1) M C(r + dim, dim + 1) multiply-adds for M nodes, not an O(M^3)
+    inversion.  The product of the Frobenius norms of V and the result bounds V's condition number
+    from above.
     """
     V = nodal_vandermonde(dim, r)
-    out = np.linalg.inv(V)
+    lat = _lattice_array(dim, r)
+    # node gamma's factors run over lambda_0 gamma_0 times, then lambda_1 gamma_1 times, ...: its
+    # t-th factor takes lambda_var[t] with j = t - (the step where that variable's factors start)
+    ends, steps = lat.cumsum(axis=1), np.arange(r)[:, None]
+    var = (ends[None, :, :] <= steps[:, :, None]).sum(axis=2)
+    j = steps - np.take_along_axis((ends - lat).T, var, axis=0)
+    num = np.ones((1, len(lat)))
+    for t in range(r):
+        at = _product_index(dim, t, 1)
+        nxt = np.zeros((lattice_dimension(dim, t + 1), len(lat)))
+        for col in range(dim + 1):  # lattice(dim, 1) lists lambda_dim, ..., lambda_0
+            nxt[at[:, col]] += num * (r * (var[t] == dim - col) - j[t])
+        num = nxt
+    out = num / _index_factorials(dim, r)
     if np.linalg.norm(V) * np.linalg.norm(out) > MAX_CONDITION:
         raise ValueError(f"nodal/Bernstein conversion ill-conditioned at (dim={dim}, r={r})")
     out.setflags(write=False)

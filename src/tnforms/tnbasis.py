@@ -193,7 +193,8 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     degree d - k: the complementary tangents wedged with the gradients of the
     labels outside f.  Over the dual elements of (e, k) the partners run
     once through ``decompose_altk(T, e, d - k)``.  Raises when the pairing or
-    collinearity fails its tolerance in :mod:`tnforms.errors`.
+    collinearity fails its tolerance in :mod:`tnforms.errors`, or when c, on a
+    cell near the ends of the float range, is not a representable float.
     """
     at = _anchor(T, elem.e)
     if elem.flavor != "dual":
@@ -202,17 +203,18 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     (rows, partner_rows, partner_mask, tau), faces = _entry(T, elem, at)
     d, k = T.dim, len(rows)
     partner = TnBasisElement._of(elem.e, _masked_face(T, faces[partner_mask]), tau, "primal")
-    # each form is the maximal minors of its rows; the partner wedges the complementary primal rows
-    a = compound(dual.take(rows, axis=0), k)[0]
-    b = compound(primal.take(partner_rows, axis=0), d - k)[0]
-    # exact powers of two bring both arrays' largest entries into [1/2, 1): no
-    # product below over- or underflows on a representable cell, the two checks
-    # decide as unscaled, and c is scaled back exactly.  Scaling the cell by a
-    # power of two scales its frames, and compound's minors of every order, by
-    # powers of two alone: a and b are here bit for bit those of the unscaled
-    # cell, and c keeps its mantissa.
-    ea, eb = math.frexp(max(map(abs, a.tolist())))[1], math.frexp(max(map(abs, b.tolist())))[1]
-    a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
+    # each form is the maximal minors of its rows; the partner wedges the complementary primal rows.
+    # Exact powers of two bring every row's largest entry into [1/2, 1) first: compound's minors are
+    # then no larger than k!, no product below over- or underflows on a representable cell, the two
+    # checks decide as unscaled, and a and b are the true forms times 2^-ea and 2^-eb.  Scaling the
+    # cell by a power of two scales every frame row by one power of two, so a and b, and c's mantissa,
+    # are bit for bit those of the unscaled cell.
+    stacked = np.concatenate((dual.take(rows, axis=0), primal.take(partner_rows, axis=0)))
+    exps = np.frexp(abs(stacked).max(axis=1, keepdims=True, initial=0.0))[1]
+    stacked = np.ldexp(stacked, -exps)
+    a, b = compound(stacked[:k], k)[0], compound(stacked[k:], d - k)[0]
+    exps = exps.ravel().tolist()
+    ea, eb = sum(exps[:k]), sum(exps[k:])
     dual_form = _form(d, k, a)
 
     denominator = volume_coefficient(wedge(dual_form, _form(d, d - k, b)))
@@ -230,7 +232,15 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     if residual > PAIRING_RTOL:
         where = _context(elem, d, k)
         raise ValueError(f"Hodge collinearity at {where}: relative residual {residual:.3e} > {PAIRING_RTOL}")
-    return math.ldexp(c, ea - eb), partner
+    # the true c is (2^ea a . 2^ea a) / (2^ea a ^ 2^eb b): one exponent sum brings it back, subnormals included
+    try:
+        scaled_back = math.ldexp(c, ea - eb)
+    except OverflowError:
+        scaled_back = math.inf
+    if scaled_back == 0.0 or math.isinf(scaled_back):
+        where = _context(elem, d, k)
+        raise ValueError(f"Hodge coefficient at {where} is not representable: {c!r} * 2^{ea - eb}")
+    return scaled_back, partner
 
 
 def _context(elem: TnBasisElement, d: int, k: int) -> str:

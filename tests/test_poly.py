@@ -249,6 +249,33 @@ class TestProductsAndConversions:
         n = lattice_dimension(d, r)
         assert np.max(np.abs(V @ Vinv - np.eye(n))) < 1e-9
 
+    @pytest.mark.parametrize("d,r", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+    def test_equals_correctly_rounded_exact_inverse(self, d, r):
+        # oracle: the inverse of the rational Vandermonde, each entry rounded once by int / int
+        nodes = lattice(d, r)
+        V = sympy.Matrix([[sympy.prod([sympy.Rational(b, r) ** a for a, b in zip(alpha, beta)]) for alpha in nodes] for beta in nodes])
+        want = np.array([[int(x.p) / int(x.q) for x in row] for row in V.inv().tolist()])
+        assert np.array_equal(nodal_to_bernstein(d, r), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_numerators_are_exact_below_2_53(self, d):
+        # Every product and partial sum of Silvester's integer numerators is at
+        # most the sum of its terms' magnitudes, accumulated here in exact int64;
+        # below 2^53 the float product is exact, so the matrix is those integers
+        # divided once by gamma!.
+        for r in range(1, MAX_DEGREE + 1):
+            num, largest = _ref_lagrange_numerators(d, r)
+            assert largest < 2**53, r
+            gamma_factorials = np.array([prod(map(factorial, g)) for g in lattice(d, r)], dtype=float)
+            assert np.array_equal(nodal_to_bernstein(d, r), num.astype(float) / gamma_factorials), r
+
+    def test_round_trip_on_dim_4_degree_8(self):
+        V, N = nodal_vandermonde(4, 8), nodal_to_bernstein(4, 8)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            c = rng.standard_normal(len(V))
+            assert np.abs(N @ (V @ c) - c).max() <= 2e-11 * np.abs(c).max()
+
     def test_ill_conditioned_conversion_rejected(self, monkeypatch):
         monkeypatch.setattr(poly, "MAX_CONDITION", 10.0)
         with pytest.raises(ValueError, match=r"ill-conditioned at \(dim=2, r=4\)"):
@@ -293,6 +320,32 @@ class TestProductsAndConversions:
         # the first used to drop the 3, the last to raise a bare IndexError
         with pytest.raises(ValueError, match=r"does not embed in 4 labels"):
             embed_lattice_index(alpha, simplex(*labels), 4)
+
+
+@lru_cache(maxsize=None)
+def _ref_raise(dim, t):
+    """Per m, the position of alpha + e_m in lattice(dim, t + 1) for each alpha in lattice(dim, t)."""
+    pos = lattice_position(dim, t + 1)
+    return [np.array([pos[a[:m] + (a[m] + 1,) + a[m + 1 :]] for a in lattice(dim, t)]) for m in range(dim + 1)]
+
+
+def _ref_lagrange_numerators(dim, r):
+    """Node by node, the product of r lambda_i - j sum lambda over j < gamma_i, in int64, and a bound on every intermediate."""
+    nodes = lattice(dim, r)
+    num = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
+    largest = 0
+    for col, gamma in enumerate(nodes):
+        cur, mag = np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        for t, (i, j) in enumerate((i, j) for i, g in enumerate(gamma) for j in range(g)):
+            nxt = np.zeros(lattice_dimension(dim, t + 1), dtype=np.int64)
+            nxt_mag = np.zeros_like(nxt)
+            for m, to in enumerate(_ref_raise(dim, t)):
+                nxt[to] += cur * ((r if m == i else 0) - j)
+                nxt_mag[to] += mag * abs((r if m == i else 0) - j)
+            cur, mag = nxt, nxt_mag
+            largest = max(largest, int(mag.max()))
+        num[:, col] = cur
+    return num, largest
 
 
 def _ref_monomial_values(dim, r, lams):

@@ -851,6 +851,34 @@ class TestHodgeCoefficient:
                     shift = j * (d + el.e.dim - 2 * el.f.dim)
                     assert math.frexp(hodge_coefficient(T, el)[0]) == (mantissa, exponent + shift), (j, el)
 
+    @pytest.mark.parametrize("d,j,seed", [(3, -349, 0), (3, -349, 1), (3, -349, 2), (3, -349, 3), (4, -266, 0), (3, -330, 0)])
+    def test_far_scales_return_c_or_name_representability(self, d, j, seed):
+        # At the volume-representability edge, with no warning on the way,
+        # each c is the unit cell's c times 2^(j (d + dim e - 2 dim f)),
+        # subnormals included, and a c past the float range raises an error
+        # that names it, not "degenerate Hodge pairing ... inf".
+        unit = random_simplex(d, np.random.default_rng(seed))
+        T = GeometricSimplex(2.0**j * unit.vertices)
+        elems = [el for e in all_subsimplices(unit) for k in range(d + 1) for el in decompose_altk(unit, e, k, "dual")]
+        unrepresentable = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for el in elems:
+                c0, partner0 = hodge_coefficient(unit, el)
+                try:
+                    want = math.ldexp(c0, j * (d + el.e.dim - 2 * el.f.dim))
+                except OverflowError:
+                    want = math.inf
+                if want == 0.0 or math.isinf(want):
+                    where = f"e={el.e.vertices}, f={el.f.vertices}, sigma={el.sigma}, d={d}, k={el.f.dim - el.e.dim + len(el.sigma)}"
+                    with pytest.raises(ValueError, match=rf"^Hodge coefficient at {re.escape(where)} is not representable"):
+                        hodge_coefficient(T, el)
+                    unrepresentable += 1
+                else:
+                    c, partner = hodge_coefficient(T, el)
+                    assert c == want and partner == partner0, el
+        assert unrepresentable == (0 if j == -330 else d + 1)  # the top-degree element at each vertex
+
     def test_requires_dual_flavor(self):
         T = random_simplex(2, RNG)
         el = decompose_altk(T, simplex(0), 1, "primal")[0]
