@@ -267,11 +267,9 @@ def contraction(omega: AltForm, v: np.ndarray) -> AltForm:
     if omega.k == 0:
         raise ValueError("cannot contract a 0-form")
     d, k = omega.d, omega.k
-    v = np.asarray(v, dtype=float)
-    if v.size != d:
-        raise ValueError(f"contraction needs a vector of d = {d} entries, got shape {v.shape}")
+    v = _vector(v, d, "contraction needs a vector")
     slot, out, sign = _shuffle_table(1, k - 1, d)
-    terms = sign * v.reshape(d)[slot] * omega.coeffs[:, None]
+    terms = sign * v[slot] * omega.coeffs[:, None]
     return _form(d, k - 1, np.bincount(out.ravel(), weights=terms.ravel(), minlength=binomial(d, k - 1)))
 
 
@@ -289,16 +287,22 @@ def flat(v: np.ndarray) -> AltForm:
     return AltForm(v.shape[0], 1, v)
 
 
+def _vector(v, d: int, what: str) -> np.ndarray:
+    """v, d entries in any shape, as a 1-D float array; otherwise a ValueError: what, of d entries, got v's shape."""
+    v = np.asarray(v, dtype=float)
+    if v.size != d:
+        raise ValueError(f"{what} of d = {d} entries, got shape {v.shape}")
+    return v.reshape(d)
+
+
 def evaluate(omega: AltForm, vectors) -> float:
     """Apply the multilinear functional to k vectors, each of d entries in any shape."""
     k, d = omega.k, omega.d
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    if len(vecs) != k:
-        raise ValueError(f"expected {k} vectors, got {len(vecs)}")
-    for v in vecs:
-        if v.size != d:
-            raise ValueError(f"evaluate needs a vector of d = {d} entries, got shape {v.shape}")
-    return float(compound(np.reshape([v.reshape(d) for v in vecs], (k, d)), k)[0] @ omega.coeffs)
+    vectors = list(vectors)
+    if len(vectors) != k:
+        raise ValueError(f"expected {k} vectors, got {len(vectors)}")
+    vecs = [_vector(v, d, "evaluate needs a vector") for v in vectors]
+    return float(compound(np.reshape(vecs, (k, d)), k)[0] @ omega.coeffs)
 
 
 def volume_coefficient(omega: AltForm) -> float:

@@ -137,7 +137,10 @@ def _moment_weights(dim: int, r: int) -> np.ndarray:
 
 
 def bernstein_moments(T: GeometricSimplex, r: int) -> np.ndarray:
-    """Vector of exact moments of every lambda^alpha of degree r over T."""
+    """Vector of exact moments of every lambda^alpha of degree r over T: ``T.volume`` times the unit-volume moments.
+
+    The volume is the cell's construction-time singular-value product over m!, so no face QR runs.
+    """
     return T.volume * _moment_weights(T.dim, r)
 
 

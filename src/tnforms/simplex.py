@@ -15,12 +15,15 @@ cell lacks, and ``_masked`` names every mask's face.
 ``_deposit`` lists the faces through an anchor by normal offset, the i-th
 position outside the anchor, ascending, as a frame's normal rows are.
 
-Every tangent, gradient and volume is read from one record per face
-dimension s, a ``_Level`` of read-only stacks over the s-faces in that
-order, all built on first use by one batched QR (see ``_levels``).  The
-degeneracy floor tests a face's own diagonal entries of R only.  An entry
-depends only on the coordinates of the face's own vertices in ascending
-label order, so two cells sharing a face derive identical frames from it.
+Every tangent and gradient is read from one record per face dimension s,
+a ``_Level`` of read-only stacks over the s-faces in that order, all built
+on first use by one batched QR (see ``_levels``).  The degeneracy floor
+tests a face's own diagonal entries of R only.  An entry depends only on
+the coordinates of the face's own vertices in ascending label order, so
+two cells sharing a face derive identical frames from it.  The cell's
+volume is the one fact read from its construction instead: the product of
+singular values the constructor checks for representability, over m!, so
+reading it runs no QR.
 
 The n-e-f frames of the face pairs e in f are built per face size |f|,
 every e in f (e = f included) at once.  A frame matrix holds e's |e| - 1
@@ -55,14 +58,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
-from math import comb, factorial, isfinite, prod
+from math import comb, factorial, frexp, isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
 
 from .combinatorics import AbstractSimplex
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL, DegenerateSimplexError
-from .exterior import Frame, _orthonormal
+from .exterior import Frame, _orthonormal, _vector
 
 _HALF_MAX = float(np.finfo(float).max) / 2  # a - b stays finite for |a|, |b| at most this
 
@@ -70,17 +73,16 @@ _HALF_MAX = float(np.finfo(float).max) / 2  # a - b stays finite for |a|, |b| at
 class _Level(NamedTuple):
     """The s-faces of one cell, lexicographic in vertex positions, as stacks over the faces.
 
-    ``tangents`` (faces, s, d) holds their orthonormal tangent rows,
+    ``tangents`` (faces, s, d) holds their orthonormal tangent rows and
     ``gradients`` (faces, s + 1, d) their barycentric gradients in their
-    planes and ``volumes`` their s-volumes; the two row stacks are
-    read-only.  ``ok[at]`` flags a face whose tangent rows pass
-    ``_orthonormal``; ``compounds`` maps k to the read-only compound of the
-    tangent stack, filled on first use by the face frames that share it.
+    planes; both stacks are read-only.  ``ok[at]`` flags a face whose
+    tangent rows pass ``_orthonormal``; ``compounds`` maps k to the
+    read-only compound of the tangent stack, filled on first use by the
+    face frames that share it.
     """
 
     tangents: np.ndarray
     gradients: np.ndarray
-    volumes: np.ndarray
     ok: np.ndarray
     compounds: dict[int, np.ndarray]
 
@@ -102,7 +104,11 @@ class GeometricSimplex:
     the input, so writing to the caller's array afterwards, or to
     ``vertices``, cannot change a cell that passed its checks.  The
     singular values of the edge matrix, descending, that the degeneracy and
-    volume checks read are kept read-only in ``_svals``.
+    volume checks read are kept read-only in ``_svals``.  They are taken of
+    the edges scaled by a power of two and scaled back, so a far cell's are
+    as accurate as a unit cell's.  Their product, m! times the volume, is
+    kept in ``_content``: ``volume`` returns the value the representability
+    check accepted.
     """
 
     vertices: np.ndarray
@@ -126,11 +132,13 @@ class GeometricSimplex:
         full = AbstractSimplex(labels)
         object.__setattr__(self, "labels", full.vertices)
         object.__setattr__(self, "_full", full)
-        if reach > _HALF_MAX:  # an edge may overflow: that is the volume error, not a numpy warning
-            with np.errstate(over="ignore"):
-                if not np.isfinite(self.edge_matrix).all():
-                    raise DegenerateSimplexError("an edge overflows: the volume is not representable")
-        svals = np.linalg.svd(self.edge_matrix, compute_uv=False) if m >= 1 else np.ones(1)
+        with np.errstate(over="ignore"):  # an edge or singular value past the float range is the volume error, no warning
+            if reach > _HALF_MAX and not np.isfinite(self.edge_matrix).all():
+                raise DegenerateSimplexError("an edge overflows: the volume is not representable")
+            # LAPACK rescales a matrix whose largest entry is beyond about 2^459, or below 2^-459, by an inexact ratio;
+            # the edges go in scaled by a power of two that puts that entry in [1/2, 1), and come out scaled back exactly
+            exp = frexp(np.abs(self.edge_matrix).max(initial=0.0))[1]
+            svals = np.ldexp(np.linalg.svd(np.ldexp(self.edge_matrix, -exp), compute_uv=False), exp) if m else np.ones(1)
         svals.flags.writeable = False
         object.__setattr__(self, "_svals", svals)
         if not isfinite(svals[0]):
@@ -140,6 +148,7 @@ class GeometricSimplex:
         content = prod(svals.tolist())  # m! times the volume; a Python product overflows to inf without a warning
         if not (0.0 < content and isfinite(content)):
             raise DegenerateSimplexError(f"singular values multiply to {content:.3e}: the volume is not representable")
+        object.__setattr__(self, "_content", content)
 
     @property
     def ambient_dim(self) -> int:
@@ -156,8 +165,8 @@ class GeometricSimplex:
 
     @property
     def volume(self) -> float:
-        """Euclidean m-volume; a vertex has volume 1 so point moments reduce to evaluation."""
-        return float(self._levels[-1].volumes[0])
+        """Euclidean m-volume, the constructor's checked singular-value product over m!; a vertex has volume 1."""
+        return self._content / factorial(self.dim)
 
     @property
     def _gradients(self) -> np.ndarray:
@@ -171,27 +180,25 @@ class GeometricSimplex:
         rows to m; the first s rows of its Q and the leading s x s block of
         its R are those of its unpadded rows.  With edge rows E = R^T Q, the
         gradients of lambda_1..lambda_s are the rows of R^{-1} Q, one solve
-        per level, and |det R| / s! is the volume.  A vertex has no edge, so
-        its level is constant: no tangents, the gradient -0.0 (minus an empty
-        sum) and volume 1.
+        per level.  A vertex has no edge, so its level is constant: no
+        tangents and the gradient -0.0 (minus an empty sum).
         """
         n, d = self.vertices.shape
         tangents, gradients = np.empty((n, 0, d)), np.full((n, 1, d), -0.0)
         tangents.flags.writeable = gradients.flags.writeable = False
-        levels = [_Level(tangents, gradients, np.ones(n), _orthonormal(tangents), {})]
+        levels = [_Level(tangents, gradients, _orthonormal(tangents), {})]
         if n == 1:
             return levels
         apex, ends, own, block, bounds = _padded_faces(n)
         q, r = _orthonormal_rows(self.vertices[ends] - self.vertices[apex], own)
         ok = _orthonormal(q, block)
-        content = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1, where=own)
         for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
             tangents = q[lo:hi, :s]
             grads = np.empty((hi - lo, s + 1, d))
             grads[:, 1:] = np.linalg.solve(r[lo:hi, :s, :s], tangents)
             grads[:, 0] = -grads[:, 1:].sum(axis=1)
             tangents.flags.writeable = grads.flags.writeable = False
-            levels.append(_Level(tangents, grads, content[lo:hi] / factorial(s), ok[lo:hi], {}))
+            levels.append(_Level(tangents, grads, ok[lo:hi], {}))
         return levels
 
     @cached_property
@@ -290,8 +297,8 @@ def barycentric_gradients(T: GeometricSimplex) -> np.ndarray:
 
 
 def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of x, from the cell's gradients; of x's orthogonal projection if embedded."""
-    lam = T._gradients @ (np.asarray(x, dtype=float).reshape(T.ambient_dim) - T.vertices[0])
+    """Barycentric coordinates of x, d entries in any shape, from the cell's gradients; of x's projection if embedded."""
+    lam = T._gradients @ (_vector(x, T.ambient_dim, "barycentric_coordinates needs a point") - T.vertices[0])
     lam[0] += 1.0
     return lam
 

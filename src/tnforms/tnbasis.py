@@ -25,9 +25,10 @@ as opaque keys: an anchor is a mask, and an element at it is
 outside the anchor.  ``simplex._deposit(anchor mask, n)`` turns
 normal-offset masks into face masks and back, and the cell names each face
 mask once (``simplex._masked_face``).  All five entry points read one
-label-free table per (s, d), ``_element_table``: per degree, the element
-order, compound positions and pairing gather; per element, its frame rows,
-its complementary rows and its Hodge partner.  No call scans labels.
+label-free table per (s, d), ``_element_table``: per degree, the elements
+and their compound positions, one array from which ``realize_all`` and
+``pairing_matrix`` gather; per element, its frame rows, its complementary
+rows and its Hodge partner.  No call scans labels.
 The elements ``decompose_altk`` and ``hodge_coefficient`` return are valid
 by construction and built without re-validation (``TnBasisElement._of``):
 each entry point checks, of the degree, the anchor (``_anchor``, one
@@ -93,7 +94,7 @@ def decompose_altk(
     admissible window, each face f containing e contributes one element per
     increasing sequence of s + k - ell tangent indices.
     """
-    at, (_, elements, _) = _anchor_table(T, e, k)
+    at, (_, elements) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     faces = _deposit(at, len(T.labels))[0]
@@ -107,24 +108,23 @@ def _element_table(s: int, d: int):
     An element of degree k wedges k of the d rows: tangents 1..s, then normal
     rows s + 1 + i, i the 0-based offset among the labels outside the anchor.
     Per degree k, sorted by normal count, normal rows and rows, the row sets
-    give their positions in ``sequences(k, d)``, the elements as (sigma,
-    normal-offset mask), bit i of the mask set for offset i, and the flat
-    positions, in a C(d, k) x C(d, k) matrix, of the elements' rows and columns
-    (read-only): the gather ``pairing_matrix`` takes.  Per (mask, sigma), 2^d
-    in all, an entry holds the element's 0-based frame rows, the complementary
-    rows, and the mask and sigma of its Hodge partner, which wedges those
-    complementary rows.  The row arrays are read-only and shared: an element's
-    complementary rows are its partner's rows.
+    give (positions, elements): their positions in ``sequences(k, d)`` as one
+    read-only ``np.intp`` array, the element order ``realize_all`` and
+    ``pairing_matrix`` gather compound rows and columns in, and the elements
+    as (sigma, normal-offset mask), bit i of the mask set for offset i.  Per
+    (mask, sigma), 2^d in all, an entry holds the element's 0-based frame
+    rows, the complementary rows, and the mask and sigma of its Hodge
+    partner, which wedges those complementary rows.  The row arrays are
+    read-only and shared: an element's complementary rows are its partner's
+    rows.
     """
     full, degrees, rows = (1 << (d - s)) - 1, [], {}
     for k in range(d + 1):
         order = sorted(sequences(k, d), key=lambda r: (sum(i > s for i in r), [i for i in r if i > s], r))
-        idx = tuple(map(sequence_position(k, d).__getitem__, order))
-        at = np.array(idx, dtype=np.intp)
-        flat_index = at[:, None] * len(idx) + at[None, :]
-        flat_index.flags.writeable = False
+        positions = np.array([sequence_position(k, d)[r] for r in order], dtype=np.intp)
+        positions.flags.writeable = False
         elements = tuple((tuple(i for i in r if i <= s), sum(1 << i - s - 1 for i in r if i > s)) for r in order)
-        degrees.append((idx, elements, flat_index))
+        degrees.append((positions, elements))
         for (sigma, m), r in zip(elements, order):
             rows[m, sigma] = np.array(r, dtype=np.intp) - 1
             rows[m, sigma].flags.writeable = False
@@ -180,9 +180,9 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     pairing on its normals), so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
-    _, (_, _, flat_index) = _anchor_table(T, e, k)
+    _, (positions, _) = _anchor_table(T, e, k)
     primal, dual = _frames(T, e)
-    return compound(primal.dot(dual.T), k).reshape(-1).take(flat_index)
+    return compound(primal.dot(dual.T), k).take(positions, axis=0).take(positions, axis=1)
 
 
 def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
@@ -257,8 +257,8 @@ def realize_all(
     element i's rows, so the whole basis is gathered from one compound of
     degree k.
     """
-    _, (idx, _, _) = _anchor_table(T, e, k)
+    _, (positions, _) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     primal, dual = _frames(T, e)
-    return compound(dual if flavor == "dual" else primal, k)[list(idx)]
+    return compound(dual if flavor == "dual" else primal, k).take(positions, axis=0)

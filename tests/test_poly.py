@@ -202,6 +202,14 @@ def moment(alpha, T):
 
 
 class TestMoments:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_moments_build_no_face_table(self, d):
+        # the moments scale the cell's construction-time volume: no face QR runs
+        T = random_simplex(d, RNG)
+        assert bernstein_moments(T, 0).tolist() == [T.volume]
+        bernstein_moments(T, 3)
+        assert "_levels" not in vars(T)
+
     def test_constant_moment_is_volume(self):
         T = random_simplex(3, RNG)
         assert abs(moment((0, 0, 0, 0), T) - T.volume) < 1e-14

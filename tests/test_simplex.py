@@ -179,18 +179,17 @@ def _ref_vertex_sets(n, size):
 
 
 def _ref_levels(T):
-    """(tangents, gradients, volumes, ok) per face dimension, one QR and one solve each."""
+    """(tangents, gradients, ok) per face dimension, one QR and one solve each."""
     n, d = T.vertices.shape
     tangents = np.empty((n, 0, d))
-    levels = [(tangents, np.full((n, 1, d), -0.0), np.ones(n), _orthonormal(tangents))]
+    levels = [(tangents, np.full((n, 1, d), -0.0), _orthonormal(tangents))]
     for s in range(1, n):
         pts = T.vertices[_ref_vertex_sets(n, s + 1)]
         q, r = _orthonormal_rows(pts[:, 1:] - pts[:, :1])
         grads = np.empty(pts.shape)
         grads[:, 1:] = np.linalg.solve(r, q)
         grads[:, 0] = -grads[:, 1:].sum(axis=1)
-        vols = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) / math.factorial(s)
-        levels.append((q, grads, vols, _orthonormal(q)))
+        levels.append((q, grads, _orthonormal(q)))
     return levels
 
 
@@ -449,6 +448,18 @@ class TestBarycentricCoordinates:
         want = np.linalg.solve(np.vstack([np.ones(d + 1), T.vertices.T]), np.concatenate([[1.0], x]))
         assert np.allclose(barycentric_coordinates(T, x), want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (2, 2), ()])
+    def test_wrong_point_size_is_named(self, shape):
+        msg = f"barycentric_coordinates needs a point of d = 3 entries, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            barycentric_coordinates(random_simplex(3, RNG), np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3)])
+    def test_takes_any_shape_of_d_entries(self, shape):
+        T, x = random_simplex(3, RNG), RNG.standard_normal(3)
+        assert barycentric_coordinates(T, x.reshape(shape)).tobytes() == barycentric_coordinates(T, x).tobytes()
+        assert barycentric_coordinates(T, list(x)).tobytes() == barycentric_coordinates(T, x).tobytes()
+
 
 class TestVolume:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -460,6 +471,26 @@ class TestVolume:
     def test_vertex_volume_is_one(self):
         v = GeometricSimplex(np.array([[0.3, 0.4]]))
         assert v.volume == 1.0
+
+    @pytest.mark.parametrize("d", range(7))
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_read_from_construction(self, d, scale):
+        # the volume is the singular-value product the constructor checked, over m!, bit for bit;
+        # reading it builds no face table, on a full-dimensional or an embedded cell
+        rng = np.random.default_rng(d)
+        cells = [random_simplex(d, rng, scale), GeometricSimplex(scale * rng.standard_normal((d + 1, d + 2)))]
+        for T in cells:
+            assert T.volume == math.prod(T._svals.tolist()) / math.factorial(T.dim)
+            assert "_levels" not in vars(T)
+
+    @pytest.mark.parametrize("p", [-480, 480])
+    def test_far_cell_scales_exactly(self, p):
+        # LAPACK rescales a matrix past about 2^459 or below 2^-459 by an inexact ratio; the constructor's
+        # power-of-two prescale keeps such a cell's singular values, and so its volume, exact multiples
+        unit = random_simplex(2, np.random.default_rng(2))
+        far = GeometricSimplex(2.0**p * unit.vertices)
+        assert far._svals.tobytes() == (2.0**p * unit._svals).tobytes()
+        assert far.volume == 2.0 ** (2 * p) * unit.volume
 
 
 class TestSurfaceGradient:
@@ -766,7 +797,7 @@ class TestSinglePassAgainstReference:
         ref = _ref_levels(T)
         assert len(T._levels) == len(ref) == T.dim + 1
         for level, want in zip(T._levels, ref):
-            for got, stack in zip(level[:4], want):
+            for got, stack in zip(level[:3], want):
                 _assert_same_bits(got, stack)
 
     @pytest.mark.parametrize("T", _single_pass_cells(), ids=_cell_id)

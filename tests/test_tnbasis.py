@@ -99,7 +99,7 @@ def _ref_elements(cell, e, k, flavor="primal"):
 
 
 def _degree(s, d, k):
-    """The degree-k part of ``_element_table(s, d)``: positions, (sigma, normal-offset mask) and the pairing gather."""
+    """The degree-k part of ``_element_table(s, d)``: compound positions in element order, and (sigma, normal-offset mask)."""
     return _element_table(s, d)[0][k]
 
 
@@ -275,19 +275,18 @@ class TestDecomposition:
             for e in (g for s in range(d + 1) for g in subsimplices(cell, s)):
                 for k in range(d + 1):
                     assert decompose_altk(T, e, k) == _ref_elements(cell, e, k)
-                    assert _degree(e.dim, d, k)[0] == _ref_compound_positions(labels, e, k)
+                    assert tuple(_degree(e.dim, d, k)[0].tolist()) == _ref_compound_positions(labels, e, k)
 
     @given(st.integers(0, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d), st.integers(0, d))))
     def test_table_properties(self, dsk):
         d, s, k = dsk
-        idx, elements, flat_index = _degree(s, d, k)
+        positions, elements = _degree(s, d, k)
         rows = _table_rows(s, d, k)
-        assert sorted(idx) == list(range(binomial(d, k)))
-        # the pairing gather: entry (i, j) is the flat position of (idx[i], idx[j])
-        n = binomial(d, k)
-        assert not flat_index.flags.writeable
-        assert np.array_equal(flat_index, np.arange(n * n).reshape(n, n)[np.ix_(idx, idx)])
-        assert [sequences(k, d)[i] for i in idx] == rows
+        # one read-only position array, a permutation of the compound's rows and columns
+        assert positions.dtype == np.intp and positions.shape == (binomial(d, k),)
+        assert not positions.flags.writeable
+        assert sorted(positions.tolist()) == list(range(binomial(d, k)))
+        assert [sequences(k, d)[i] for i in positions] == rows
         # face dimension s + (number of normals) never decreases
         counts = [bin(m).count("1") for _, m in elements]
         assert counts == sorted(counts)
@@ -300,7 +299,7 @@ class TestDecomposition:
         # partner's partner is the element, and its rows are the complement
         d, s = ds
         degrees, entries = _element_table(s, d)
-        keys = [(m, sigma) for _, elements, _ in degrees for sigma, m in elements]
+        keys = [(m, sigma) for _, elements in degrees for sigma, m in elements]
         assert len(degrees) == d + 1 and len(keys) == len(set(keys)) == len(entries) == 2**d
         assert set(keys) == entries.keys()
         for k in range(d + 1):
@@ -631,7 +630,8 @@ class TestRealization:
         decompose_altk(T2, simplex(2, 7), 2, "dual")
         pairing_matrix(T1, e, 1)
         assert _element_table.cache_info().currsize == size
-        assert all(type(i) is int for i in _degree(1, 3, 2)[0])
+        positions = _degree(1, 3, 2)[0]
+        assert positions.dtype == np.intp and not positions.flags.writeable
         # one table per (dim e, d)
         _element_table.cache_clear()
         for d in range(1, 7):
