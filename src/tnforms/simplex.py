@@ -41,6 +41,17 @@ one array, so every labelling takes one path and builds the same keys.
 next, and otherwise f's size is built.  A t-n basis reads only
 |f| = d + 1, so sizes are built on first use, not all at once.
 
+A t-n basis reads an anchor's frames through ``_tn_frames``, one read of
+the cell's ``_tn`` dict, which maps the anchor's mask to a ``_TnFrames``
+record.  ``_fill_tn`` fills it on the anchor's first read from the
+(cell, anchor) entry of ``_nef``: the two frame matrices as stored, the
+same rows scaled by exact powers of two, read-only, and the rows'
+exponents as Python ints.  The fill runs ``_check_pairing`` before it
+stores anything, so an anchor whose pairing fails keeps no record and
+raises ``nef_frames``'s message on every call.  Rows are scaled per anchor
+read, not in ``_build_nef``, so frames no t-n basis reads cost nothing
+more.
+
 A level also holds its faces' frames: the ``exterior._orthonormal`` flag of
 each face's tangent rows and the compound cache of the level's stack.  The
 frame of ``oriented_subframe`` is the stack's row at the face's position,
@@ -85,6 +96,25 @@ class _Level(NamedTuple):
     gradients: np.ndarray
     ok: np.ndarray
     compounds: dict[int, np.ndarray]
+
+
+class _TnFrames(NamedTuple):
+    """Anchor e's t-n frames in a cell, f the cell: the (|f| - 1, d) frame matrices, then the same rows scaled.
+
+    ``primal`` and ``dual`` are the cell's stored ``_nef`` rows of (f, e),
+    e's tangents then its face normals, respectively its t-n normals.
+    ``scaled_primal`` and ``scaled_dual`` hold the same rows, each times the
+    exact power of two that puts its largest |entry| in [1/2, 1) (a zero
+    row stays as it is), read-only; row r of a frame is its scaled row r
+    times 2^exps[r], the exponents Python ints.
+    """
+
+    primal: np.ndarray
+    dual: np.ndarray
+    scaled_primal: np.ndarray
+    scaled_dual: np.ndarray
+    primal_exps: list[int]
+    dual_exps: list[int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +268,11 @@ class GeometricSimplex:
     @cached_property
     def _nef(self) -> dict[tuple[int, int], tuple]:
         """(f mask, e mask) -> (pairing ratio, frame_face, frame_tn), per face size built so far."""
+        return {}
+
+    @cached_property
+    def _tn(self) -> dict[int, _TnFrames]:
+        """Anchor mask -> the anchor's t-n frame record, per anchor read so far (``_tn_frames``)."""
         return {}
 
     def full_simplex(self) -> AbstractSimplex:
@@ -547,6 +582,34 @@ def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> T
     if ratio > PAIRING_RTOL:
         _check_pairing(e.vertices, f.vertices, ratio)
     return tuple.__new__(TnFrameSet, (e, f, frame_face, frame_tn))
+
+
+def _tn_frames(T: GeometricSimplex, at: int) -> _TnFrames:
+    """The t-n frame record of the anchor at position mask ``at``: one read of the cell's ``_tn``, filled on a miss."""
+    try:
+        return T._tn[at]
+    except KeyError:
+        return _fill_tn(T, at)
+
+
+def _fill_tn(T: GeometricSimplex, at: int) -> _TnFrames:
+    """Store the record of the anchor at ``at``, a face of T, from ``_nef``; raises, storing nothing, if its pairing fails.
+
+    A miss in ``_nef`` builds the pairs of the cell's own size, once.  The
+    message is ``nef_frames``'s for (T.full_simplex(), e).
+    """
+    key = (1 << len(T.labels)) - 1, at
+    if key not in T._nef:
+        _build_nef(T, len(T.labels))
+    ratio, primal, dual = T._nef[key]
+    if ratio > PAIRING_RTOL:
+        _check_pairing(T._masked[at].vertices, T.labels, ratio)
+    frames = np.stack((primal, dual))
+    exps = np.frexp(np.abs(frames).max(axis=2, keepdims=True, initial=0.0))[1]
+    scaled = np.ldexp(frames, -exps)
+    scaled.flags.writeable = False
+    record = T._tn[at] = _TnFrames(primal, dual, *scaled, *exps[..., 0].tolist())
+    return record
 
 
 def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Frame, np.ndarray]:

@@ -2,19 +2,22 @@
 
 Anchors and faces are named by the cell's own vertex labels, so two cells
 that share a face name it, and the elements on it, alike.  The cell is
-full-dimensional, a d-simplex in R^d.  For an anchor e of dimension s,
-``nef_frames(T, T.full_simplex(), e)`` gives a d x d frame matrix: e's s
-orthonormal tangents, then one normal per label outside e, ascending; the
-normals are the barycentric gradients (primal flavor) or the t-n vectors
-(dual flavor).  Both matrices are stored rows of the cell's n-e-f table,
-which ``_frames`` returns as they are, with nothing stacked per call.  A
-basis k-form wedges k of the d rows, sigma's tangents and the normals of f
-minus e, so a basis is the k-th compound of the frame matrix, and which
-rows each element takes depends on s, d and k alone.  The star of a dual
-element is a multiple of the primal element of degree d - k that wedges
-the complementary rows (``hodge_coefficient``, on the two coefficient
-arrays), so normal traces, the tangential traces of starred forms, need no
-basis of their own.
+full-dimensional, a d-simplex in R^d.  An anchor e of dimension s has
+two d x d frame matrices, those ``nef_frames(T, T.full_simplex(), e)``
+gives: e's s orthonormal tangents, then one normal per label outside e,
+ascending; the normals are the barycentric gradients (primal flavor) or
+the t-n vectors (dual flavor).  The cell keeps them in one record per
+anchor (``simplex._tn_frames``), filled on the anchor's first read: the
+stored rows of its n-e-f table, and the same rows scaled by exact powers
+of two with their exponents, which ``hodge_coefficient`` takes its minors
+of.  ``_frames`` reads the record once per call, so nothing is stacked or
+rescaled per call.  A basis k-form wedges k of the d rows, sigma's
+tangents and the normals of f minus e, so a basis is the k-th compound of
+the frame matrix, and which rows each element takes depends on s, d and k
+alone.  The star of a dual element is a multiple of the primal element of
+degree d - k that wedges the complementary rows (``hodge_coefficient``, on
+the two coefficient arrays), so normal traces, the tangential traces of
+starred forms, need no basis of their own.
 Elements are ordered by face dimension, then face, then tangential
 sequence, which makes downstream degree-of-freedom matrices block lower
 triangular.
@@ -49,7 +52,7 @@ import numpy as np
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, _form, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
-from .simplex import GeometricSimplex, _deposit, _mask, _masked_face, nef_frames
+from .simplex import GeometricSimplex, _deposit, _mask, _masked_face, _TnFrames, _tn_frames
 
 FLAVORS = ("primal", "dual")
 
@@ -153,19 +156,18 @@ def _entry(T: GeometricSimplex, elem: TnBasisElement, at: int):
     return _element_table(elem.e.dim, n - 1)[1][m, elem.sigma], faces
 
 
-def _frames(T: GeometricSimplex, e: AbstractSimplex) -> tuple[np.ndarray, np.ndarray]:
-    """The primal and dual frame matrices of anchor e, (d, d) each, on a d-cell in R^d."""
+def _frames(T: GeometricSimplex, at: int) -> _TnFrames:
+    """The frame record of the anchor at position mask ``at``, (d, d) frames, on a d-cell in R^d."""
     if T.dim != T.ambient_dim:
         raise ValueError(f"t-n bases need a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
-    fs = nef_frames(T, T.full_simplex(), e)
-    return fs.frame_face, fs.frame_tn
+    return _tn_frames(T, at)
 
 
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
     """The constant-coefficient form of a basis element, in ambient coordinates."""
     at = _anchor(T, elem.e)
-    primal, dual = _frames(T, elem.e)
-    frame = dual if elem.flavor == "dual" else primal
+    frames = _frames(T, at)
+    frame = frames.dual if elem.flavor == "dual" else frames.primal
     (rows, *_), _ = _entry(T, elem, at)
     return wedge_all([flat(frame[i]) for i in rows], d=len(frame))
 
@@ -180,9 +182,9 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     pairing on its normals), so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
-    _, (positions, _) = _anchor_table(T, e, k)
-    primal, dual = _frames(T, e)
-    return compound(primal.dot(dual.T), k).take(positions, axis=0).take(positions, axis=1)
+    at, (positions, _) = _anchor_table(T, e, k)
+    frames = _frames(T, at)
+    return compound(frames.primal.dot(frames.dual.T), k).take(positions, axis=0).take(positions, axis=1)
 
 
 def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
@@ -199,22 +201,20 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     at = _anchor(T, elem.e)
     if elem.flavor != "dual":
         raise ValueError("hodge coefficient is defined for dual-flavor elements")
-    primal, dual = _frames(T, elem.e)
+    frames = _frames(T, at)
     (rows, partner_rows, partner_mask, tau), faces = _entry(T, elem, at)
     d, k = T.dim, len(rows)
     partner = TnBasisElement._of(elem.e, _masked_face(T, faces[partner_mask]), tau, "primal")
     # each form is the maximal minors of its rows; the partner wedges the complementary primal rows.
-    # Exact powers of two bring every row's largest entry into [1/2, 1) first: compound's minors are
+    # The minors are taken of the record's scaled rows, each row's largest entry in [1/2, 1): they are
     # then no larger than k!, no product below over- or underflows on a representable cell, the two
-    # checks decide as unscaled, and a and b are the true forms times 2^-ea and 2^-eb.  Scaling the
-    # cell by a power of two scales every frame row by one power of two, so a and b, and c's mantissa,
-    # are bit for bit those of the unscaled cell.
-    stacked = np.concatenate((dual.take(rows, axis=0), primal.take(partner_rows, axis=0)))
-    exps = np.frexp(abs(stacked).max(axis=1, keepdims=True, initial=0.0))[1]
-    stacked = np.ldexp(stacked, -exps)
-    a, b = compound(stacked[:k], k)[0], compound(stacked[k:], d - k)[0]
-    exps = exps.ravel().tolist()
-    ea, eb = sum(exps[:k]), sum(exps[k:])
+    # checks decide as unscaled, and a and b are the true forms times 2^-ea and 2^-eb, the sums of the
+    # rows' stored exponents.  Scaling the cell by a power of two scales every frame row by one power
+    # of two, so a and b, and c's mantissa, are bit for bit those of the unscaled cell.
+    a = compound(frames.scaled_dual.take(rows, axis=0), k)[0]
+    b = compound(frames.scaled_primal.take(partner_rows, axis=0), d - k)[0]
+    ea = sum(map(frames.dual_exps.__getitem__, rows))
+    eb = sum(map(frames.primal_exps.__getitem__, partner_rows))
     dual_form = _form(d, k, a)
 
     denominator = volume_coefficient(wedge(dual_form, _form(d, d - k, b)))
@@ -257,8 +257,8 @@ def realize_all(
     element i's rows, so the whole basis is gathered from one compound of
     degree k.
     """
-    _, (positions, _) = _anchor_table(T, e, k)
+    at, (positions, _) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    primal, dual = _frames(T, e)
-    return compound(dual if flavor == "dual" else primal, k).take(positions, axis=0)
+    frames = _frames(T, at)
+    return compound(frames.dual if flavor == "dual" else frames.primal, k).take(positions, axis=0)

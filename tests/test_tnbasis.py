@@ -17,7 +17,7 @@ from tnforms.combinatorics import (
     simplex,
     subsimplices,
 )
-from tnforms.errors import DEGENERACY_RTOL
+from tnforms.errors import DEGENERACY_RTOL, PAIRING_RTOL
 from tnforms.exterior import (
     AltForm,
     compound,
@@ -28,7 +28,7 @@ from tnforms.exterior import (
     wedge,
     wedge_all,
 )
-from tnforms.exterior import _star
+from tnforms.exterior import _form, _star
 from tnforms.simplex import (
     GeometricSimplex,
     all_subsimplices,
@@ -52,6 +52,7 @@ from tnforms.tnbasis import (
     realize,
     realize_all,
 )
+import tnforms.simplex as simplex_module
 import tnforms.tnbasis as tnbasis
 from tnforms.tnbasis import _anchor, _element_table, _entry, _frames
 
@@ -161,7 +162,18 @@ def _ref_hodge_rows(T, e, k):
         pos[complement(el.sigma, s) + tuple(s + 1 + normals.index(j) for j in normals if j not in el.f)]
         for el in decompose_altk(T, e, k)
     ]
-    return _star(compound(_frames(T, e)[0], d - k)[idx], d - k, d)
+    return _star(compound(_frames(T, _anchor(T, e)).primal, d - k)[idx], d - k, d)
+
+
+def _flattened(v, flatness):
+    """v with its last vertex moved to height flatness * diameter above the opposite facet."""
+    v = v.copy()
+    q = np.linalg.qr((v[1:-1] - v[0]).T, mode="complete")[0]
+    normal = q[:, -1]
+    height = float(np.dot(v[-1] - v[0], normal))
+    diameter = max(np.linalg.norm(a - b) for a in v for b in v)
+    v[-1] += (math.copysign(flatness * diameter, height) - height) * normal
+    return v
 
 
 def inner(a, b):
@@ -172,15 +184,21 @@ def inner(a, b):
 
 # Reference Hodge coefficient and pairing: the chains the coefficient-array
 # code replaced, flat rows wedged by wedge_all with the arithmetic on AltForms,
-# and the np.ix_ gather of the compound.
+# and the np.ix_ gather of the compound, on the frames nef_frames returns.
+
+
+def _ref_frames(T, e):
+    """The anchor's primal and dual frame matrices as ``nef_frames`` returns them for f = the cell."""
+    fs = nef_frames(T, T.full_simplex(), e)
+    return fs.frame_face, fs.frame_tn
 
 
 def _ref_wedge_rows(frame, elem, labels):
     return wedge_all([flat(frame[i - 1]) for i in _ref_row_index(elem, labels)], d=len(frame))
 
 
-def _ref_hodge_coefficient(T, elem):
-    primal, dual = _frames(T, elem.e)
+def _ref_altform_hodge_coefficient(T, elem):
+    primal, dual = _ref_frames(T, elem.e)
     dual_form = _ref_wedge_rows(dual, elem, T.labels)
     face = AbstractSimplex(tuple(j for j in T.labels if j in elem.e or j not in elem.f))
     partner = TnBasisElement(elem.e, face, complement(elem.sigma, elem.e.dim))
@@ -194,8 +212,60 @@ def _ref_hodge_coefficient(T, elem):
 
 def _ref_pairing_matrix(T, e, k):
     idx = _degree(e.dim, T.dim, k)[0]
-    primal, dual = _frames(T, e)
+    primal, dual = _ref_frames(T, e)
     return compound(primal @ dual.T, k)[np.ix_(idx, idx)]
+
+
+def _ref_compound_realize_all(T, e, k, flavor):
+    """The compound rows of the frame ``nef_frames`` returns, in element order."""
+    primal, dual = _ref_frames(T, e)
+    return compound(dual if flavor == "dual" else primal, k).take(_degree(e.dim, T.dim, k)[0], axis=0)
+
+
+# Reference Hodge coefficient on frames rescaled per call: every frame row
+# the coefficient reads is scaled by an exact power of two before the
+# compounds, and the exponents are summed, on each call, from the frames
+# nef_frames returns; the anchor records store the same scaled rows and
+# exponents once per cell.
+
+
+def _ref_hodge_coefficient(T, elem):
+    at = _anchor(T, elem.e)
+    if elem.flavor != "dual":
+        raise ValueError("hodge coefficient is defined for dual-flavor elements")
+    if T.dim != T.ambient_dim:
+        raise ValueError(f"t-n bases need a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
+    primal, dual = _ref_frames(T, elem.e)
+    (rows, partner_rows, partner_mask, tau), faces = _entry(T, elem, at)
+    d, k = T.dim, len(rows)
+    partner = TnBasisElement(elem.e, _masked_face(T, faces[partner_mask]), tau, "primal")
+    stacked = np.concatenate((dual.take(rows, axis=0), primal.take(partner_rows, axis=0)))
+    exps = np.frexp(abs(stacked).max(axis=1, keepdims=True, initial=0.0))[1]
+    stacked = np.ldexp(stacked, -exps)
+    a, b = compound(stacked[:k], k)[0], compound(stacked[k:], d - k)[0]
+    exps = exps.ravel().tolist()
+    ea, eb = sum(exps[:k]), sum(exps[k:])
+    dual_form = _form(d, k, a)
+    denominator = volume_coefficient(wedge(dual_form, _form(d, d - k, b)))
+    aa = float(a.dot(a))
+    scale = math.sqrt(aa) * math.sqrt(b.dot(b))
+    where = tnbasis._context(elem, d, k)
+    if abs(denominator) <= DEGENERACY_RTOL * scale:
+        scaled = f"{abs(denominator):.3e} <= {DEGENERACY_RTOL} * {scale:.3e}, both times 2^{ea + eb}"
+        raise ValueError(f"degenerate Hodge pairing at {where}: {scaled}")
+    c = aa / denominator
+    starred = hodge_star(dual_form).coeffs
+    r = starred - b * c
+    residual = math.sqrt(r.dot(r)) / math.sqrt(starred.dot(starred))
+    if residual > PAIRING_RTOL:
+        raise ValueError(f"Hodge collinearity at {where}: relative residual {residual:.3e} > {PAIRING_RTOL}")
+    try:
+        scaled_back = math.ldexp(c, ea - eb)
+    except OverflowError:
+        scaled_back = math.inf
+    if scaled_back == 0.0 or math.isinf(scaled_back):
+        raise ValueError(f"Hodge coefficient at {where} is not representable: {c!r} * 2^{ea - eb}")
+    return scaled_back, partner
 
 
 class TestDecomposition:
@@ -600,22 +670,68 @@ class TestRealization:
                 mats = realize_all(T, e, k, flavor)
                 assert np.linalg.matrix_rank(mats, tol=1e-10) == binomial(d, k)
 
-    def test_one_frame_build_per_call(self, monkeypatch):
-        import tnforms.tnbasis as tnbasis
+    def test_one_frame_fill_per_anchor_per_cell(self, monkeypatch):
+        # every entry point of both flavors reads an anchor's frames from one
+        # record per cell, filled on the first read and never through
+        # nef_frames; decompose_altk reads none
+        fills = []
+        fill = simplex_module._fill_tn
+        monkeypatch.setattr(simplex_module, "_fill_tn", lambda T, at: fills.append((T, at)) or fill(T, at))
+        monkeypatch.setattr(simplex_module, "nef_frames", None)
+        assert not hasattr(tnbasis, "nef_frames")
+        cells = [random_simplex(4, RNG), GeometricSimplex(random_simplex(3, RNG).vertices, labels=(2, 5, 7, 9))]
+        for T in cells:
+            for _ in range(2):
+                for e in all_subsimplices(T):
+                    for k in range(T.dim + 1):
+                        for flavor in FLAVORS:
+                            realize_all(T, e, k, flavor)
+                            for el in decompose_altk(T, e, k, flavor):
+                                realize(el, T)
+                        pairing_matrix(T, e, k)
+                        for el in decompose_altk(T, e, k, "dual"):
+                            hodge_coefficient(T, el)
+        assert fills == [(T, _anchor(T, e)) for T in cells for e in all_subsimplices(T)]
+        fills.clear()
+        T = random_simplex(3, RNG)
+        for e in all_subsimplices(T):
+            for k in range(4):
+                decompose_altk(T, e, k, "dual")
+        assert fills == []
 
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return nef_frames(*args)
-
-        monkeypatch.setattr(tnbasis, "nef_frames", counted)
-        T, e = random_simplex(4, RNG), simplex(1, 3)
-        for flavor in FLAVORS:
-            realize_all(T, e, 2, flavor)
-        hodge_coefficient(T, decompose_altk(T, e, 2, "dual")[0])
-        pairing_matrix(T, e, 2)
-        assert len(calls) == 4
+    def test_failing_anchor_raises_on_every_call_and_stores_no_record(self):
+        # an anchor whose pairing misses PAIRING_RTOL raises nef_frames's
+        # message on each call of each entry point, and leaves no record
+        rng = np.random.default_rng(801)
+        for _ in range(20):
+            T = GeometricSimplex(_flattened(random_simplex(4, rng).vertices, 1e-7))
+            failing = {}
+            for e in all_subsimplices(T):
+                try:
+                    nef_frames(T, T.full_simplex(), e)
+                except ValueError as exc:
+                    failing[e] = str(exc)
+            if failing:
+                break
+        else:
+            pytest.fail("no sliver with a failing anchor")
+        for e, msg in failing.items():
+            assert "not diagonal: ratio" in msg
+            calls = (
+                lambda: pairing_matrix(T, e, 1),
+                lambda: pairing_matrix(T, e, 1),
+                lambda: realize_all(T, e, 1, "dual"),
+                lambda: realize(decompose_altk(T, e, 1)[0], T),
+                lambda: hodge_coefficient(T, decompose_altk(T, e, 1, "dual")[0]),
+            )
+            for call in calls:
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == msg and _anchor(T, e) not in T._tn
+        passing = [e for e in all_subsimplices(T) if e not in failing]
+        for e in passing:
+            pairing_matrix(T, e, 1)
+        assert sorted(T._tn) == sorted(_anchor(T, e) for e in passing)
 
     def test_element_positions_are_cached_by_dimensions(self):
         T1, e = random_simplex(3, RNG), simplex(0, 2)
@@ -717,7 +833,7 @@ class TestCoefficientArrays:
                 for k in range(d + 1):
                     for el in decompose_altk(T, e, k, "dual"):
                         c, partner = hodge_coefficient(T, el)
-                        ref_c, ref_partner, residual = _ref_hodge_coefficient(T, el)
+                        ref_c, ref_partner, residual = _ref_altform_hodge_coefficient(T, el)
                         assert type(c) is float and c.hex() == ref_c.hex()
                         assert partner == ref_partner and hash(partner) == hash(ref_partner)
                         assert _fields(partner) == _fields(ref_partner) and residual <= 1e-12
@@ -732,16 +848,85 @@ class TestCoefficientArrays:
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_frames_are_stored_rows(self):
-        # both frame matrices are read-only views of the cell's one n-e-f array
+        # both frame matrices are read-only views of the cell's one n-e-f array,
+        # read from one record per anchor; its scaled rows are theirs times exact
+        # powers of two, each row's largest |entry| in [1/2, 1)
         T = random_simplex(4, RNG)
         for e in all_subsimplices(T):
-            primal, dual = _frames(T, e)
+            frames = _frames(T, _anchor(T, e))
+            assert frames is _frames(T, _anchor(T, e))
+            primal, dual = frames.primal, frames.dual
             assert primal.shape == dual.shape == (4, 4)
             assert not (primal.flags.writeable or dual.flags.writeable)
             assert primal.base is not None and primal.base is dual.base
             fs = nef_frames(T, T.full_simplex(), e)
             assert np.array_equal(primal, np.vstack([fs.tangents, fs.normals_face]))
             assert np.array_equal(dual, np.vstack([fs.tangents, fs.normals_tn]))
+            scaled = ((primal, frames.scaled_primal, frames.primal_exps), (dual, frames.scaled_dual, frames.dual_exps))
+            for frame, rows, exps in scaled:
+                assert not rows.flags.writeable and len(exps) == 4 and all(type(j) is int for j in exps)
+                assert np.ldexp(rows, np.array(exps)[:, None]).tobytes() == frame.tobytes()
+                top = np.abs(rows).max(axis=1)
+                assert np.all((0.5 <= top) & (top < 1.0))
+
+
+def _parent_cells(d):
+    """The d-cells the t-n outputs are pinned on: a random cell, relabelled at 2^-150 and scaled by 2^140; at
+    d = 4 three slivers of flatness 1e-7, and at d = 3, 4 cells at the volume-representability edge."""
+    unit = random_simplex(d, np.random.default_rng(150 + d))
+    cells = [unit, GeometricSimplex(2.0**-150 * unit.vertices, labels=_label_sets(d)[2])]
+    cells.append(GeometricSimplex(2.0**140 * unit.vertices))
+    if d == 4:
+        rng = np.random.default_rng(801)
+        slivers = [GeometricSimplex(_flattened(random_simplex(4, rng).vertices, 1e-7)) for _ in range(20)]
+        cells += [slivers[i] for i in (0, 9, 19)]  # each fails Hodge collinearity; the last two fail anchor pairings too
+    far = {3: ((-349, 0), (-349, 1), (-330, 0)), 4: ((-266, 0),)}.get(d, ())
+    cells += [GeometricSimplex(2.0**j * random_simplex(d, np.random.default_rng(seed)).vertices) for j, seed in far]
+    return cells
+
+
+def _outcome(call):
+    """The call's result, or the text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _array_bits(a):
+    return a if isinstance(a, str) else (a.dtype, a.shape, a.tobytes())
+
+
+def _hodge_bits(out):
+    return out if isinstance(out, str) else (out[0].hex(), _fields(out[1]))
+
+
+class TestAgainstParentFrames:
+    """Every t-n output and error is bit for bit that of the frames nef_frames returns, rescaled per call."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_anchor_and_dual_element(self, d):
+        # the compounds of unscaled frames over- or underflow at the representability edge, alike
+        raised = set()
+        for T in _parent_cells(d):
+            for e in all_subsimplices(T):
+                for k in range(d + 1):
+                    with np.errstate(all="ignore"):
+                        got = _outcome(lambda: pairing_matrix(T, e, k))
+                        assert _array_bits(got) == _array_bits(_outcome(lambda: _ref_pairing_matrix(T, e, k)))
+                        for flavor in FLAVORS:
+                            got = _outcome(lambda: realize_all(T, e, k, flavor))
+                            want = _outcome(lambda: _ref_compound_realize_all(T, e, k, flavor))
+                            assert _array_bits(got) == _array_bits(want)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        for el in decompose_altk(T, e, k, "dual"):
+                            got = _hodge_bits(_outcome(lambda: hodge_coefficient(T, el)))
+                            assert got == _hodge_bits(_outcome(lambda: _ref_hodge_coefficient(T, el))), el
+                            if isinstance(got, str):
+                                raised.add(got.split(" at ")[0])
+        want = {3: {"Hodge coefficient"}, 4: {"Hodge coefficient", "Hodge collinearity", "pairing"}}.get(d, set())
+        assert raised == want
 
 
 class TestPairing:
