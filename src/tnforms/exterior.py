@@ -12,16 +12,16 @@ built from the tuples of ``combinatorics.sequences`` and the positions of
 ``sequence_position``: ``_shuffle_table(p, q, d)`` holds, for each
 (p + q)-sequence tau of 1..d and each p-sequence S of its positions, the
 positions of tau[S] and tau[T], T = ``complement(S, p + q)``, and the
-``inversion_sign`` of S + T, so that dx_tau[S] ^ dx_tau[T] = sign dx_tau.  Four
-kernels read it.  A wedge is two gathers and ``_shuffle_sum``, the signed
-sum over the last axis of a stack.  Contraction with v is the adjoint of
-v-flat ^, so it reads the (1, k - 1) table the other way round, in one
-``np.bincount``.  The star of a k-form is a signed reversal by the signs
-of the (k, d - k) table, of one form or of a stack of coefficient rows,
+``inversion_sign`` of S + T, so that dx_tau[S] ^ dx_tau[T] = sign dx_tau.  Two
+kernels read it, both along the last axis of a stack of coefficient rows.
+A wedge is two gathers and ``_shuffle_sum``, their signed sum.  The star
+of a k-form is a signed reversal by the signs of the (k, d - k) table,
 since the complements of ``sequences(k, d)`` are ``sequences(d - k, d)``
-reversed.  ``compound(A, k)`` holds all k x k minors of A; leading axes of
-A are a batch, so one call serves a stack of frames.  The 0th and 1st
-compounds are ones and A itself, exact.  For k >= 2 one cached
+reversed.  Contraction with v is the starred wedge, iota_v omega =
+(-1)^(d(k - 1)) star(v-flat ^ star omega): a star, a wedge through the
+(1, d - k) table and a star.  ``compound(A, k)`` holds all k x k minors of
+A; leading axes of A are a batch, so one call serves a stack of frames.
+The 0th and 1st compounds are ones and A itself, exact.  For k >= 2 one cached
 ``_laplace_plan(k, m, n)`` takes every minor of an (m, n) matrix by
 generalised Laplace expansion: an order-j minor is a signed sum of products of a minor of order
 j // 2 on its first rows and one of order j - j // 2 on the rest, both read
@@ -101,7 +101,11 @@ class AltForm:
 
 
 def _form(d: int, k: int, coeffs: np.ndarray) -> AltForm:
-    """An AltForm over a kernel's result, a 1-D float array of C(d, k) entries; not re-checked."""
+    """An AltForm over a kernel's result, C(d, k) float entries along the last axis; not re-checked.
+
+    A public form holds one row.  Over a stack of rows, ``hodge_star`` and
+    ``contraction`` act on every row in one call.
+    """
     form = object.__new__(AltForm)
     form.__dict__.update(d=d, k=k, coeffs=coeffs)
     return form
@@ -146,6 +150,9 @@ def compound(A: np.ndarray, k: int) -> np.ndarray:
 
 def _shuffle_sum(terms: np.ndarray, other: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """The sum over the last axis of sign * terms * other, term by term in order; ``terms`` is overwritten.
+
+    ``terms`` has the result's full shape, plus the last axis; ``other``
+    may broadcast into it, as one v into a stack of contracted rows.
 
     A shuffle table of at most 3 columns has the signs +, + - or + - +, so
     up to 3 terms the sum is array operations, in fewer calls than
@@ -258,19 +265,19 @@ def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:
 def contraction(omega: AltForm, v: np.ndarray) -> AltForm:
     """Interior product omega .| v, plugging v into the first slot; v holds d entries, in any shape.
 
-    iota_v is the adjoint of v-flat ^, so the terms are those of
-    ``_shuffle_table(1, k - 1, d)``: dx_tau[S] ^ dx_tau[T] = sign dx_tau
-    gives sign v_tau[S] omega_tau to tau[T].  The raveled table runs by
-    rising tau, so ``np.bincount`` adds the terms of each tau[T] in
-    lexicographic order of tau.
+    Contraction is the starred wedge, iota_v omega = (-1)^(d(k - 1))
+    star(v-flat ^ star omega): the wedge reads ``_shuffle_table(1, d - k, d)``
+    as ``wedge`` does, and each coefficient adds its terms by v's rising
+    index.  Only star and wedge kernels act, along the last axis, so omega's
+    coefficients may be a stack of rows, contracted with one v in one call.
     """
     if omega.k == 0:
         raise ValueError("cannot contract a 0-form")
     d, k = omega.d, omega.k
     v = _vector(v, d, "contraction needs a vector")
-    slot, out, sign = _shuffle_table(1, k - 1, d)
-    terms = sign * v[slot] * omega.coeffs[:, None]
-    return _form(d, k - 1, np.bincount(out.ravel(), weights=terms.ravel(), minlength=binomial(d, k - 1)))
+    left, right, sign = _shuffle_table(1, d - k, d)
+    wedged = _shuffle_sum(_star(omega.coeffs, k, d).take(right, axis=-1), v.take(left), sign)
+    return _form(d, k - 1, (-1.0) ** (d * (k - 1)) * _star(wedged, d - k + 1, d))
 
 
 def hodge_star(omega: AltForm) -> AltForm:

@@ -200,7 +200,8 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     """
     at = _anchor(T, elem.e)
     if elem.flavor != "dual":
-        raise ValueError("hodge coefficient is defined for dual-flavor elements")
+        where = _context(elem, T.dim, len(elem.sigma) + elem.f.dim - elem.e.dim)
+        raise ValueError(f"hodge coefficient is defined for dual-flavor elements, got {elem.flavor} at {where}")
     frames = _frames(T, at)
     (rows, partner_rows, partner_mask, tau), faces = _entry(T, elem, at)
     d, k = T.dim, len(rows)

@@ -235,8 +235,9 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("d", DIMS)
     def test_contraction(self, d):
-        # the raveled (1, k - 1) shuffle table adds each coefficient's terms
-        # by rising sigma, as the reference loop does, so the two agree exactly
+        # the (1, d - k) shuffle table of the starred wedge adds each
+        # coefficient's terms by v's rising index, as the reference loop does,
+        # so the two agree exactly
         slot, out, sign = exterior._shuffle_table(1, d - 1, d)
         assert np.array_equal(slot[0], np.arange(d)) and np.array_equal(sign, (-1.0) ** np.arange(d))
         for k in range(1, d + 1):
@@ -459,13 +460,38 @@ class TestContraction:
 
     @given(st.data())
     def test_adjoint_of_wedge_with_flat(self, data):
-        # <omega .| v, eta> = <omega, v-flat ^ eta>, the identity by which
-        # contraction reads the shuffle table of (1, k - 1)-forms; small
+        # <omega .| v, eta> = <omega, v-flat ^ eta>: contraction is the
+        # adjoint of v-flat ^, though it is computed as a starred wedge; small
         # integer entries keep both sides exact
         d = data.draw(st.integers(1, 6))
         k = data.draw(st.integers(1, d))
         omega, eta, v = _integer_form(data, d, k), _integer_form(data, d, k - 1), _integer_entries(data, d)
         assert inner(contraction(omega, v), eta) == inner(omega, wedge(flat(v), eta))
+
+    @given(st.data())
+    def test_starred_wedge(self, data):
+        # omega .| v = (-1)^(d(k - 1)) star(v-flat ^ star omega), exactly on
+        # small integer entries
+        d = data.draw(st.integers(1, 7))
+        k = data.draw(st.integers(1, d))
+        omega, v = _integer_form(data, d, k), _integer_entries(data, d)
+        starred = (-1) ** (d * (k - 1)) * hodge_star(wedge(flat(v), hodge_star(omega))).coeffs
+        assert np.array_equal(contraction(omega, v).coeffs, starred)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_stack_of_rows(self, d):
+        # the star and wedge kernels act along the last axis, so a stack of
+        # coefficient rows is contracted with one v in one call, each row
+        # bit for bit as on its own
+        v = RNG.standard_normal(d)
+        for k in range(1, d + 1):
+            n, m = binomial(d, k), binomial(d, k - 1)
+            for shape in [(0,), (1,), (5,), (2, 3)]:
+                rows = RNG.standard_normal(shape + (n,))
+                got = contraction(exterior._form(d, k, rows), v)
+                assert (got.d, got.k, got.coeffs.shape) == (d, k - 1, shape + (m,))
+                for row, contracted in zip(rows.reshape(-1, n), got.coeffs.reshape(-1, m)):
+                    assert np.array_equal(contracted, contraction(AltForm(d, k, row), v).coeffs)
 
     def test_leibniz_identity(self):
         # (w ^ e) .| v = (w .| v) ^ e + (-1)^p w ^ (e .| v)

@@ -540,9 +540,16 @@ class TestUncheckedElements:
             realize_all(T, simplex(7), 1, "nope")
         with pytest.raises(ValueError, match="unknown flavor 'nope'"):
             realize_all(T, simplex(0), 1, "nope")
-        # an element's flavor is checked after its anchor and before its face
-        with pytest.raises(ValueError, match="defined for dual-flavor elements"):
-            hodge_coefficient(T, TnBasisElement(simplex(0), simplex(0, 7), ()))
+        # an element's flavor is checked after its anchor and before its face,
+        # and the error names the element's (e, f, sigma, d, k)
+        primal = {
+            "e=(0,), f=(0, 7), sigma=(), d=3, k=1": TnBasisElement(simplex(0), simplex(0, 7), ()),
+            "e=(0, 1), f=(0, 1, 2), sigma=(1,), d=3, k=2": TnBasisElement(simplex(0, 1), simplex(0, 1, 2), (1,)),
+        }
+        for where, elem in primal.items():
+            msg = rf"^hodge coefficient is defined for dual-flavor elements, got primal at {re.escape(where)}$"
+            with pytest.raises(ValueError, match=msg):
+                hodge_coefficient(T, elem)
 
     def test_no_element_is_validated_per_call(self, monkeypatch):
         # no face or element is re-validated, and naming faces and partners reads
