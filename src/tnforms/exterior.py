@@ -103,8 +103,8 @@ class AltForm:
 def _form(d: int, k: int, coeffs: np.ndarray) -> AltForm:
     """An AltForm over a kernel's result, C(d, k) float entries along the last axis; not re-checked.
 
-    A public form holds one row.  Over a stack of rows, ``hodge_star`` and
-    ``contraction`` act on every row in one call.
+    A public form holds one row.  Over a stack of rows, ``hodge_star``,
+    ``wedge`` and ``contraction`` act on every row in one call.
     """
     form = object.__new__(AltForm)
     form.__dict__.update(d=d, k=k, coeffs=coeffs)
@@ -238,7 +238,8 @@ def wedge(omega: AltForm, eta: AltForm) -> AltForm:
 
     A wedge is a Laplace step: coefficient tau is the signed sum, over the
     columns S of ``_shuffle_table(p, q, d)`` in order, of omega at tau[S]
-    times eta at tau[T].
+    times eta at tau[T].  Both gathers act on the last axis, so either
+    operand, or both, may be a stack of rows, wedged row by row.
     """
     if omega.d != eta.d:
         raise ValueError(f"ambient dimension mismatch: d = {omega.d} and d = {eta.d}")
@@ -246,7 +247,10 @@ def wedge(omega: AltForm, eta: AltForm) -> AltForm:
     if p + q > d:
         raise ValueError(f"wedge degree {p}+{q} exceeds ambient dimension {d}")
     left, right, sign = _shuffle_table(p, q, d)
-    return _form(d, p + q, _shuffle_sum(omega.coeffs.take(left), eta.coeffs.take(right), sign))
+    terms, other = omega.coeffs.take(left, axis=-1), eta.coeffs.take(right, axis=-1)
+    if terms.ndim < other.ndim:  # the sum overwrites the gather of the larger stack
+        terms, other = other, terms
+    return _form(d, p + q, _shuffle_sum(terms, other, sign))
 
 
 def wedge_all(forms: list[AltForm], d: int | None = None) -> AltForm:

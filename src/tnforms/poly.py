@@ -11,8 +11,9 @@ one division per node, so every entry is the correctly rounded exact inverse.
 For M nodes it costs (dim + 1) M C(r + dim, dim + 1) multiply-adds.  Degrees
 are capped at MAX_DEGREE, where the exact range holds up to dim 7.
 
-Every table reads the lattice from one cached integer array, ``_lattice_array``;
-the product table finds alpha + beta by its lexicographic rank, one binomial
+The lattice is one cached integer array, ``_lattice_array``, built by stars
+and bars from the increasing sequences; ``lattice`` and every table read it.
+The product table finds alpha + beta by its lexicographic rank, one binomial
 table read per coordinate.  ``monomial_values_at`` takes each barycentric
 power lambda_i^j once per point, in one power table made by one contiguous
 ``**``, and gathers the lattice's exponents from it through a cached offset
@@ -26,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .combinatorics import AbstractSimplex, binomial
+from .combinatorics import AbstractSimplex, binomial, sequences
 from .errors import MAX_CONDITION
 from .simplex import GeometricSimplex
 
@@ -40,28 +41,25 @@ def _check_dim(dim: int):
         raise ValueError(f"a lattice needs dimension dim >= 0, got dim={dim}")
 
 
-@lru_cache(maxsize=None)
-def _lattice(dim: int, r: int) -> tuple[LatticeIndex, ...]:
-    _check_dim(dim)
-    if r < 0:
-        return ()
-    if dim == 0:
-        return ((r,),)
-    return tuple((first,) + rest for first in range(r + 1) for rest in _lattice(dim - 1, r - first))
-
-
 def lattice(dim: int, r: int) -> list[LatticeIndex]:
-    """All multi-indices of length dim+1 with |alpha| = r, lexicographic.
+    """All multi-indices of length dim+1 with |alpha| = r, lexicographic: the rows of ``_lattice_array``.
 
     Negative degree yields the empty list (the zero polynomial space).
     """
-    return list(_lattice(dim, r))
+    return list(map(tuple, _lattice_array(dim, r).tolist()))
 
 
 @lru_cache(maxsize=None)
 def _lattice_array(dim: int, r: int) -> np.ndarray:
-    """``_lattice(dim, r)`` as a read-only (M, dim + 1) integer array."""
-    out = np.array(_lattice(dim, r), dtype=np.intp).reshape(-1, dim + 1)
+    """The multi-indices of ``lattice(dim, r)`` as a read-only (M, dim + 1) integer array, by stars and bars.
+
+    The dim bars of alpha are an increasing sequence b in 1..r + dim, and
+    alpha_i is the gap between bars i and i + 1 minus one, bar 0 at 0 and
+    bar dim + 1 at r + dim + 1; lexicographic b gives lexicographic alpha.
+    """
+    _check_dim(dim)
+    bars = sequences(dim, r + dim)
+    out = np.diff(np.array(bars, dtype=np.intp).reshape(len(bars), dim), axis=1, prepend=0, append=r + dim + 1) - 1
     out.setflags(write=False)
     return out
 

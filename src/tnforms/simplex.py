@@ -44,13 +44,14 @@ next, and otherwise f's size is built.  A t-n basis reads only
 A t-n basis reads an anchor's frames through ``_tn_frames``, one read of
 the cell's ``_tn`` dict, which maps the anchor's mask to a ``_TnFrames``
 record.  ``_fill_tn`` fills it on the anchor's first read from the
-(cell, anchor) entry of ``_nef``: the two frame matrices as stored, the
-same rows scaled by exact powers of two, read-only, and the rows'
-exponents as Python ints.  The fill runs ``_check_pairing`` before it
-stores anything, so an anchor whose pairing fails keeps no record and
-raises ``nef_frames``'s message on every call.  Rows are scaled per anchor
-read, not in ``_build_nef``, so frames no t-n basis reads cost nothing
-more.
+(cell, anchor) entry of ``_nef``: per flavor, primal then dual, the frame
+matrix as stored, the same rows scaled by exact powers of two, read-only,
+and the rows' exponents as Python ints.  The fill checks that the cell is
+full-dimensional, then runs ``_check_pairing``, before it builds or stores
+anything, so an embedded cell, or an anchor whose pairing fails, keeps no
+record and raises the same message on every call.  Rows are scaled per
+anchor read, not in ``_build_nef``, so frames no t-n basis reads cost
+nothing more.
 
 A level also holds its faces' frames: the ``exterior._orthonormal`` flag of
 each face's tangent rows and the compound cache of the level's stack.  The
@@ -78,8 +79,6 @@ from .combinatorics import AbstractSimplex
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL, DegenerateSimplexError
 from .exterior import Frame, _orthonormal, _vector
 
-_HALF_MAX = float(np.finfo(float).max) / 2  # a - b stays finite for |a|, |b| at most this
-
 
 class _Level(NamedTuple):
     """The s-faces of one cell, lexicographic in vertex positions, as stacks over the faces.
@@ -99,22 +98,19 @@ class _Level(NamedTuple):
 
 
 class _TnFrames(NamedTuple):
-    """Anchor e's t-n frames in a cell, f the cell: the (|f| - 1, d) frame matrices, then the same rows scaled.
+    """Anchor e's t-n frames in a d-cell: three (primal, dual) pairs, indexed by flavor as ``tnbasis.FLAVORS`` is.
 
-    ``primal`` and ``dual`` are the cell's stored ``_nef`` rows of (f, e),
-    e's tangents then its face normals, respectively its t-n normals.
-    ``scaled_primal`` and ``scaled_dual`` hold the same rows, each times the
+    ``frames`` are the cell's stored, read-only ``_nef`` rows of (cell, e),
+    d x d: e's tangents, then its face normals (primal), respectively its
+    t-n normals (dual).  ``scaled`` holds the same rows, each times the
     exact power of two that puts its largest |entry| in [1/2, 1) (a zero
     row stays as it is), read-only; row r of a frame is its scaled row r
-    times 2^exps[r], the exponents Python ints.
+    times 2^exps[r], the exponents lists of Python ints.
     """
 
-    primal: np.ndarray
-    dual: np.ndarray
-    scaled_primal: np.ndarray
-    scaled_dual: np.ndarray
-    primal_exps: list[int]
-    dual_exps: list[int]
+    frames: tuple[np.ndarray, np.ndarray]
+    scaled: tuple[np.ndarray, np.ndarray]
+    exps: tuple[list[int], list[int]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +124,8 @@ class GeometricSimplex:
     which ``full_simplex`` returns.  Non-finite coordinates are a
     :class:`DegenerateSimplexError`, and so is a volume that is not
     representable: an edge or singular value beyond the float range (no
-    numpy warning), or a product that overflows or underflows.
+    numpy warning), or a product that overflows or underflows.  The edge
+    test reads the largest |edge| that also sets the SVD's prescale.
 
     The cell owns its vertices: ``vertices`` is a read-only float copy of
     the input, so writing to the caller's array afterwards, or to
@@ -148,8 +145,7 @@ class GeometricSimplex:
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2:
             raise ValueError("vertices must be a 2-D array (rows = points)")
-        reach = np.abs(v).max(initial=0.0)
-        if not isfinite(reach):  # a NaN coordinate makes the maximum NaN
+        if not isfinite(np.abs(v).max(initial=0.0)):  # a NaN coordinate makes the maximum NaN
             raise DegenerateSimplexError("non-finite vertex coordinates")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
@@ -163,11 +159,12 @@ class GeometricSimplex:
         object.__setattr__(self, "labels", full.vertices)
         object.__setattr__(self, "_full", full)
         with np.errstate(over="ignore"):  # an edge or singular value past the float range is the volume error, no warning
-            if reach > _HALF_MAX and not np.isfinite(self.edge_matrix).all():
+            top = np.abs(self.edge_matrix).max(initial=0.0)
+            if not isfinite(top):
                 raise DegenerateSimplexError("an edge overflows: the volume is not representable")
             # LAPACK rescales a matrix whose largest entry is beyond about 2^459, or below 2^-459, by an inexact ratio;
             # the edges go in scaled by a power of two that puts that entry in [1/2, 1), and come out scaled back exactly
-            exp = frexp(np.abs(self.edge_matrix).max(initial=0.0))[1]
+            exp = frexp(top)[1]
             svals = np.ldexp(np.linalg.svd(np.ldexp(self.edge_matrix, -exp), compute_uv=False), exp) if m else np.ones(1)
         svals.flags.writeable = False
         object.__setattr__(self, "_svals", svals)
@@ -306,19 +303,19 @@ def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> Geom
     of degenerate, or of unrepresentable volume, raises rather than being
     resampled.  A zero or non-finite ``scale`` is a ValueError, raised
     before any draw.  A candidate coordinate beyond the float range is the
-    volume error too, with no numpy warning; it can occur only where
-    |scale| exceeds half the float range, the one case that tests for it.
+    volume error too, with no numpy warning: the coordinates are formed
+    with overflow ignored and then tested.
     """
     if not (isfinite(scale) and scale != 0.0):
         raise ValueError(f"random_simplex needs a finite, non-zero scale, got {scale}")
     base = _reference_vertices(d)
-    far = abs(scale) > _HALF_MAX  # a coordinate is |scale| times at most 1.3, so it may overflow
     while True:
         unit = base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape)
-        # halving is exact, so the halved product passes _HALF_MAX exactly where scale * unit overflows
-        if far and np.abs(unit).max(initial=0.0) * abs(scale / 2) > _HALF_MAX:
+        with np.errstate(over="ignore"):
+            v = scale * unit
+        if not np.isfinite(v).all():
             raise DegenerateSimplexError("a coordinate overflows: the volume is not representable")
-        T = GeometricSimplex(scale * unit)
+        T = GeometricSimplex(v)
         if T._svals[-1] > 0.15 * T._svals[0]:  # a vertex's one singular value 1 passes
             return T
 
@@ -593,11 +590,15 @@ def _tn_frames(T: GeometricSimplex, at: int) -> _TnFrames:
 
 
 def _fill_tn(T: GeometricSimplex, at: int) -> _TnFrames:
-    """Store the record of the anchor at ``at``, a face of T, from ``_nef``; raises, storing nothing, if its pairing fails.
+    """Store the record of the anchor at ``at``, a face of T, from ``_nef``; raises, storing nothing, if T or e fails.
 
-    A miss in ``_nef`` builds the pairs of the cell's own size, once.  The
-    message is ``nef_frames``'s for (T.full_simplex(), e).
+    T must be full-dimensional: an embedded cell raises before anything is
+    built.  A miss in ``_nef`` then builds the pairs of the cell's own size,
+    once, and a failing pairing raises ``nef_frames``'s message for
+    (T.full_simplex(), e).
     """
+    if T.dim != T.ambient_dim:
+        raise ValueError(f"t-n bases need a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
     key = (1 << len(T.labels)) - 1, at
     if key not in T._nef:
         _build_nef(T, len(T.labels))
@@ -608,7 +609,7 @@ def _fill_tn(T: GeometricSimplex, at: int) -> _TnFrames:
     exps = np.frexp(np.abs(frames).max(axis=2, keepdims=True, initial=0.0))[1]
     scaled = np.ldexp(frames, -exps)
     scaled.flags.writeable = False
-    record = T._tn[at] = _TnFrames(primal, dual, *scaled, *exps[..., 0].tolist())
+    record = T._tn[at] = _TnFrames((primal, dual), tuple(scaled), tuple(exps[..., 0].tolist()))
     return record
 
 

@@ -7,16 +7,18 @@ two d x d frame matrices, those ``nef_frames(T, T.full_simplex(), e)``
 gives: e's s orthonormal tangents, then one normal per label outside e,
 ascending; the normals are the barycentric gradients (primal flavor) or
 the t-n vectors (dual flavor).  The cell keeps them in one record per
-anchor (``simplex._tn_frames``), filled on the anchor's first read: the
-stored rows of its n-e-f table, and the same rows scaled by exact powers
-of two with their exponents, which ``hodge_coefficient`` takes its minors
-of.  ``_frames`` reads the record once per call, so nothing is stacked or
-rescaled per call.  A basis k-form wedges k of the d rows, sigma's
-tangents and the normals of f minus e, so a basis is the k-th compound of
-the frame matrix, and which rows each element takes depends on s, d and k
-alone.  The star of a dual element is a multiple of the primal element of
-degree d - k that wedges the complementary rows (``hodge_coefficient``, on
-the two coefficient arrays), so normal traces, the tangential traces of
+anchor (``simplex._tn_frames``), filled on the anchor's first read: per
+flavor, in ``FLAVORS`` order, the stored rows of its n-e-f table, and the
+same rows scaled by exact powers of two with their exponents, which
+``hodge_coefficient`` takes its minors of.  The fill is where the cell is
+checked to be full-dimensional.  The four entry points that read frames
+read the record once per call, so nothing is stacked or rescaled per
+call.  A basis k-form wedges k of the d rows, sigma's tangents and the
+normals of f minus e, so a basis is the k-th compound of the frame
+matrix, and which rows each element takes depends on s, d and k alone.
+The star of a dual element is a multiple of the primal element of degree
+d - k that wedges the complementary rows (``hodge_coefficient``, on the
+two coefficient arrays), so normal traces, the tangential traces of
 starred forms, need no basis of their own.
 Elements are ordered by face dimension, then face, then tangential
 sequence, which makes downstream degree-of-freedom matrices block lower
@@ -36,8 +38,10 @@ The elements ``decompose_altk`` and ``hodge_coefficient`` return are valid
 by construction and built without re-validation (``TnBasisElement._of``):
 each entry point checks, of the degree, the anchor (``_anchor``, one
 message for all five), the flavor and the face, those it takes, once per
-call and in that order.  Only elements made from outside data are checked
-element by element.
+call and in that order.  The anchor's record is read between flavor and
+face; only its fill checks, full dimension then pairing, and a fill that
+fails stores nothing, so it raises again on the next call.  Only elements
+made from outside data are checked element by element.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, _form, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
-from .simplex import GeometricSimplex, _deposit, _mask, _masked_face, _TnFrames, _tn_frames
+from .simplex import GeometricSimplex, _deposit, _mask, _masked_face, _tn_frames
 
 FLAVORS = ("primal", "dual")
 
@@ -156,18 +160,10 @@ def _entry(T: GeometricSimplex, elem: TnBasisElement, at: int):
     return _element_table(elem.e.dim, n - 1)[1][m, elem.sigma], faces
 
 
-def _frames(T: GeometricSimplex, at: int) -> _TnFrames:
-    """The frame record of the anchor at position mask ``at``, (d, d) frames, on a d-cell in R^d."""
-    if T.dim != T.ambient_dim:
-        raise ValueError(f"t-n bases need a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
-    return _tn_frames(T, at)
-
-
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
     """The constant-coefficient form of a basis element, in ambient coordinates."""
     at = _anchor(T, elem.e)
-    frames = _frames(T, at)
-    frame = frames.dual if elem.flavor == "dual" else frames.primal
+    frame = _tn_frames(T, at).frames[FLAVORS.index(elem.flavor)]
     (rows, *_), _ = _entry(T, elem, at)
     return wedge_all([flat(frame[i]) for i in rows], d=len(frame))
 
@@ -183,8 +179,8 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     diagonal: the two families are scaled dual bases.
     """
     at, (positions, _) = _anchor_table(T, e, k)
-    frames = _frames(T, at)
-    return compound(frames.primal.dot(frames.dual.T), k).take(positions, axis=0).take(positions, axis=1)
+    primal, dual = _tn_frames(T, at).frames
+    return compound(primal.dot(dual.T), k).take(positions, axis=0).take(positions, axis=1)
 
 
 def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
@@ -202,7 +198,7 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     if elem.flavor != "dual":
         where = _context(elem, T.dim, len(elem.sigma) + elem.f.dim - elem.e.dim)
         raise ValueError(f"hodge coefficient is defined for dual-flavor elements, got {elem.flavor} at {where}")
-    frames = _frames(T, at)
+    _, scaled, exps = _tn_frames(T, at)
     (rows, partner_rows, partner_mask, tau), faces = _entry(T, elem, at)
     d, k = T.dim, len(rows)
     partner = TnBasisElement._of(elem.e, _masked_face(T, faces[partner_mask]), tau, "primal")
@@ -211,11 +207,12 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     # then no larger than k!, no product below over- or underflows on a representable cell, the two
     # checks decide as unscaled, and a and b are the true forms times 2^-ea and 2^-eb, the sums of the
     # rows' stored exponents.  Scaling the cell by a power of two scales every frame row by one power
-    # of two, so a and b, and c's mantissa, are bit for bit those of the unscaled cell.
-    a = compound(frames.scaled_dual.take(rows, axis=0), k)[0]
-    b = compound(frames.scaled_primal.take(partner_rows, axis=0), d - k)[0]
-    ea = sum(map(frames.dual_exps.__getitem__, rows))
-    eb = sum(map(frames.primal_exps.__getitem__, partner_rows))
+    # of two, so a and b, and c's mantissa, are bit for bit those of the unscaled cell.  Flavor 1 is
+    # dual, flavor 0 primal.
+    a = compound(scaled[1].take(rows, axis=0), k)[0]
+    b = compound(scaled[0].take(partner_rows, axis=0), d - k)[0]
+    ea = sum(map(exps[1].__getitem__, rows))
+    eb = sum(map(exps[0].__getitem__, partner_rows))
     dual_form = _form(d, k, a)
 
     denominator = volume_coefficient(wedge(dual_form, _form(d, d - k, b)))
@@ -261,5 +258,4 @@ def realize_all(
     at, (positions, _) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    frames = _frames(T, at)
-    return compound(frames.dual if flavor == "dual" else frames.primal, k).take(positions, axis=0)
+    return compound(_tn_frames(T, at).frames[FLAVORS.index(flavor)], k).take(positions, axis=0)

@@ -426,6 +426,27 @@ class TestWedge:
         with pytest.raises(ValueError):
             wedge(random_form(2, 1), random_form(2, 2))
 
+    @pytest.mark.parametrize("d", range(7))
+    def test_stack_of_rows(self, d):
+        # both gathers act along the last axis, so a stack of coefficient rows on
+        # either side, or on both, is wedged row by row, each row bit for bit as
+        # on its own; a stack once gave its first row's wedge only
+        got = wedge(exterior._form(3, 1, np.arange(6.0).reshape(2, 3)), AltForm(3, 1, [1.0, 0.0, 0.0]))
+        assert np.array_equal(got.coeffs, [[-1.0, -2.0, 0.0], [-4.0, -5.0, 0.0]])
+        for p in range(d + 1):
+            for q in range(d + 1 - p):
+                n, m, out = binomial(d, p), binomial(d, q), binomial(d, p + q)
+                for shape in [(0,), (1,), (5,), (2, 3)]:
+                    left, right = RNG.standard_normal(shape + (n,)), RNG.standard_normal(shape + (m,))
+                    a, b = RNG.standard_normal(n), RNG.standard_normal(m)
+                    for omega, eta in [(left, b), (a, right), (left, right)]:
+                        got = wedge(exterior._form(d, p, omega), exterior._form(d, q, eta))
+                        assert (got.d, got.k, got.coeffs.shape) == (d, p + q, shape + (out,))
+                        rows_p = np.broadcast_to(omega, shape + (n,)).reshape(-1, n)
+                        rows_q = np.broadcast_to(eta, shape + (m,)).reshape(-1, m)
+                        for row_p, row_q, wedged in zip(rows_p, rows_q, got.coeffs.reshape(-1, out)):
+                            assert np.array_equal(wedged, wedge(AltForm(d, p, row_p), AltForm(d, q, row_q)).coeffs)
+
 
 class TestContraction:
     def test_first_slot(self):

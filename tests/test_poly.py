@@ -474,13 +474,23 @@ def _ref_moment_weights(dim, r):
     )
 
 
+def _ref_lattice(dim, r):
+    """The recursion that stars and bars replaced: the first entry, ascending, then the lattice of one dimension less."""
+    if r < 0:
+        return []
+    if dim == 0:
+        return [(r,)]
+    return [(first,) + rest for first in range(r + 1) for rest in _ref_lattice(dim - 1, r - first)]
+
+
 class TestTables:
-    @pytest.mark.parametrize("dim", range(7))
+    @pytest.mark.parametrize("dim", range(8))
     def test_lattice_array(self, dim):
         for r in range(-1, MAX_DEGREE + 1):
             got = poly._lattice_array(dim, r)
             assert got.dtype == np.intp and got.shape == (lattice_dimension(dim, r), dim + 1)
             assert not got.flags.writeable
+            assert lattice(dim, r) == _ref_lattice(dim, r)
             assert got.tolist() == [list(a) for a in lattice(dim, r)]
 
     @pytest.mark.parametrize("dim", range(7))
@@ -509,7 +519,7 @@ class TestTables:
 
     def test_product_index_working_set(self):
         # no dense (r + 1)^(dim + 1) lookup: a cold table peaks near its own size
-        for table in (poly._product_index, poly._lattice_array, poly._lattice):
+        for table in (poly._product_index, poly._lattice_array):
             table.cache_clear()
         tracemalloc.start()
         try:

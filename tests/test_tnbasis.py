@@ -42,6 +42,7 @@ from tnforms.simplex import (
     reference_simplex,
     surface_gradient,
     tangent_basis,
+    _tn_frames,
 )
 from tnforms.tnbasis import (
     FLAVORS,
@@ -54,7 +55,7 @@ from tnforms.tnbasis import (
 )
 import tnforms.simplex as simplex_module
 import tnforms.tnbasis as tnbasis
-from tnforms.tnbasis import _anchor, _element_table, _entry, _frames
+from tnforms.tnbasis import _anchor, _element_table, _entry
 
 RNG = np.random.default_rng(2024)
 
@@ -162,7 +163,7 @@ def _ref_hodge_rows(T, e, k):
         pos[complement(el.sigma, s) + tuple(s + 1 + normals.index(j) for j in normals if j not in el.f)]
         for el in decompose_altk(T, e, k)
     ]
-    return _star(compound(_frames(T, _anchor(T, e)).primal, d - k)[idx], d - k, d)
+    return _star(compound(_tn_frames(T, _anchor(T, e)).frames[0], d - k)[idx], d - k, d)
 
 
 def _flattened(v, flatness):
@@ -437,18 +438,24 @@ class TestDecomposition:
 
     def test_embedded_cell_rejected(self):
         # on a triangle in R^3 the ambient star of a 2-form is a 1-form, not a
-        # 0-form, so t-n bases are built on full-dimensional cells only
+        # 0-form, so t-n bases are built on full-dimensional cells only.  The
+        # anchor's record checks it before it builds or stores anything, so
+        # every call raises, the cell keeps no record and builds no n-e-f frame,
+        # and decompose_altk, which reads no frame, still works
         T = GeometricSimplex(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
-        e = simplex(0)
-        msg = "full-dimensional cell, got dim 2 in ambient dim 3"
-        with pytest.raises(ValueError, match=msg):
-            realize_all(T, e, 1)
-        with pytest.raises(ValueError, match=msg):
-            realize(decompose_altk(T, e, 0)[0], T)
-        with pytest.raises(ValueError, match=msg):
-            pairing_matrix(T, e, 1)
-        with pytest.raises(ValueError, match=msg):
-            hodge_coefficient(T, decompose_altk(T, e, 1, "dual")[0])
+        msg = "^t-n bases need a full-dimensional cell, got dim 2 in ambient dim 3$"
+        for e in all_subsimplices(T) * 2:
+            assert len(decompose_altk(T, e, 1, "dual")) == 2
+            calls = (
+                lambda: realize_all(T, e, 1),
+                lambda: realize(decompose_altk(T, e, 0)[0], T),
+                lambda: pairing_matrix(T, e, 1),
+                lambda: hodge_coefficient(T, decompose_altk(T, e, 1, "dual")[0]),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match=msg):
+                    call()
+        assert T._tn == {} and T._nef == {}
 
     def test_flavor_validation(self):
         T = random_simplex(2, RNG)
@@ -856,21 +863,21 @@ class TestCoefficientArrays:
 
     def test_frames_are_stored_rows(self):
         # both frame matrices are read-only views of the cell's one n-e-f array,
-        # read from one record per anchor; its scaled rows are theirs times exact
-        # powers of two, each row's largest |entry| in [1/2, 1)
+        # read from one record per anchor as (primal, dual) pairs; its scaled rows
+        # are theirs times exact powers of two, each row's largest |entry| in [1/2, 1)
         T = random_simplex(4, RNG)
         for e in all_subsimplices(T):
-            frames = _frames(T, _anchor(T, e))
-            assert frames is _frames(T, _anchor(T, e))
-            primal, dual = frames.primal, frames.dual
+            record = _tn_frames(T, _anchor(T, e))
+            assert record is _tn_frames(T, _anchor(T, e))
+            assert len(record.frames) == len(record.scaled) == len(record.exps) == len(FLAVORS) == 2
+            primal, dual = record.frames
             assert primal.shape == dual.shape == (4, 4)
             assert not (primal.flags.writeable or dual.flags.writeable)
             assert primal.base is not None and primal.base is dual.base
             fs = nef_frames(T, T.full_simplex(), e)
             assert np.array_equal(primal, np.vstack([fs.tangents, fs.normals_face]))
             assert np.array_equal(dual, np.vstack([fs.tangents, fs.normals_tn]))
-            scaled = ((primal, frames.scaled_primal, frames.primal_exps), (dual, frames.scaled_dual, frames.dual_exps))
-            for frame, rows, exps in scaled:
+            for frame, rows, exps in zip(record.frames, record.scaled, record.exps):
                 assert not rows.flags.writeable and len(exps) == 4 and all(type(j) is int for j in exps)
                 assert np.ldexp(rows, np.array(exps)[:, None]).tobytes() == frame.tobytes()
                 top = np.abs(rows).max(axis=1)
