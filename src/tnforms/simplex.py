@@ -15,6 +15,12 @@ cell lacks, and ``_masked`` names every mask's face.
 ``_deposit`` lists the faces through an anchor by normal offset, the i-th
 position outside the anchor, ascending, as a frame's normal rows are.
 
+Building a cell runs one SVD and a fixed number of array operations: the
+vertex copy, the column edge matrix, its largest |entry| and the SVD of
+the edges (see :class:`GeometricSimplex`).  Everything else is built on
+first use.  ``random_simplex`` builds each candidate on the same path,
+under one ``np.errstate`` per call.
+
 Every tangent and gradient is read from one record per face dimension s,
 a ``_Level`` of read-only stacks over the s-faces in that order, all built
 on first use by one batched QR (see ``_levels``).  The degeneracy floor
@@ -67,7 +73,7 @@ past the record's Python-level constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from math import comb, factorial, frexp, isfinite, prod
@@ -119,13 +125,25 @@ class GeometricSimplex:
 
     ``labels`` names the vertices; they default to 0..m and must ascend, so
     the stored vertex order is the ascending-label order that fixes the
-    simplex orientation.  They are checked by building the cell's
+    simplex orientation.  Given labels are checked by building the cell's
     :class:`AbstractSimplex` (non-negative, strictly increasing integers),
-    which ``full_simplex`` returns.  Non-finite coordinates are a
-    :class:`DegenerateSimplexError`, and so is a volume that is not
-    representable: an edge or singular value beyond the float range (no
-    numpy warning), or a product that overflows or underflows.  The edge
-    test reads the largest |edge| that also sets the SVD's prescale.
+    which ``full_simplex`` returns; default-labelled cells with the same
+    vertex count share one cached, frozen one.
+
+    Construction copies the vertices, forms the column edge matrix once,
+    kept read-only as ``edge_matrix``, and takes one SVD.  Each check reads
+    a value computed on the way:
+
+    - non-finite coordinates: the largest |edge|, which every non-finite
+      coordinate makes non-finite; only then are the vertices tested, to
+      tell this error from an edge that overflows.  A vertex (m = 0) has
+      no edge, so its coordinates are tested directly;
+    - an edge beyond the float range: the same largest |edge|, which also
+      sets the SVD's power-of-two prescale;
+    - a singular value beyond the float range, degeneracy, and a product
+      of singular values that overflows or underflows: the singular values.
+
+    Each is a :class:`DegenerateSimplexError` raised with no numpy warning.
 
     The cell owns its vertices: ``vertices`` is a read-only float copy of
     the input, so writing to the caller's array afterwards, or to
@@ -140,34 +158,45 @@ class GeometricSimplex:
 
     vertices: np.ndarray
     labels: tuple[int, ...] | None = None
+    edge_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2:
             raise ValueError("vertices must be a 2-D array (rows = points)")
-        if not isfinite(np.abs(v).max(initial=0.0)):  # a NaN coordinate makes the maximum NaN
-            raise DegenerateSimplexError("non-finite vertex coordinates")
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
+        with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range is an error, not a warning
+            self._own(v, self.labels)
+
+    @classmethod
+    def _adopt(cls, v: np.ndarray) -> GeometricSimplex:
+        """A default-labelled cell on a fresh 2-D float array, kept as is; checked, under the caller's ``np.errstate``."""
+        T = object.__new__(cls)
+        T._own(v, None)
+        return T
+
+    def _own(self, v: np.ndarray, labels) -> None:
+        """Check the cell on the float rows v, then store it, v and the edges made read-only; overflow is ignored."""
         m = v.shape[0] - 1
-        if m > self.ambient_dim:
-            raise ValueError(f"{m}-simplex cannot live in R^{self.ambient_dim}")
-        labels = tuple(range(m + 1)) if self.labels is None else tuple(self.labels)
-        if len(labels) != m + 1:
-            raise ValueError("one label per vertex required")
-        full = AbstractSimplex(labels)
-        object.__setattr__(self, "labels", full.vertices)
-        object.__setattr__(self, "_full", full)
-        with np.errstate(over="ignore"):  # an edge or singular value past the float range is the volume error, no warning
-            top = np.abs(self.edge_matrix).max(initial=0.0)
-            if not isfinite(top):
-                raise DegenerateSimplexError("an edge overflows: the volume is not representable")
-            # LAPACK rescales a matrix whose largest entry is beyond about 2^459, or below 2^-459, by an inexact ratio;
-            # the edges go in scaled by a power of two that puts that entry in [1/2, 1), and come out scaled back exactly
-            exp = frexp(top)[1]
-            svals = np.ldexp(np.linalg.svd(np.ldexp(self.edge_matrix, -exp), compute_uv=False), exp) if m else np.ones(1)
-        svals.flags.writeable = False
-        object.__setattr__(self, "_svals", svals)
+        edges = (v[1:] - v[:1]).T  # v[:1], not v[0]: an array of no vertices has no row 0
+        top = np.abs(edges if m > 0 else v).max(initial=0.0)  # NaN if any edge is, inf if one overflows
+        # every non-finite coordinate makes its edges non-finite, so the vertices are tested only when top is
+        if not isfinite(top) and not isfinite(np.abs(v).max(initial=0.0)):
+            raise DegenerateSimplexError("non-finite vertex coordinates")
+        if m > v.shape[1]:
+            raise ValueError(f"{m}-simplex cannot live in R^{v.shape[1]}")
+        if labels is None:
+            full = _standard_simplex(m + 1)
+        else:
+            labels = tuple(labels)
+            if len(labels) != m + 1:
+                raise ValueError("one label per vertex required")
+            full = AbstractSimplex(labels)
+        if not isfinite(top):
+            raise DegenerateSimplexError("an edge overflows: the volume is not representable")
+        # LAPACK rescales a matrix whose largest entry is beyond about 2^459, or below 2^-459, by an inexact ratio;
+        # the edges go in scaled by a power of two that puts that entry in [1/2, 1), and come out scaled back exactly
+        exp = frexp(top)[1]
+        svals = np.ldexp(np.linalg.svd(np.ldexp(edges, -exp), compute_uv=False), exp) if m else np.ones(1)
         if not isfinite(svals[0]):
             raise DegenerateSimplexError(f"largest singular value {svals[0]:.3e}: the volume is not representable")
         if svals[-1] <= DEGENERACY_RTOL * svals[0]:
@@ -175,7 +204,8 @@ class GeometricSimplex:
         content = prod(svals.tolist())  # m! times the volume; a Python product overflows to inf without a warning
         if not (0.0 < content and isfinite(content)):
             raise DegenerateSimplexError(f"singular values multiply to {content:.3e}: the volume is not representable")
-        object.__setattr__(self, "_content", content)
+        v.flags.writeable = edges.flags.writeable = svals.flags.writeable = False
+        self.__dict__.update(vertices=v, labels=full.vertices, edge_matrix=edges, _full=full, _svals=svals, _content=content)
 
     @property
     def ambient_dim(self) -> int:
@@ -184,11 +214,6 @@ class GeometricSimplex:
     @property
     def dim(self) -> int:
         return self.vertices.shape[0] - 1
-
-    @cached_property
-    def edge_matrix(self) -> np.ndarray:
-        """Columns v_i - v_0 for i = 1..m."""
-        return (self.vertices[1:] - self.vertices[0]).T
 
     @property
     def volume(self) -> float:
@@ -283,6 +308,12 @@ def reference_simplex(d: int) -> GeometricSimplex:
 
 
 @lru_cache(maxsize=None)
+def _standard_simplex(n: int) -> AbstractSimplex:
+    """The abstract simplex on labels 0..n - 1, one frozen object that default-labelled cells share; n = 0 raises."""
+    return AbstractSimplex(tuple(range(n)))
+
+
+@lru_cache(maxsize=None)
 def _reference_vertices(d: int) -> np.ndarray:
     """The vertices 0, e_1, ..., e_d as read-only rows; a negative d is a ValueError."""
     if d < 0:
@@ -296,28 +327,32 @@ def random_simplex(d: int, rng: np.random.Generator, scale: float = 1.0) -> Geom
     """Well-shaped random simplex: perturbed reference, resampled until conditioned.
 
     Each candidate is the reference cell with every coordinate moved by at
-    most 0.3, times ``scale``, built as a :class:`GeometricSimplex`; it is
-    resampled while the cell's own singular values have
-    sigma_min <= 0.15 sigma_max, so a candidate costs one SVD.  The
+    most 0.3, times ``scale``, built as a :class:`GeometricSimplex` on the
+    constructor's path, checks included; it is resampled while the cell's
+    own singular values have sigma_min <= 0.15 sigma_max, so a candidate
+    costs one SVD.  The whole loop runs under one ``np.errstate``.  The
     construction checks come first: a candidate within ``DEGENERACY_RTOL``
     of degenerate, or of unrepresentable volume, raises rather than being
     resampled.  A zero or non-finite ``scale`` is a ValueError, raised
     before any draw.  A candidate coordinate beyond the float range is the
-    volume error too, with no numpy warning: the coordinates are formed
-    with overflow ignored and then tested.
+    volume error too, with no numpy warning: the constructor rejects the
+    non-finite vertices, and only then is the candidate tested, to name the
+    coordinate that overflows.
     """
     if not (isfinite(scale) and scale != 0.0):
         raise ValueError(f"random_simplex needs a finite, non-zero scale, got {scale}")
     base = _reference_vertices(d)
-    while True:
-        unit = base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape)
-        with np.errstate(over="ignore"):
-            v = scale * unit
-        if not np.isfinite(v).all():
-            raise DegenerateSimplexError("a coordinate overflows: the volume is not representable")
-        T = GeometricSimplex(v)
-        if T._svals[-1] > 0.15 * T._svals[0]:  # a vertex's one singular value 1 passes
-            return T
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            v = scale * (base + 0.3 * rng.uniform(-1.0, 1.0, size=base.shape))
+            try:
+                T = GeometricSimplex._adopt(v)
+            except DegenerateSimplexError:
+                if np.isfinite(v).all():
+                    raise
+                raise DegenerateSimplexError("a coordinate overflows: the volume is not representable") from None
+            if T._svals[-1] > 0.15 * T._svals[0]:  # a vertex's one singular value 1 passes
+                return T
 
 
 def barycentric_gradients(T: GeometricSimplex) -> np.ndarray:

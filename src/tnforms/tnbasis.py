@@ -253,9 +253,16 @@ def realize_all(
 
     Row i is the k x k minor of the anchor's primal or dual frame matrix on
     element i's rows, so the whole basis is gathered from one compound of
-    degree k.
+    degree k.  On a cell near the ends of the float range a minor can
+    overflow; the compound is taken with overflow ignored and a non-finite
+    entry raises a ValueError naming (e, k, flavor, d).
     """
     at, (positions, _) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return compound(_tn_frames(T, at).frames[FLAVORS.index(flavor)], k).take(positions, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing minor is the error below, not a warning
+        out = compound(_tn_frames(T, at).frames[FLAVORS.index(flavor)], k)
+    if not math.isfinite(np.abs(out).max(initial=0.0)):  # a NaN minor makes the maximum NaN
+        where = f"e={e.vertices}, k={k}, flavor={flavor}, d={T.dim}"
+        raise ValueError(f"realized basis at {where} is not representable: a minor of the frame overflows")
+    return out.take(positions, axis=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from tnforms import exterior
-from tnforms.combinatorics import simplex, subsimplices
+from tnforms.combinatorics import AbstractSimplex, simplex, subsimplices
 from tnforms.errors import PAIRING_RTOL, DegenerateSimplexError
 from tnforms.exterior import Frame, _orthonormal, compound
 from tnforms.simplex import (
@@ -124,6 +125,84 @@ def _ref_random_simplex(d, rng, scale=1.0):
         svals = np.linalg.svd(e, compute_uv=False)
         if d == 0 or svals[-1] > 0.15 * svals[0]:
             return GeometricSimplex(v)
+
+
+def _ref_geometric_simplex(vertices, labels=None):
+    """The constructor that tested the vertices, then took the edge matrix from a cached property.
+
+    Returns (vertices, labels, edge_matrix, singular values, content), or
+    raises the constructor's error.
+    """
+    v = np.array(vertices, dtype=float)
+    if v.ndim != 2:
+        raise ValueError("vertices must be a 2-D array (rows = points)")
+    if not math.isfinite(np.abs(v).max(initial=0.0)):
+        raise DegenerateSimplexError("non-finite vertex coordinates")
+    m = v.shape[0] - 1
+    if m > v.shape[1]:
+        raise ValueError(f"{m}-simplex cannot live in R^{v.shape[1]}")
+    labels = tuple(range(m + 1)) if labels is None else tuple(labels)
+    if len(labels) != m + 1:
+        raise ValueError("one label per vertex required")
+    full = AbstractSimplex(labels)
+    with np.errstate(over="ignore"):
+        edges = (v[1:] - v[0]).T
+        top = np.abs(edges).max(initial=0.0)
+        if not math.isfinite(top):
+            raise DegenerateSimplexError("an edge overflows: the volume is not representable")
+        exp = math.frexp(top)[1]
+        svals = np.ldexp(np.linalg.svd(np.ldexp(edges, -exp), compute_uv=False), exp) if m else np.ones(1)
+    if not math.isfinite(svals[0]):
+        raise DegenerateSimplexError(f"largest singular value {svals[0]:.3e}: the volume is not representable")
+    if svals[-1] <= DEGENERACY_RTOL * svals[0]:
+        raise DegenerateSimplexError(f"singular values {svals[-1]:.3e} <= {DEGENERACY_RTOL} * {svals[0]:.3e}")
+    content = math.prod(svals.tolist())
+    if not (0.0 < content and math.isfinite(content)):
+        raise DegenerateSimplexError(f"singular values multiply to {content:.3e}: the volume is not representable")
+    return v, full.vertices, edges, svals, content
+
+
+def _construction_bits(build):
+    """Every stored field of a construction as bytes, or its error's type and text."""
+    try:
+        v, labels, edges, svals, content = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (v, edges, svals)]
+    return arrays, labels, type(labels[0]), content.hex()
+
+
+def _constructor_cases():
+    """(vertices, labels) pairs over every check of the constructor and the values it stores."""
+    cases = []
+    for d in range(8):
+        unit = random_simplex(d, np.random.default_rng([d, 36])).vertices
+        cases += [(unit, None), (unit[: d // 2 + 1], None)]  # full-dimensional and embedded
+        cases += [(2.0**j * unit, None) for j in (-1000, -500, -340, 340, 500, 1000)]
+    embedded = np.random.default_rng(11).standard_normal((3, 4))
+    cases += [(embedded, (2, 5, 7)), (embedded, np.array([0, 3, 9])), (embedded[:1], (4,))]
+    for bad in [(-1, 0, 1), (2, 1, 3), (1, 1, 2), (0, 1), (0, 1, 2, 3), (0.0, 1.0, 2.0), ()]:
+        cases.append((embedded, bad))
+    tri = np.eye(3, 2, k=-1)
+    for at in [(0, 0), (0, 1), (2, 1), (1, 0)]:
+        for value in (np.nan, np.inf, -np.inf):
+            v = tri.copy()
+            v[at] = value
+            cases += [(v, None), (v, (0, 1)), (np.vstack([v, [0.5, 0.5]]), None)]  # then label and dimension checks
+    cases += [(np.array([[np.nan, 0.0]]), None), (np.array([[np.inf]]), (3,)), (np.array([[-np.inf, 1.0, 2.0]]), None)]
+    both = np.array([[np.inf, 0.0], [np.inf, 1.0], [np.inf, 2.0]])  # every edge inf - inf
+    cases += [(both, None), (np.array([[np.nan, 0.0], [np.nan, 0.0]]), None)]
+    overflow = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]])
+    cases += [(overflow, None), (overflow, (0, 1)), (np.vstack([overflow, [0.0, 0.0]]), None)]
+    cases.append((np.array([[0.0, 0.0], [1.5e308, 1.5e308], [1.5e308, 1.4e308]]), None))  # the largest singular value
+    far_segment = np.array([[1e200, 0.0, 1e200], [1e200, 1e-200, 1e200]])  # underflows if scaled by its vertices' reach
+    cases += [(far_segment[:, :2], None), (far_segment, (3, 8))]
+    cases += [(np.array([[1.4e308], [1.5e308]]), None), (np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), None)]
+    cases += [(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-13]]), None), (np.zeros((2, 3)), None)]
+    cases += [(np.zeros((0, 2)), None), (np.zeros((0, 2)), ()), (np.zeros((0, 2)), (0,)), (np.zeros((1, 0)), None)]
+    cases += [(np.zeros((2, 0)), None), (np.zeros((4, 2)), None), (np.zeros(3), None), (np.zeros((2, 2, 2)), None)]
+    cases += [([[0, 0], [1, 0], [0, 1]], [0, 1, 2]), ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], range(3))]
+    return cases
 
 
 def _faces(T):
@@ -1147,6 +1226,58 @@ class TestCellConstruction:
         with pytest.raises(ValueError):
             T._svals[0] = 1.0
 
+    def test_fields_and_errors_match_the_reference_constructor(self):
+        for vertices, labels in _constructor_cases():
+            want = _construction_bits(lambda: _ref_geometric_simplex(vertices, labels))
+
+            def build():
+                T = GeometricSimplex(vertices, labels=labels)
+                return T.vertices, T.labels, T.edge_matrix, T._svals, T._content
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _construction_bits(build) == want, (vertices, labels)
+
+    def test_default_labels_share_one_immutable_full_simplex(self):
+        rng = np.random.default_rng(36)
+        for d in range(7):
+            cells = [random_simplex(d, rng), GeometricSimplex(random_simplex(d, rng).vertices), reference_simplex(d)]
+            full = cells[0].full_simplex()
+            assert all(T.full_simplex() is full for T in cells)
+            assert full == simplex(*range(d + 1)) and all(T.labels == tuple(range(d + 1)) for T in cells)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                full.vertices = (7,)
+        labelled = GeometricSimplex(np.eye(3, 2, k=-1), labels=(0, 1, 2))
+        assert labelled.full_simplex() == reference_simplex(2).full_simplex()
+
+    def test_one_errstate_per_call(self, monkeypatch):
+        entered = []
+        errstate = np.errstate
+
+        def counted(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        sliver = np.array([[0.0, 0.0], [0.0, 0.0], [2.0 / 0.3, -0.9 / 0.3]])  # the last vertex lands on (2, 0.1)
+        regular = np.zeros((3, 2))
+        for resamples in (0, 1, 5):
+            entered.clear()
+            T = random_simplex(2, _Draws(*[sliver] * resamples, regular))  # the regular cell comes after every sliver
+            assert T.vertices.tobytes() == np.eye(3, 2, k=-1).tobytes()
+            assert len(entered) == 1
+        for d in range(7):
+            entered.clear()
+            random_simplex(d, np.random.default_rng(d))
+            assert len(entered) == 1
+        entered.clear()
+        with pytest.raises(DegenerateSimplexError, match="^a coordinate overflows: the volume is not representable$"):
+            random_simplex(3, np.random.default_rng(0), 1.7e308)
+        assert len(entered) == 1
+        entered.clear()
+        GeometricSimplex(regular + np.eye(3, 2, k=-1))
+        assert len(entered) == 1
+
     def test_a_cell_owns_its_vertices(self):
         v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         T = GeometricSimplex(v)
@@ -1158,6 +1289,8 @@ class TestCellConstruction:
         T = GeometricSimplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             T.vertices[2] = [0.0, 1e-20]  # used to skip every construction check
+        with pytest.raises(ValueError):
+            T.edge_matrix[1] = [0.0, 1e-20]
         R = reference_simplex(2)
         assert not R.vertices.flags.writeable
         assert not np.shares_memory(R.vertices, reference_simplex(2).vertices)

@@ -907,6 +907,12 @@ def _outcome(call):
         return str(exc)
 
 
+def _realize_all_overflow(e, k, flavor, d):
+    """The text of ``realize_all``'s error on a frame with an overflowing minor."""
+    where = f"e={e.vertices}, k={k}, flavor={flavor}, d={d}"
+    return f"realized basis at {where} is not representable: a minor of the frame overflows"
+
+
 def _array_bits(a):
     return a if isinstance(a, str) else (a.dtype, a.shape, a.tobytes())
 
@@ -931,6 +937,8 @@ class TestAgainstParentFrames:
                         for flavor in FLAVORS:
                             got = _outcome(lambda: realize_all(T, e, k, flavor))
                             want = _outcome(lambda: _ref_compound_realize_all(T, e, k, flavor))
+                            if not isinstance(want, str) and not np.isfinite(want).all():
+                                want = _realize_all_overflow(e, k, flavor, d)  # a named error, not NaN or inf
                             assert _array_bits(got) == _array_bits(want)
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
@@ -1077,6 +1085,29 @@ class TestHodgeCoefficient:
                     c, partner = hodge_coefficient(T, el)
                     assert c == want and partner == partner0, el
         assert unrepresentable == (0 if j == -330 else d + 1)  # the top-degree element at each vertex
+
+    @pytest.mark.parametrize("d,j,seed", [(3, -349, 0), (3, -349, 1), (4, -266, 0), (3, -330, 0)])
+    def test_far_scales_realize_or_name_representability(self, d, j, seed):
+        # Every (anchor, degree, flavor) gives finite rows, bit for bit the
+        # compound of the frames nef_frames returns, or a ValueError naming
+        # (e, k, flavor, d), with no warning on the way.
+        unit = random_simplex(d, np.random.default_rng(seed))
+        T = GeometricSimplex(2.0**j * unit.vertices)
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in all_subsimplices(T):
+                for k in range(d + 1):
+                    for flavor in FLAVORS:
+                        try:
+                            rows = realize_all(T, e, k, flavor)
+                        except ValueError as exc:
+                            assert str(exc) == _realize_all_overflow(e, k, flavor, d)
+                            raised += 1
+                            continue
+                        assert np.isfinite(rows).all()
+                        assert np.array_equal(rows, _ref_compound_realize_all(T, e, k, flavor))
+        assert raised == (0 if j == -330 else 2 * (d + 1))  # the top degree at each vertex, both flavors
 
     def test_requires_dual_flavor(self):
         T = random_simplex(2, RNG)
