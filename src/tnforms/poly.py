@@ -221,20 +221,22 @@ def nodal_to_bernstein(dim: int, r: int) -> np.ndarray:
     return out
 
 
-def embed_lattice_index(alpha_local: LatticeIndex, e: AbstractSimplex, n_labels: int) -> LatticeIndex:
-    """Lift a multi-index over the vertices of e to one over all n_labels vertices."""
-    if len(alpha_local) != len(e) or e.vertices[-1] >= n_labels:
-        raise ValueError(f"multi-index {alpha_local} on labels {e.vertices} does not embed in {n_labels} labels")
-    full = [0] * n_labels
-    for pos, label in enumerate(e.vertices):
-        full[label] = alpha_local[pos]
-    return tuple(full)
+def embed_lattice_index(alpha_local: LatticeIndex, e: AbstractSimplex, cell: AbstractSimplex) -> LatticeIndex:
+    """Lift a multi-index over the vertices of e to one over the vertices of the cell, a face of which e is."""
+    mask = cell._masks.get(e.vertices)
+    if mask is None or len(alpha_local) != len(e):
+        raise ValueError(f"multi-index {alpha_local} on labels {e.vertices} does not embed in the labels {cell.vertices}")
+    local = iter(alpha_local)
+    return tuple(next(local) if mask >> i & 1 else 0 for i in range(len(cell)))
 
 
-def restrict_lattice_index(alpha: LatticeIndex, e: AbstractSimplex) -> LatticeIndex:
-    """Restrict a full multi-index supported on e to e's own vertices."""
-    if len(alpha) <= e.vertices[-1]:
-        raise ValueError(f"multi-index {alpha} is too short for the labels {e.vertices} of e")
-    if any(a > 0 for label, a in enumerate(alpha) if label not in e):
+def restrict_lattice_index(alpha: LatticeIndex, e: AbstractSimplex, cell: AbstractSimplex) -> LatticeIndex:
+    """Restrict a multi-index over the vertices of the cell, supported on its face e, to e's own vertices."""
+    if len(alpha) != len(cell):
+        raise ValueError(f"multi-index {alpha} has {len(alpha)} entries, not one per label of {cell.vertices}")
+    mask = cell._masks.get(e.vertices)
+    if mask is None:
+        raise ValueError(f"e={e.vertices} is not a face of the cell with labels {cell.vertices}")
+    if any(a > 0 for i, a in enumerate(alpha) if not mask >> i & 1):
         raise ValueError(f"multi-index {alpha} is positive outside the labels {e.vertices} of e")
-    return tuple(alpha[label] for label in e.vertices)
+    return tuple(a for i, a in enumerate(alpha) if mask >> i & 1)

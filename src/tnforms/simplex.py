@@ -2,18 +2,16 @@
 
 A :class:`GeometricSimplex` may be full-dimensional (a cell) or embedded
 (a sub-simplex of a cell, carrying its own vertex coordinates).  A face is
-named by its position mask, bit i for the cell's i-th label; bit
-arithmetic on position masks lives in this module alone, and callers such
-as the t-n bases hold them as opaque keys (``tnbasis`` does bit arithmetic
-only on its normal-offset masks, bit i for the i-th label outside an
-anchor).  One label-free table per label count
-n, ``_face_index``, lists the faces of range(n) by size, then
-lexicographic, with their masks and each mask's position in its level.  A
-cell translates labels once per face: ``_face_at`` maps labels to masks,
-``_mask`` reads it, raising one ValueError for every query on labels the
-cell lacks, and ``_masked`` names every mask's face.
-``_deposit`` lists the faces through an anchor by normal offset, the i-th
-position outside the anchor, ascending, as a frame's normal rows are.
+named by its position mask, bit i for the cell's i-th label; faces are
+enumerated and named in :mod:`tnforms.combinatorics`, and callers such as
+the t-n bases hold masks as opaque keys.  The cell's faces are those of
+its abstract simplex (``full_simplex``): ``_mask`` reads that simplex's
+labels -> mask table, raising one ValueError for every query on labels
+the cell lacks, and ``_masked_face`` its mask -> face table, so
+default-labelled cells, which share one abstract simplex per vertex
+count, share every face object too.  The levels and the n-e-f pairs
+follow the label-free face order of ``combinatorics._face_index``, by
+size, then lexicographic.
 
 Building a cell runs one SVD and a fixed number of array operations: the
 vertex copy, the column edge matrix, its largest |entry| and the SVD of
@@ -75,13 +73,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb, factorial, frexp, isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import AbstractSimplex
+from .combinatorics import AbstractSimplex, _face_index
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL, DegenerateSimplexError
 from .exterior import Frame, _orthonormal, _vector
 
@@ -254,12 +252,6 @@ class GeometricSimplex:
         return levels
 
     @cached_property
-    def _face_at(self) -> dict[tuple[int, ...], int]:
-        """Every face's labels mapped to its position mask, in ``_face_index`` order: the cell's one label translation."""
-        faces = (face for size in range(1, len(self.labels) + 1) for face in combinations(self.labels, size))
-        return dict(zip(faces, _face_index(len(self.labels))[1]))
-
-    @cached_property
     def _rows(self) -> np.ndarray:
         """Every level's tangent rows, then its gradient rows, level by level: the table n-e-f frames gather."""
         d = self.ambient_dim  # the row count is explicit: a vertex in R^0 has empty stacks, where -1 is ambiguous
@@ -281,11 +273,6 @@ class GeometricSimplex:
         rows[:, -1:] *= np.where(flip, -1.0, 1.0)[:, None, None]
         normals.flags.writeable = rows.flags.writeable = False
         return normals, rows, {}
-
-    @cached_property
-    def _masked(self) -> dict[int, AbstractSimplex]:
-        """Every face, keyed by its position mask, in ``_face_at`` order: named once per cell, unchecked."""
-        return {mask: AbstractSimplex._of(face) for face, mask in self._face_at.items()}
 
     @cached_property
     def _nef(self) -> dict[tuple[int, int], tuple]:
@@ -371,20 +358,6 @@ def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _face_index(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], dict[int, int]]:
-    """Every face of range(n), by size then lexicographic: (faces, masks, at).
-
-    ``faces[j]`` is a face's positions and ``masks[j]`` its position mask,
-    bit i for position i; ``at[mask]`` is the face's row in the cell's level
-    of its size.  The levels, the n-e-f pairs and ``_face_at`` follow this
-    one enumeration.
-    """
-    levels = [tuple(combinations(range(n), size)) for size in range(1, n + 1)]
-    masks = [[sum(1 << i for i in face) for face in level] for level in levels]
-    return sum(levels, ()), sum(map(tuple, masks), ()), {m: j for level in masks for j, m in enumerate(level)}
-
-
-@lru_cache(maxsize=None)
 def _padded_faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Every face of dimension 1..n - 1 of range(n), by dimension then lexicographic, as padded edge ends.
 
@@ -435,7 +408,7 @@ def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
 def _mask(T: GeometricSimplex, labels: tuple[int, ...], role: str = "") -> int:
     """The position mask of the face on ascending labels; a ValueError naming role and labels if T lacks it."""
     try:
-        return T._face_at[labels]
+        return T._full._masks[labels]
     except KeyError:
         raise ValueError(f"{role}{labels} is not a face of the cell with labels {T.labels}") from None
 
@@ -446,22 +419,8 @@ def _face(T: GeometricSimplex, face: tuple[int, ...]) -> int:
 
 
 def _masked_face(T: GeometricSimplex, mask: int) -> AbstractSimplex:
-    """The face on the labels at the positions a nonzero mask's bits name, one object per cell and mask."""
-    return T._masked[mask]
-
-
-@lru_cache(maxsize=None)
-def _deposit(at: int, n: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The faces through the anchor at position mask ``at`` of a cell with n labels, by normal-offset mask, and back.
-
-    Offset i is the i-th position outside the anchor, ascending, so the face
-    of a normal-offset mask is the anchor's positions plus those its bits
-    name.  Returns the face position masks indexed by normal-offset mask, and
-    the dict that inverts it.
-    """
-    outside = [1 << i for i in range(n) if not at >> i & 1]
-    faces = tuple(at + sum(b for i, b in enumerate(outside) if m >> i & 1) for m in range(1 << len(outside)))
-    return faces, {face: m for m, face in enumerate(faces)}
+    """The face on the labels at the positions a nonzero mask's bits name, one object per abstract simplex and mask."""
+    return T._full._faces[mask]
 
 
 def tangent_basis(T: GeometricSimplex, e: AbstractSimplex) -> np.ndarray:
@@ -558,16 +517,16 @@ def _nef_index(n: int, nf: int):
     for F, f in zip(faces, masks):
         if len(F) != nf:
             continue
-        for ne in range(1, nf + 1):
-            for E in combinations(F, ne):
-                e = sum(1 << i for i in E)
-                rest = [i for i in F if i not in E]
-                tangents = [tangent_at[ne - 1] + at[e] * (ne - 1) + j for j in range(ne - 1)]
-                face = [gradient_at[nf - 1] + at[f] * nf + F.index(i) for i in rest]
-                tn = [gradient_at[ne] + at[e | 1 << i] * (ne + 1) + sum(j < i for j in E) for i in rest]
-                pairs.append((f, e))
-                gather.append((tangents + face, tangents + tn))
-                tangent_rows.append(ne - 1)
+        for E, e in zip(faces, masks):  # F's faces, by size then lexicographic
+            if e & ~f:
+                continue
+            ne, rest = len(E), [i for i in F if i not in E]
+            tangents = [tangent_at[ne - 1] + at[e] * (ne - 1) + j for j in range(ne - 1)]
+            face = [gradient_at[nf - 1] + at[f] * nf + F.index(i) for i in rest]
+            tn = [gradient_at[ne] + at[e | 1 << i] * (ne + 1) + sum(j < i for j in E) for i in rest]
+            pairs.append((f, e))
+            gather.append((tangents + face, tangents + tn))
+            tangent_rows.append(ne - 1)
     gather = np.array(gather, dtype=np.intp).reshape(len(pairs), 2, nf - 1).transpose(1, 0, 2).copy()
     normal = np.arange(nf - 1) >= np.array(tangent_rows)[:, None]
     block = normal[:, :, None] & normal[:, None, :]
@@ -599,10 +558,10 @@ def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> T
     """Dual bases of the normal plane of e inside the tangent plane of f.
 
     With f the cell these are the t-n frames of e; with e == f the normal
-    families are empty.  Two reads of the cell's ``_face_at`` and one of its
-    ``_nef``; a miss builds the pairs of f's size, once.
+    families are empty.  Two reads of the cell's label -> mask table and one
+    of its ``_nef``; a miss builds the pairs of f's size, once.
     """
-    at = T._face_at
+    at = T._full._masks
     try:
         ratio, frame_face, frame_tn = T._nef[at[f.vertices], at[e.vertices]]
     except KeyError:
@@ -639,7 +598,7 @@ def _fill_tn(T: GeometricSimplex, at: int) -> _TnFrames:
         _build_nef(T, len(T.labels))
     ratio, primal, dual = T._nef[key]
     if ratio > PAIRING_RTOL:
-        _check_pairing(T._masked[at].vertices, T.labels, ratio)
+        _check_pairing(_masked_face(T, at).vertices, T.labels, ratio)
     frames = np.stack((primal, dual))
     exps = np.frexp(np.abs(frames).max(axis=2, keepdims=True, initial=0.0))[1]
     scaled = np.ldexp(frames, -exps)
@@ -671,5 +630,5 @@ def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Fr
 
 
 def all_subsimplices(T: GeometricSimplex) -> list[AbstractSimplex]:
-    """Every subsimplex of the cell, by dimension then lexicographic, each named once per cell by its mask."""
-    return list(T._masked.values())
+    """Every subsimplex of the cell, by dimension then lexicographic: its abstract simplex's shared face objects."""
+    return list(T._full._faces.values())

@@ -27,13 +27,13 @@ Faces are named by the cell's position masks (``simplex._mask``, whose one
 ValueError names an anchor or face the cell lacks), which this module holds
 as opaque keys: an anchor is a mask, and an element at it is
 (normal-offset mask, sigma), bit i of the former for the i-th label
-outside the anchor.  ``simplex._deposit(anchor mask, n)`` turns
-normal-offset masks into face masks and back, and the cell names each face
-mask once (``simplex._masked_face``).  All five entry points read one
-label-free table per (s, d), ``_element_table``: per degree, the elements
-and their compound positions, one array from which ``realize_all`` and
-``pairing_matrix`` gather; per element, its frame rows, its complementary
-rows and its Hodge partner.  No call scans labels.
+outside the anchor.  ``combinatorics._deposit(anchor mask, n)`` turns
+normal-offset masks into face masks and back, and the cell's abstract
+simplex names each face mask once (``simplex._masked_face``).  All five
+entry points read one label-free table per (s, d), ``_element_table``: per
+degree, the elements and their compound positions, one array from which
+``realize_all`` and ``pairing_matrix`` gather; per element, its frame rows,
+its complementary rows and its Hodge partner.  No call scans labels.
 The elements ``decompose_altk`` and ``hodge_coefficient`` return are valid
 by construction and built without re-validation (``TnBasisElement._of``):
 each entry point checks, of the degree, the anchor (``_anchor``, one
@@ -53,10 +53,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import AbstractSimplex, complement, sequence_position, sequences
+from .combinatorics import AbstractSimplex, _deposit, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, _form, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
-from .simplex import GeometricSimplex, _deposit, _mask, _masked_face, _tn_frames
+from .simplex import GeometricSimplex, _mask, _masked_face, _tn_frames
 
 FLAVORS = ("primal", "dual")
 
@@ -161,11 +161,28 @@ def _entry(T: GeometricSimplex, elem: TnBasisElement, at: int):
 
 
 def realize(elem: TnBasisElement, T: GeometricSimplex) -> AltForm:
-    """The constant-coefficient form of a basis element, in ambient coordinates."""
+    """The constant-coefficient form of a basis element, in ambient coordinates.
+
+    It is the wedge of the element's frame rows; on a cell near the ends of
+    the float range it raises ``realize_all``'s ValueError where a
+    coefficient overflows.
+    """
     at = _anchor(T, elem.e)
     frame = _tn_frames(T, at).frames[FLAVORS.index(elem.flavor)]
     (rows, *_), _ = _entry(T, elem, at)
-    return wedge_all([flat(frame[i]) for i in rows], d=len(frame))
+    d, k = len(frame), len(rows)
+    coeffs = _minors(lambda: wedge_all([flat(frame[i]) for i in rows], d=d).coeffs, elem.e, k, elem.flavor, d)
+    return _form(d, k, coeffs)
+
+
+def _minors(build, e: AbstractSimplex, k: int, flavor: str, d: int) -> np.ndarray:
+    """The minors ``build()`` returns, taken with overflow ignored; a non-finite one is a ValueError naming (e, k, flavor, d)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing minor is the error below, not a warning
+        out = build()
+    if not math.isfinite(np.abs(out).max(initial=0.0)):  # a NaN minor makes the maximum NaN
+        where = f"e={e.vertices}, k={k}, flavor={flavor}, d={d}"
+        raise ValueError(f"realized basis at {where} is not representable: a minor of the frame overflows")
+    return out
 
 
 def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarray:
@@ -260,9 +277,5 @@ def realize_all(
     at, (positions, _) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing minor is the error below, not a warning
-        out = compound(_tn_frames(T, at).frames[FLAVORS.index(flavor)], k)
-    if not math.isfinite(np.abs(out).max(initial=0.0)):  # a NaN minor makes the maximum NaN
-        where = f"e={e.vertices}, k={k}, flavor={flavor}, d={T.dim}"
-        raise ValueError(f"realized basis at {where} is not representable: a minor of the frame overflows")
-    return out.take(positions, axis=0)
+    frame = _tn_frames(T, at).frames[FLAVORS.index(flavor)]
+    return _minors(lambda: compound(frame, k), e, k, flavor, T.dim).take(positions, axis=0)

@@ -1,7 +1,11 @@
+import inspect
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tnforms.combinatorics as combinatorics
 from tnforms.combinatorics import (
     AbstractSimplex,
     binomial,
@@ -10,6 +14,7 @@ from tnforms.combinatorics import (
     sequences,
     simplex,
     subsimplices,
+    _face_index,
 )
 from tnforms.simplex import GeometricSimplex, reference_simplex
 from tnforms.tnbasis import decompose_altk
@@ -23,6 +28,11 @@ def _cell(labels):
 def _faces(T, e, k):
     """The distinct faces that decompose_altk puts the degree-k elements of anchor e on."""
     return sorted({el.f for el in decompose_altk(T, e, k)})
+
+
+def _ref_subsimplices(f, s):
+    """The s-faces of f as one checked simplex per combination of its labels: the reference for the face tables."""
+    return [AbstractSimplex(c) for c in combinations(f.vertices, s + 1)]
 
 
 def sign_oracle(perm):
@@ -108,6 +118,35 @@ class TestSimplices:
     def test_range_error(self):
         with pytest.raises(ValueError):
             subsimplices(simplex(0, 1), 2)
+
+    @pytest.mark.parametrize("d", range(8))
+    def test_subsimplices_are_the_combinations_of_the_labels(self, d):
+        for labels in (tuple(range(d + 1)), tuple(range(1, 2 * d + 2, 2)), tuple(3 * i * i + 4 for i in range(d + 1))):
+            f = AbstractSimplex(labels)
+            for s in range(d + 1):
+                faces = subsimplices(f, s)
+                assert faces == _ref_subsimplices(f, s)
+                assert all(type(g.vertices) is tuple and all(type(i) is int for i in g) for g in faces)
+                assert all(a is b for a, b in zip(faces, subsimplices(f, s)))  # the simplex's own face objects
+            assert list(f._faces.values()) == [g for s in range(d + 1) for g in _ref_subsimplices(f, s)]
+            assert all(f._faces[f._masks[g.vertices]] is g for g in f._faces.values())
+
+    def test_face_tables_call_no_public_function(self, monkeypatch):
+        # the tables are filled from the private face enumeration, never from sequences,
+        # whose calls the benchmark counts, and name faces without the checked constructor
+        def called(*args, **kwargs):
+            raise AssertionError("a public function was called")
+
+        _face_index.cache_clear()
+        f = AbstractSimplex((1, 4, 6, 9, 10))
+        for name, obj in vars(combinatorics).items():
+            if not name.startswith("_") and (inspect.isfunction(obj) or hasattr(obj, "cache_info")):
+                monkeypatch.setattr(combinatorics, name, called)
+        monkeypatch.setattr(AbstractSimplex, "__post_init__", called)
+        with pytest.raises(AssertionError):
+            combinatorics.sequences(1, 2)
+        assert len(f._masks) == len(f._faces) == 31
+        assert f._faces[f._masks[(4, 9)]].vertices == (4, 9)
 
     def test_faces_through_anchor(self):
         # degree 1 at a vertex: the edges through it

@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from tnforms import poly
-from tnforms.combinatorics import binomial, simplex, subsimplices
+from tnforms.combinatorics import AbstractSimplex, binomial, simplex, subsimplices
 from tnforms.poly import (
     MAX_DEGREE,
     bernstein_moments,
@@ -302,32 +302,57 @@ class TestProductsAndConversions:
         face_coeffs = RNG.standard_normal(lattice_dimension(1, r))
         full = np.zeros(lattice_dimension(3, r))
         for c, beta in zip(face_coeffs, lattice(1, r)):
-            full[lattice(3, r).index(embed_lattice_index(beta, f, 4))] = c
+            full[lattice(3, r).index(embed_lattice_index(beta, f, T.full_simplex()))] = c
         for x in interpolation_points(face, r):
             assert abs(_bernstein_eval(full, r, x, T) - _bernstein_eval(face_coeffs, r, x, face)) < 1e-10
 
     def test_restrict_embed_roundtrip(self):
         f = simplex(1, 3)
         beta = (2, 1)
-        assert restrict_lattice_index(embed_lattice_index(beta, f, 5), f) == beta
-        assert restrict_lattice_index((2, 0, 1), simplex(0, 2)) == (2, 1)
+        assert restrict_lattice_index(embed_lattice_index(beta, f, simplex(*range(5))), f, simplex(*range(5))) == beta
+        assert restrict_lattice_index((2, 0, 1), simplex(0, 2), simplex(0, 1, 2)) == (2, 1)
+
+    def test_relabelled_cell(self):
+        # both used to index alpha by label, as if labels were positions
+        cell, e = simplex(2, 5, 7, 9), simplex(5, 7)
+        assert embed_lattice_index((1, 2), e, cell) == (0, 1, 2, 0)
+        assert restrict_lattice_index((0, 1, 2, 0), e, cell) == (1, 2)
+
+    @pytest.mark.parametrize("labels", [(2, 5, 7, 9), (1, 3, 4, 8), (0, 10, 11, 30)])
+    def test_relabelled_cell_matches_the_default_labels_under_the_label_map(self, labels):
+        cell, default = simplex(*labels), simplex(0, 1, 2, 3)
+        to_label = dict(zip(default.vertices, labels))
+        for s in range(4):
+            for g in subsimplices(default, s):
+                e = AbstractSimplex(tuple(to_label[i] for i in g.vertices))
+                for r in range(4):
+                    for beta in lattice(s, r):
+                        alpha = embed_lattice_index(beta, e, cell)
+                        assert alpha == embed_lattice_index(beta, g, default)
+                        assert restrict_lattice_index(alpha, e, cell) == beta == restrict_lattice_index(alpha, g, default)
 
     def test_restrict_rejects_mass_outside_e(self):
         # used to return (1,), a degree-1 index from a degree-2 one
         with pytest.raises(ValueError, match=r"\(1, 1, 0\) is positive outside the labels \(0,\) of e"):
-            restrict_lattice_index((1, 1, 0), simplex(0))
+            restrict_lattice_index((1, 1, 0), simplex(0), simplex(0, 1, 2))
 
     @pytest.mark.parametrize("alpha", [(), (1,), (1, 0)])
     def test_restrict_rejects_a_short_index(self, alpha):
         # (1,) used to raise a bare IndexError
-        with pytest.raises(ValueError, match=rf"{re.escape(str(alpha))} is too short for the labels \(0, 2\) of e"):
-            restrict_lattice_index(alpha, simplex(0, 2))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(alpha))} has {len(alpha)} entries, not one per label of \(0, 1, 2\)"):
+            restrict_lattice_index(alpha, simplex(0, 2), simplex(0, 1, 2))
+
+    def test_restrict_rejects_a_long_index_and_a_foreign_e(self):
+        with pytest.raises(ValueError, match=r"\(1, 0, 0, 0\) has 4 entries, not one per label of \(0, 1, 2\)"):
+            restrict_lattice_index((1, 0, 0, 0), simplex(0, 2), simplex(0, 1, 2))
+        with pytest.raises(ValueError, match=r"e=\(0, 3\) is not a face of the cell with labels \(0, 1, 2\)"):
+            restrict_lattice_index((1, 0, 0), simplex(0, 3), simplex(0, 1, 2))
 
     @pytest.mark.parametrize("alpha,labels", [((1, 2, 3), (0, 2)), ((1,), (0, 2)), ((1, 2), (0, 4))])
     def test_embed_rejects_a_mismatch(self, alpha, labels):
         # the first used to drop the 3, the last to raise a bare IndexError
-        with pytest.raises(ValueError, match=r"does not embed in 4 labels"):
-            embed_lattice_index(alpha, simplex(*labels), 4)
+        with pytest.raises(ValueError, match=r"does not embed in the labels \(0, 1, 2, 3\)"):
+            embed_lattice_index(alpha, simplex(*labels), simplex(0, 1, 2, 3))
 
 
 @lru_cache(maxsize=None)

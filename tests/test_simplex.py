@@ -996,6 +996,17 @@ class TestFaceLookup:
         with pytest.raises(ValueError, match=r"^anchor e=\(9,\) is not a face of the cell with labels \(0, 1, 2, 3\)$"):
             nef_frames(T, simplex(0, 1), simplex(9))
 
+    @pytest.mark.parametrize("d", range(7))
+    def test_cells_on_one_abstract_simplex_share_their_faces(self, d):
+        # default-labelled cells share one abstract simplex per vertex count, so
+        # every face, however it is asked for, is one object
+        a, b = random_simplex(d, np.random.default_rng(520 + d)), reference_simplex(d)
+        faces = all_subsimplices(a)
+        assert len(faces) == 2 ** (d + 1) - 1 and all(f is g for f, g in zip(faces, all_subsimplices(b), strict=True))
+        assert all(f is g for f, g in zip(faces, (g for s in range(d + 1) for g in subsimplices(b.full_simplex(), s))))
+        relabelled = all_subsimplices(_spread(a))
+        assert [f.vertices for f in relabelled] == [tuple(3 * i + 3 for i in f.vertices) for f in faces]
+
     def test_relabelled_cell_rejects_default_labels(self):
         T = GeometricSimplex(random_simplex(2, RNG).vertices, labels=(2, 5, 8))
         with pytest.raises(ValueError, match=r"\(0, 1\) is not a face of the cell with labels \(2, 5, 8\)"):

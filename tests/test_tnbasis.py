@@ -16,6 +16,7 @@ from tnforms.combinatorics import (
     sequences,
     simplex,
     subsimplices,
+    _deposit,
 )
 from tnforms.errors import DEGENERACY_RTOL, PAIRING_RTOL
 from tnforms.exterior import (
@@ -33,7 +34,6 @@ from tnforms.simplex import (
     GeometricSimplex,
     all_subsimplices,
     barycentric_gradients,
-    _deposit,
     _mask,
     _masked_face,
     induced_facet_frame,
@@ -639,10 +639,10 @@ class TestMaskTables:
                 for k in range(d + 1):
                     for flavor in FLAVORS:
                         for el in decompose_altk(T, e, k, flavor):
-                            assert T._masked[_mask(T, el.f.vertices)] is el.f
+                            assert T.full_simplex()._faces[_mask(T, el.f.vertices)] is el.f
                     hodge_coefficient(T, decompose_altk(T, e, k, "dual")[-1])
-            assert len(T._masked) <= 2 ** (d + 1) - 1
-        assert sorted(T._masked) == list(range(1, 2 ** (d + 1)))
+            assert len(T.full_simplex()._faces) <= 2 ** (d + 1) - 1
+        assert sorted(T.full_simplex()._faces) == list(range(1, 2 ** (d + 1)))
 
 
 class TestZeroSimplex:
@@ -1108,6 +1108,28 @@ class TestHodgeCoefficient:
                         assert np.isfinite(rows).all()
                         assert np.array_equal(rows, _ref_compound_realize_all(T, e, k, flavor))
         assert raised == (0 if j == -330 else 2 * (d + 1))  # the top degree at each vertex, both flavors
+
+    @pytest.mark.parametrize("d,j,seed", [(3, -349, 0), (3, -349, 1), (4, -266, 0), (3, -330, 0)])
+    def test_far_scales_realize_as_realize_all(self, d, j, seed):
+        # realize used to warn of overflow on the top degree at each vertex of
+        # the first cell; each element's form is now its realize_all row bit
+        # for bit, or raises realize_all's error, with no warning on the way
+        T = GeometricSimplex(2.0**j * random_simplex(d, np.random.default_rng(seed)).vertices)
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in all_subsimplices(T):
+                for k in range(d + 1):
+                    for flavor in FLAVORS:
+                        rows = _outcome(lambda: realize_all(T, e, k, flavor))
+                        for i, el in enumerate(decompose_altk(T, e, k, flavor)):
+                            form = _outcome(lambda: realize(el, T))
+                            if isinstance(form, str):
+                                assert form == rows == _realize_all_overflow(e, k, flavor, d)
+                                raised += 1
+                            else:
+                                assert _array_bits(form.coeffs) == _array_bits(rows[i])
+        assert raised == (0 if j == -330 else 2 * (d + 1))
 
     def test_requires_dual_flavor(self):
         T = random_simplex(2, RNG)
