@@ -9,9 +9,10 @@ Two labeling conventions coexist on purpose:
   lexicographic, with their masks, and an :class:`AbstractSimplex` builds
   from it, once per object, its labels -> mask table ``_masks`` and its
   mask -> face table ``_faces``, so every cell on one labels object names
-  a face by one shared face object.  ``_deposit`` lists the faces through
-  an anchor by normal offset, the i-th position outside the anchor,
-  ascending, as a t-n frame's normal rows are;
+  a face by one shared face object; ``subsimplices`` builds only the faces
+  of the size it lists, the objects ``_faces`` holds later.  ``_deposit``
+  lists the faces through an anchor by normal offset, the i-th position
+  outside the anchor, ascending, as a t-n frame's normal rows are;
 * an increasing sequence is a plain ascending tuple of ints in
   ``{1, ..., n}``; it indexes the components of alternating forms and the
   tangential choices of t-n basis elements.  Sequences are enumerated only
@@ -45,7 +46,8 @@ class AbstractSimplex:
     Labels go through ``operator.index``: numpy integers pass, and a float
     label is a TypeError rather than truncated.  Its faces, all 2^n - 1 of
     them for n labels, are named by two tables built on first use, once per
-    object: ``_masks`` and ``_faces``.
+    object: ``_masks`` and ``_faces``.  ``_sized`` builds the faces of one
+    size alone, once per size, and ``_faces`` holds those same objects.
     """
 
     vertices: tuple[int, ...]
@@ -91,8 +93,22 @@ class AbstractSimplex:
 
     @cached_property
     def _faces(self) -> dict[int, "AbstractSimplex"]:
-        """Every face keyed by its position mask, in ``_face_index`` order: named once per simplex, unchecked."""
-        return {mask: AbstractSimplex._of(face) for face, mask in self._masks.items()}
+        """Every face keyed by its position mask, in ``_face_index`` order: the objects of ``_sized``, each size's."""
+        n = len(self.vertices)
+        return dict(zip(_face_index(n)[1], (face for size in range(1, n + 1) for face in self._sized(size))))
+
+    @cached_property
+    def _by_size(self) -> dict[int, tuple["AbstractSimplex", ...]]:
+        """Face count -> those faces, lexicographic, per count built so far (``_sized``)."""
+        return {}
+
+    def _sized(self, size: int) -> tuple["AbstractSimplex", ...]:
+        """The faces on ``size`` labels, lexicographic, built once per size and unchecked: C(n, size) objects, no more."""
+        try:
+            return self._by_size[size]
+        except KeyError:
+            level = self._by_size[size] = tuple(map(AbstractSimplex._of, combinations(self.vertices, size)))
+            return level
 
 
 def simplex(*labels: int) -> AbstractSimplex:
@@ -126,10 +142,13 @@ def inversion_sign(entries: tuple[int, ...]) -> int:
 
 
 def subsimplices(f: AbstractSimplex, s: int) -> list[AbstractSimplex]:
-    """All s-dimensional subsimplices of f, lexicographically sorted: f's own face objects, shared by every call."""
+    """All s-dimensional subsimplices of f, lexicographically sorted: f's own face objects, shared by every call.
+
+    Only the C(n, s + 1) faces asked for are built, the objects ``f._faces`` holds once it is built.
+    """
     if s < 0 or s > f.dim:
         raise ValueError(f"need 0 <= s <= dim f = {f.dim}, got {s}")
-    return [face for face in f._faces.values() if len(face.vertices) == s + 1]
+    return list(f._sized(s + 1))
 
 
 @lru_cache(maxsize=None)

@@ -36,10 +36,13 @@ tangents then its |f| - |e| normals, so one ``take`` from the cell's
 (2, pairs, |f| - 1, d) array of the face and t-n frames.  The face normals
 are f's gradients of the vertices outside e; the t-n normal of such a
 vertex i is the gradient of lambda_i in e + i.  The pairs' masks and the
-gathers are a label-free table per (n, |f|), ``_nef_index``, and batched
-masked reductions give every pair's pairing ratio.  The cell's ``_nef``
-dict maps (f mask, e mask) to the ratio and two read-only row views of the
-one array, so every labelling takes one path and builds the same keys.
+gathers are a label-free table per (n, |f|), ``_nef_index``.  One stacked
+product, each face frame times its t-n frame transposed, and batched
+masked reductions of it give every pair's pairing ratio.  The cell's
+``_nef`` dict maps (f mask, e mask) to the ratio, two read-only row views
+of the one frame array and, when f is the cell, a read-only view of the
+product (None otherwise), so every labelling takes one path and builds
+the same keys.
 ``nef_frames`` reads f's and e's masks, then ``_nef``; on a miss
 ``_mask`` names labels outside the cell, containment of e in f is checked
 next, and otherwise f's size is built.  A t-n basis reads only
@@ -50,12 +53,14 @@ the cell's ``_tn`` dict, which maps the anchor's mask to a ``_TnFrames``
 record.  ``_fill_tn`` fills it on the anchor's first read from the
 (cell, anchor) entry of ``_nef``: per flavor, primal then dual, the frame
 matrix as stored, the same rows scaled by exact powers of two, read-only,
-and the rows' exponents as Python ints.  The fill checks that the cell is
-full-dimensional, then runs ``_check_pairing``, before it builds or stores
-anything, so an embedded cell, or an anchor whose pairing fails, keeps no
-record and raises the same message on every call.  Rows are scaled per
-anchor read, not in ``_build_nef``, so frames no t-n basis reads cost
-nothing more.
+and the rows' exponents as Python ints; then the entry's frame product
+M = primal . dual^T.  No t-n call multiplies frames, and an M that
+overflows warned once, when the n-e-f build took it.  The fill checks
+that the cell is full-dimensional, then runs ``_check_pairing``, before
+it builds or stores anything, so an embedded cell, or an anchor whose
+pairing fails, keeps no record and raises the same message on every
+call.  Rows are scaled per anchor read, not in ``_build_nef``, so frames
+no t-n basis reads cost nothing more.
 
 A level also holds its faces' frames: the ``exterior._orthonormal`` flag of
 each face's tangent rows and the compound cache of the level's stack.  The
@@ -73,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, frexp, isfinite, prod
 from typing import NamedTuple
 
@@ -109,12 +114,17 @@ class _TnFrames(NamedTuple):
     t-n normals (dual).  ``scaled`` holds the same rows, each times the
     exact power of two that puts its largest |entry| in [1/2, 1) (a zero
     row stays as it is), read-only; row r of a frame is its scaled row r
-    times 2^exps[r], the exponents lists of Python ints.
+    times 2^exps[r], the exponents lists of Python ints.  ``product`` is
+    the stored ``_nef`` product M = primal . dual^T, d x d and read-only:
+    the identity on e's tangents and the diagonal n-e-f pairing on its
+    normals, whose k-th compound is the pairing matrix of degree k
+    (Cauchy-Binet).
     """
 
     frames: tuple[np.ndarray, np.ndarray]
     scaled: tuple[np.ndarray, np.ndarray]
     exps: tuple[list[int], list[int]]
+    product: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +286,7 @@ class GeometricSimplex:
 
     @cached_property
     def _nef(self) -> dict[tuple[int, int], tuple]:
-        """(f mask, e mask) -> (pairing ratio, frame_face, frame_tn), per face size built so far."""
+        """(f mask, e mask) -> (pairing ratio, frame_face, frame_tn, frame product or None), per face size built so far."""
         return {}
 
     @cached_property
@@ -540,18 +550,23 @@ def _nef_index(n: int, nf: int):
 def _build_nef(T: GeometricSimplex, nf: int):
     """Fill the cell's ``_nef`` with every pair whose face has nf vertices: one gather, one frame product.
 
-    A pair's ratio is its normal block's largest off-diagonal |entry| over
-    its least diagonal entry, inf when a diagonal entry is <= 0.
+    A pair's product is its face frame times its t-n frame transposed,
+    read-only.  Its ratio is the product's normal block's largest
+    off-diagonal |entry| over its least diagonal entry, inf when a diagonal
+    entry is <= 0.  Only the pairs on the cell itself keep their product,
+    which the t-n records read; smaller faces store None, so the sizes that
+    only ``nef_frames`` reads make no view of it.
     """
     pairs, gather, off, diag = _nef_index(len(T.labels), nf)
     frames = T._rows.take(gather, axis=0)
-    frames.flags.writeable = False
-    p = frames[1] @ np.swapaxes(frames[0], -1, -2)
+    p = frames[0] @ np.swapaxes(frames[1], -1, -2)
+    frames.flags.writeable = p.flags.writeable = False
     positive = np.all(p > 0.0, axis=(1, 2), where=diag)
     least = p.min(axis=(1, 2), initial=np.inf, where=diag)
     ratio = np.full(len(pairs), np.inf)
     np.divide(np.abs(p).max(axis=(1, 2), initial=0.0, where=off), least, out=ratio, where=positive)
-    T._nef.update(zip(pairs, zip(ratio.tolist(), frames[0], frames[1])))
+    products = p if nf == len(T.labels) else repeat(None)
+    T._nef.update(zip(pairs, zip(ratio.tolist(), frames[0], frames[1], products)))
 
 
 def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> TnFrameSet:
@@ -563,13 +578,13 @@ def nef_frames(T: GeometricSimplex, f: AbstractSimplex, e: AbstractSimplex) -> T
     """
     at = T._full._masks
     try:
-        ratio, frame_face, frame_tn = T._nef[at[f.vertices], at[e.vertices]]
+        ratio, frame_face, frame_tn, _ = T._nef[at[f.vertices], at[e.vertices]]
     except KeyError:
         f_at, e_at = _mask(T, f.vertices, "face f="), _mask(T, e.vertices, "anchor e=")  # named before containment is
         if e_at & ~f_at:
             raise ValueError(f"anchor e={e.vertices} must be contained in the face f={f.vertices}") from None
         _build_nef(T, len(f.vertices))
-        ratio, frame_face, frame_tn = T._nef[f_at, e_at]
+        ratio, frame_face, frame_tn, _ = T._nef[f_at, e_at]
     if ratio > PAIRING_RTOL:
         _check_pairing(e.vertices, f.vertices, ratio)
     return tuple.__new__(TnFrameSet, (e, f, frame_face, frame_tn))
@@ -586,24 +601,25 @@ def _tn_frames(T: GeometricSimplex, at: int) -> _TnFrames:
 def _fill_tn(T: GeometricSimplex, at: int) -> _TnFrames:
     """Store the record of the anchor at ``at``, a face of T, from ``_nef``; raises, storing nothing, if T or e fails.
 
-    T must be full-dimensional: an embedded cell raises before anything is
-    built.  A miss in ``_nef`` then builds the pairs of the cell's own size,
-    once, and a failing pairing raises ``nef_frames``'s message for
-    (T.full_simplex(), e).
+    The record's product is the ``_nef`` entry's, so the fill multiplies no
+    frames.  T must be full-dimensional: an embedded cell raises before
+    anything is built.  A miss in ``_nef`` then builds the pairs of the
+    cell's own size, once, and a failing pairing raises ``nef_frames``'s
+    message for (T.full_simplex(), e).
     """
     if T.dim != T.ambient_dim:
         raise ValueError(f"t-n bases need a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
     key = (1 << len(T.labels)) - 1, at
     if key not in T._nef:
         _build_nef(T, len(T.labels))
-    ratio, primal, dual = T._nef[key]
+    ratio, primal, dual, product = T._nef[key]
     if ratio > PAIRING_RTOL:
         _check_pairing(_masked_face(T, at).vertices, T.labels, ratio)
     frames = np.stack((primal, dual))
     exps = np.frexp(np.abs(frames).max(axis=2, keepdims=True, initial=0.0))[1]
     scaled = np.ldexp(frames, -exps)
     scaled.flags.writeable = False
-    record = T._tn[at] = _TnFrames((primal, dual), tuple(scaled), tuple(exps[..., 0].tolist()))
+    record = T._tn[at] = _TnFrames((primal, dual), tuple(scaled), tuple(exps[..., 0].tolist()), product)
     return record
 
 

@@ -10,12 +10,14 @@ the t-n vectors (dual flavor).  The cell keeps them in one record per
 anchor (``simplex._tn_frames``), filled on the anchor's first read: per
 flavor, in ``FLAVORS`` order, the stored rows of its n-e-f table, and the
 same rows scaled by exact powers of two with their exponents, which
-``hodge_coefficient`` takes its minors of.  The fill is where the cell is
-checked to be full-dimensional.  The four entry points that read frames
-read the record once per call, so nothing is stacked or rescaled per
-call.  A basis k-form wedges k of the d rows, sigma's tangents and the
-normals of f minus e, so a basis is the k-th compound of the frame
-matrix, and which rows each element takes depends on s, d and k alone.
+``hodge_coefficient`` takes its minors of, and the frame product
+M = primal . dual^T that the cell's n-e-f build took, whose k-th compound
+``pairing_matrix`` gathers.  The fill is where the cell is checked to be
+full-dimensional.  The four entry points that read frames read the record
+once per call, so nothing is stacked, rescaled or multiplied per call.
+A basis k-form wedges k of the d rows, sigma's tangents and the normals
+of f minus e, so a basis is the k-th compound of the frame matrix, and
+which rows each element takes depends on s, d and k alone.
 The star of a dual element is a multiple of the primal element of degree
 d - k that wedges the complementary rows (``hodge_coefficient``, on the
 two coefficient arrays), so normal traces, the tangential traces of
@@ -29,16 +31,20 @@ as opaque keys: an anchor is a mask, and an element at it is
 (normal-offset mask, sigma), bit i of the former for the i-th label
 outside the anchor.  ``combinatorics._deposit(anchor mask, n)`` turns
 normal-offset masks into face masks and back, and the cell's abstract
-simplex names each face mask once (``simplex._masked_face``).  All five
-entry points read one label-free table per (s, d), ``_element_table``: per
-degree, the elements and their compound positions, one array from which
-``realize_all`` and ``pairing_matrix`` gather; per element, its frame rows,
-its complementary rows and its Hodge partner.  No call scans labels.
+simplex names each face mask once, in its mask -> face table ``_faces``.
+``decompose_altk`` and ``hodge_coefficient`` read their ``_element_table``
+entry, the anchor's ``_deposit`` row and its record once per call, then
+name each element's face, the Hodge partner's included, with one read of
+that table and call no helper per element.  All five entry points read
+one label-free table per (s, d), ``_element_table``: per degree, the
+elements and their compound positions, one array from which
+``realize_all`` and ``pairing_matrix`` gather; per element, its frame
+rows, its complementary rows and its Hodge partner.  No call scans labels.
 The elements ``decompose_altk`` and ``hodge_coefficient`` return are valid
-by construction and built without re-validation (``TnBasisElement._of``):
-each entry point checks, of the degree, the anchor (``_anchor``, one
-message for all five), the flavor and the face, those it takes, once per
-call and in that order.  The anchor's record is read between flavor and
+by construction and built past the validating constructor
+(``object.__new__``): each entry point checks, of the degree, the anchor
+(``_anchor``, one message for all five), the flavor and the face, those
+it takes, once per call and in that order.  The anchor's record is read between flavor and
 face; only its fill checks, full dimension then pairing, and a fill that
 fails stores nothing, so it raises again on the next call.  Only elements
 made from outside data are checked element by element.
@@ -56,7 +62,7 @@ import numpy as np
 from .combinatorics import AbstractSimplex, _deposit, complement, sequence_position, sequences
 from .errors import DEGENERACY_RTOL, PAIRING_RTOL
 from .exterior import AltForm, _form, compound, flat, hodge_star, volume_coefficient, wedge, wedge_all
-from .simplex import GeometricSimplex, _mask, _masked_face, _tn_frames
+from .simplex import GeometricSimplex, _mask, _tn_frames
 
 FLAVORS = ("primal", "dual")
 
@@ -84,13 +90,6 @@ class TnBasisElement:
         if self.sigma not in sequence_position(len(self.sigma), self.e.dim):
             raise ValueError(f"sigma={self.sigma} is not an increasing sequence in 1..{self.e.dim} (dim e)")
 
-    @classmethod
-    def _of(cls, e: AbstractSimplex, f: AbstractSimplex, sigma: tuple[int, ...], flavor: str) -> "TnBasisElement":
-        """An element named from ``_element_table``, valid by construction; not re-checked."""
-        elem = object.__new__(cls)
-        elem.__dict__.update(e=e, f=f, sigma=sigma, flavor=flavor)
-        return elem
-
 
 def decompose_altk(
     T: GeometricSimplex, e: AbstractSimplex, k: int, flavor: str = "primal"
@@ -104,8 +103,12 @@ def decompose_altk(
     at, (_, elements) = _anchor_table(T, e, k)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    faces = _deposit(at, len(T.labels))[0]
-    return [TnBasisElement._of(e, _masked_face(T, faces[m]), sigma, flavor) for sigma, m in elements]
+    faces, named, out = _deposit(at, len(T.labels))[0], T.full_simplex()._faces, []
+    for sigma, m in elements:  # valid by construction, so built past the validating constructor
+        elem = object.__new__(TnBasisElement)
+        elem.__dict__.update(e=e, f=named[faces[m]], sigma=sigma, flavor=flavor)
+        out.append(elem)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -190,14 +193,14 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
 
     Both families are k-th compounds of their frame matrices, so by
     Cauchy-Binet the Gram matrix is the k-th compound of the d x d product
-    of the primal frame with the dual one, in element order.  That product
+    of the primal frame with the dual one, in element order: the product
+    the anchor's record holds, so no call multiplies frames.  That product
     is block diagonal (the identity on e's tangents, the diagonal n-e-f
     pairing on its normals), so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
     at, (positions, _) = _anchor_table(T, e, k)
-    primal, dual = _tn_frames(T, at).frames
-    return compound(primal.dot(dual.T), k).take(positions, axis=0).take(positions, axis=1)
+    return compound(_tn_frames(T, at).product, k).take(positions, axis=0).take(positions, axis=1)
 
 
 def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float, TnBasisElement]:
@@ -215,10 +218,11 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     if elem.flavor != "dual":
         where = _context(elem, T.dim, len(elem.sigma) + elem.f.dim - elem.e.dim)
         raise ValueError(f"hodge coefficient is defined for dual-flavor elements, got {elem.flavor} at {where}")
-    _, scaled, exps = _tn_frames(T, at)
+    _, scaled, exps, _ = _tn_frames(T, at)
     (rows, partner_rows, partner_mask, tau), faces = _entry(T, elem, at)
     d, k = T.dim, len(rows)
-    partner = TnBasisElement._of(elem.e, _masked_face(T, faces[partner_mask]), tau, "primal")
+    partner = object.__new__(TnBasisElement)
+    partner.__dict__.update(e=elem.e, f=T.full_simplex()._faces[faces[partner_mask]], sigma=tau, flavor="primal")
     # each form is the maximal minors of its rows; the partner wedges the complementary primal rows.
     # The minors are taken of the record's scaled rows, each row's largest entry in [1/2, 1): they are
     # then no larger than k!, no product below over- or underflows on a representable cell, the two
@@ -228,8 +232,8 @@ def hodge_coefficient(T: GeometricSimplex, elem: TnBasisElement) -> tuple[float,
     # dual, flavor 0 primal.
     a = compound(scaled[1].take(rows, axis=0), k)[0]
     b = compound(scaled[0].take(partner_rows, axis=0), d - k)[0]
-    ea = sum(map(exps[1].__getitem__, rows))
-    eb = sum(map(exps[0].__getitem__, partner_rows))
+    ea = sum(map(exps[1].__getitem__, rows.tolist()))
+    eb = sum(map(exps[0].__getitem__, partner_rows.tolist()))
     dual_form = _form(d, k, a)
 
     denominator = volume_coefficient(wedge(dual_form, _form(d, d - k, b)))

@@ -131,6 +131,20 @@ class TestSimplices:
             assert list(f._faces.values()) == [g for s in range(d + 1) for g in _ref_subsimplices(f, s)]
             assert all(f._faces[f._masks[g.vertices]] is g for g in f._faces.values())
 
+    def test_subsimplices_build_only_the_faces_asked_for(self):
+        # 20 labels have 2^20 - 1 faces; listing the vertices builds 20 face objects and no full table
+        f, before = AbstractSimplex(tuple(range(3, 43, 2))), _face_index.cache_info()
+        vertices = subsimplices(f, 0)
+        assert vertices == [AbstractSimplex((i,)) for i in range(3, 43, 2)]
+        assert all(a is b for a, b in zip(vertices, subsimplices(f, 0)))
+        assert "_faces" not in vars(f) and "_masks" not in vars(f) and list(vars(f)["_by_size"]) == [1]
+        assert _face_index.cache_info() == before  # the face enumeration of range(20) was not asked for
+        # the faces listed first are the objects the full table holds once it is built
+        g = AbstractSimplex((2, 5, 7, 9, 11, 20))
+        edges, triangles = subsimplices(g, 1), subsimplices(g, 2)
+        assert all(g._faces[g._masks[h.vertices]] is h for h in edges + triangles)
+        assert all(a is b for a, b in zip(subsimplices(g, 3), [h for h in g._faces.values() if h.dim == 3]))
+
     def test_face_tables_call_no_public_function(self, monkeypatch):
         # the tables are filled from the private face enumeration, never from sequences,
         # whose calls the benchmark counts, and name faces without the checked constructor

@@ -886,8 +886,13 @@ class TestSinglePassAgainstReference:
             nef_frames(T, simplex(*f), simplex(*f))  # builds f's size
         assert T._nef.keys() == {(_mask(T, f), _mask(T, e)) for f, e in ref}
         for (f, e), (ratio, labels, face, tn) in ref.items():
-            got_ratio, got_face, got_tn = T._nef[_mask(T, f), _mask(T, e)]
+            got_ratio, got_face, got_tn, got_product = T._nef[_mask(T, f), _mask(T, e)]
             _assert_same_bits(got_ratio, ratio)
+            if f == T.labels:  # only the cell's own pairs keep the frame product the t-n records read
+                assert not got_product.flags.writeable
+                _assert_same_bits(got_product, got_face.dot(got_tn.T))
+            else:
+                assert got_product is None
             assert TnFrameSet(simplex(*e), simplex(*f), got_face, got_tn).normal_labels == labels, (f, e)
             _assert_same_bits(got_face, face)
             _assert_same_bits(got_tn, tn)
@@ -943,10 +948,13 @@ def _same_under_label_map(T, U):
             _assert_same_bits(ref.frame_face, got.frame_face)
             _assert_same_bits(ref.frame_tn, got.frame_tn)
     assert T._nef.keys() == U._nef.keys()
-    for key, (ratio, face, tn) in T._nef.items():
+    for key, (ratio, face, tn, product) in T._nef.items():
         assert U._nef[key][0] == ratio
         _assert_same_bits(U._nef[key][1], face)
         _assert_same_bits(U._nef[key][2], tn)
+        assert (U._nef[key][3] is None) == (product is None)
+        if product is not None:
+            _assert_same_bits(U._nef[key][3], product)
     return raised
 
 

@@ -18,7 +18,7 @@ from tnforms.combinatorics import (
     subsimplices,
     _deposit,
 )
-from tnforms.errors import DEGENERACY_RTOL, PAIRING_RTOL
+from tnforms.errors import DEGENERACY_RTOL, ORTHONORMAL_RTOL, PAIRING_RTOL
 from tnforms.exterior import (
     AltForm,
     compound,
@@ -949,6 +949,86 @@ class TestAgainstParentFrames:
                                 raised.add(got.split(" at ")[0])
         want = {3: {"Hodge coefficient"}, 4: {"Hodge coefficient", "Hodge collinearity", "pairing"}}.get(d, set())
         assert raised == want
+
+
+def _record_cells(d):
+    """A random d-cell, relabelled, scaled by 2^60 and 2^-60, a sliver of flatness 1e-7 (d >= 2) and, at d = 3
+    and 4, a cell at the volume-representability edge."""
+    unit = random_simplex(d, np.random.default_rng(300 + d))
+    cells = [unit, GeometricSimplex(unit.vertices, labels=_label_sets(d)[2])]
+    cells += [GeometricSimplex(2.0**j * unit.vertices, labels=_label_sets(d)[1]) for j in (60, -60)]
+    if d >= 2:
+        cells.append(GeometricSimplex(_flattened(random_simplex(d, np.random.default_rng(d)).vertices, 1e-7)))
+    far = {3: (-349, 0), 4: (-266, 0)}.get(d)
+    if far:
+        cells.append(GeometricSimplex(2.0 ** far[0] * random_simplex(d, np.random.default_rng(far[1])).vertices))
+    return cells
+
+
+def _records(T):
+    """(anchor, record) for every anchor of T whose record fills; a failing pairing leaves its anchor out."""
+    out = []
+    for e in all_subsimplices(T):
+        try:
+            out.append((e, _tn_frames(T, _anchor(T, e))))
+        except ValueError as exc:
+            assert str(exc).startswith("pairing at"), exc
+    return out
+
+
+class TestAnchorRecordProduct:
+    """The anchor's record holds M = primal . dual^T, and elements name the cell's shared face objects."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_product_is_the_frame_product(self, d):
+        # the stored product is read-only and bit for bit the d x d frame product, filled
+        # with no warning, and pairing_matrix is its compound at the element positions
+        for T in _record_cells(d):
+            records = _records(T)  # a RuntimeWarning is an error in this suite
+            assert records
+            for e, record in records:
+                primal, dual = record.frames
+                assert not record.product.flags.writeable
+                assert record.product.tobytes() == primal.dot(dual.T).tobytes()
+                for k in range(d + 1):
+                    positions = _degree(e.dim, d, k)[0]
+                    with np.errstate(all="ignore"):  # minors of M over- or underflow at the representability edge, alike
+                        want = compound(primal.dot(dual.T), k).take(positions, axis=0).take(positions, axis=1)
+                        assert _array_bits(pairing_matrix(T, e, k)) == _array_bits(want)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_elements_name_the_shared_faces(self, d):
+        # every element's f, and every Hodge partner's, is the cell's own face object;
+        # the elements are those of the former label merge, e is the caller's anchor
+        for T in _record_cells(d):
+            shared = {f.vertices: f for f in all_subsimplices(T)}
+            for e, _ in _records(T):
+                for k in range(d + 1):
+                    for flavor in FLAVORS:
+                        elements = decompose_altk(T, e, k, flavor)
+                        assert elements == _ref_decompose_altk(T, e, k, flavor)
+                        assert all(el.e is e and el.f is shared[el.f.vertices] for el in elements)
+                        for el in elements if flavor == "dual" else ():
+                            partner = _outcome(lambda: hodge_coefficient(T, el)[1])
+                            assert isinstance(partner, str) or partner.f is shared[partner.f.vertices]
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(-60, 60))
+    def test_product_is_diagonal_with_unit_tangent_block(self, d, seed, j):
+        # M_ii = 1 on e's tangents, and M is diagonal: on a unit cell every
+        # off-diagonal entry is at most PAIRING_RTOL times the least |diagonal|;
+        # scaled by 2^j, the tangent and normal diagonals part by 2^(2j), so the
+        # bound is relative to the geometric mean of the two diagonal entries
+        unit = random_simplex(d, np.random.default_rng(seed))
+        for T, scaled in ((unit, False), (GeometricSimplex(2.0**j * unit.vertices), True)):
+            for e, record in _records(T):
+                m = record.product
+                diag = np.abs(np.diag(m))
+                off = np.abs(m - np.diag(np.diag(m)))
+                assert np.all(np.abs(diag[: e.dim] - 1.0) <= ORTHONORMAL_RTOL)
+                if scaled:
+                    assert np.all(off <= PAIRING_RTOL * np.sqrt(np.outer(diag, diag)))
+                else:
+                    assert off.max(initial=0.0) <= PAIRING_RTOL * diag.min()
 
 
 class TestPairing:
