@@ -223,20 +223,18 @@ def nodal_to_bernstein(dim: int, r: int) -> np.ndarray:
 
 def embed_lattice_index(alpha_local: LatticeIndex, e: AbstractSimplex, cell: AbstractSimplex) -> LatticeIndex:
     """Lift a multi-index over the vertices of e to one over the vertices of the cell, a face of which e is."""
-    mask = cell._masks.get(e.vertices)
-    if mask is None or len(alpha_local) != len(e):
+    if not e.issubset(cell) or len(alpha_local) != len(e):
         raise ValueError(f"multi-index {alpha_local} on labels {e.vertices} does not embed in the labels {cell.vertices}")
-    local = iter(alpha_local)
-    return tuple(next(local) if mask >> i & 1 else 0 for i in range(len(cell)))
+    local = dict(zip(e.vertices, alpha_local))
+    return tuple(local.get(v, 0) for v in cell.vertices)
 
 
 def restrict_lattice_index(alpha: LatticeIndex, e: AbstractSimplex, cell: AbstractSimplex) -> LatticeIndex:
     """Restrict a multi-index over the vertices of the cell, supported on its face e, to e's own vertices."""
     if len(alpha) != len(cell):
         raise ValueError(f"multi-index {alpha} has {len(alpha)} entries, not one per label of {cell.vertices}")
-    mask = cell._masks.get(e.vertices)
-    if mask is None:
+    if not e.issubset(cell):
         raise ValueError(f"e={e.vertices} is not a face of the cell with labels {cell.vertices}")
-    if any(a > 0 for i, a in enumerate(alpha) if not mask >> i & 1):
+    if any(a > 0 for v, a in zip(cell.vertices, alpha) if v not in e.vertices):
         raise ValueError(f"multi-index {alpha} is positive outside the labels {e.vertices} of e")
-    return tuple(a for i, a in enumerate(alpha) if mask >> i & 1)
+    return tuple(a for v, a in zip(cell.vertices, alpha) if v in e.vertices)

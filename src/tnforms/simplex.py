@@ -7,27 +7,29 @@ enumerated and named in :mod:`tnforms.combinatorics`, and callers such as
 the t-n bases hold masks as opaque keys.  The cell's faces are those of
 its abstract simplex (``full_simplex``): ``_mask`` reads that simplex's
 labels -> mask table, raising one ValueError for every query on labels
-the cell lacks, and ``_masked_face`` its mask -> face table, so
-default-labelled cells, which share one abstract simplex per vertex
-count, share every face object too.  The levels and the n-e-f pairs
+the cell lacks, and callers read its mask -> face table ``_faces``
+directly, so default-labelled cells, which share one abstract simplex per
+vertex count, share every face object too.  The levels and the n-e-f pairs
 follow the label-free face order of ``combinatorics._face_index``, by
 size, then lexicographic.
 
 Building a cell runs one SVD and a fixed number of array operations: the
 vertex copy, the column edge matrix, its largest |entry| and the SVD of
-the edges (see :class:`GeometricSimplex`).  Everything else is built on
-first use.  ``random_simplex`` builds each candidate on the same path,
-under one ``np.errstate`` per call.
+the edges (see :class:`GeometricSimplex`).  The two pair dicts ``_nef``
+and ``_tn`` start empty with the cell; its three other caches, ``_levels``,
+``_rows`` and ``_facets``, are built on first use, so a candidate that
+``random_simplex`` throws away builds none of them.  ``random_simplex``
+builds each candidate on the same path, under one ``np.errstate`` per call.
 
 Every tangent and gradient is read from one record per face dimension s,
 a ``_Level`` of read-only stacks over the s-faces in that order, all built
 on first use by one batched QR (see ``_levels``).  The degeneracy floor
-tests a face's own diagonal entries of R only.  An entry depends only on
-the coordinates of the face's own vertices in ascending label order, so
-two cells sharing a face derive identical frames from it.  The cell's
-volume is the one fact read from its construction instead: the product of
-singular values the constructor checks for representability, over m!, so
-reading it runs no QR.
+tests a face's own diagonal entries of R only, the orthonormality flag the
+face's whole padded Q.  An entry depends only on the coordinates of the
+face's own vertices in ascending label order, so two cells sharing a face
+derive identical frames from it.  The cell's volume is the one fact read
+from its construction instead: the product of singular values the
+constructor checks for representability, over m!, so reading it runs no QR.
 
 The n-e-f frames of the face pairs e in f are built per face size |f|,
 every e in f (e = f included) at once.  A frame matrix holds e's |e| - 1
@@ -38,22 +40,19 @@ are f's gradients of the vertices outside e; the t-n normal of such a
 vertex i is the gradient of lambda_i in e + i.  The pairs' masks and the
 gathers are a label-free table per (n, |f|), ``_nef_index``.  One stacked
 product, each face frame times its t-n frame transposed, and batched
-masked reductions of it give every pair's pairing ratio.  The cell's
-``_nef`` dict maps (f mask, e mask) to the ratio, two read-only row views
-of the one frame array and, when f is the cell, a read-only view of the
-product (None otherwise), so every labelling takes one path and builds
-the same keys.
-``nef_frames`` reads f's and e's masks, then ``_nef``; on a miss
-``_mask`` names labels outside the cell, containment of e in f is checked
-next, and otherwise f's size is built.  A t-n basis reads only
-|f| = d + 1, so sizes are built on first use, not all at once.
+masked reductions of it give every pair's pairing ratio, all kept in the
+cell's ``_nef`` dict (see :class:`GeometricSimplex`), so every labelling
+takes one path and builds the same keys.  ``nef_frames`` reads f's and
+e's masks, then ``_nef``; on a miss ``_mask`` names labels outside the
+cell, containment of e in f is checked next, and otherwise f's size is
+built.  A t-n basis reads only |f| = d + 1, so sizes are built on first
+use, not all at once.
 
 A t-n basis reads an anchor's frames through ``_tn_frames``, one read of
-the cell's ``_tn`` dict, which maps the anchor's mask to a ``_TnFrames``
-record.  ``_fill_tn`` fills it on the anchor's first read from the
-(cell, anchor) entry of ``_nef``: per flavor, primal then dual, the frame
-matrix as stored, the same rows scaled by exact powers of two, read-only,
-and the rows' exponents as Python ints; then the entry's frame product
+the cell's ``_tn`` dict.  ``_fill_tn`` fills it on the anchor's first read
+from the (cell, anchor) entry of ``_nef``: per flavor, primal then dual,
+the frame matrix as stored, the same rows scaled by exact powers of two,
+read-only, and the rows' exponents as Python ints; then the entry's frame product
 M = primal . dual^T.  No t-n call multiplies frames, and an M that
 overflows warned once, when the n-e-f build took it.  The fill checks
 that the cell is full-dimensional, then runs ``_check_pairing``, before
@@ -162,6 +161,15 @@ class GeometricSimplex:
     as accurate as a unit cell's.  Their product, m! times the volume, is
     kept in ``_content``: ``volume`` returns the value the representability
     check accepted.
+
+    Two dicts start empty with the cell and fill as frames are read:
+
+    - ``_nef`` maps (f mask, e mask) to the pair's pairing ratio, two
+      read-only row views of its size's one frame array (face frame, t-n
+      frame) and, when f is the cell, a read-only view of their product
+      (None otherwise), per face size built so far (``_build_nef``);
+    - ``_tn`` maps an anchor's mask to its ``_TnFrames`` record, per anchor
+      read so far (``_fill_tn``).
     """
 
     vertices: np.ndarray
@@ -213,7 +221,9 @@ class GeometricSimplex:
         if not (0.0 < content and isfinite(content)):
             raise DegenerateSimplexError(f"singular values multiply to {content:.3e}: the volume is not representable")
         v.flags.writeable = edges.flags.writeable = svals.flags.writeable = False
-        self.__dict__.update(vertices=v, labels=full.vertices, edge_matrix=edges, _full=full, _svals=svals, _content=content)
+        self.__dict__.update(
+            vertices=v, labels=full.vertices, edge_matrix=edges, _full=full, _svals=svals, _content=content, _nef={}, _tn={}
+        )
 
     @property
     def ambient_dim(self) -> int:
@@ -238,9 +248,11 @@ class GeometricSimplex:
 
         Every face of dimension 1..m has its s edge rows padded with zero
         rows to m; the first s rows of its Q and the leading s x s block of
-        its R are those of its unpadded rows.  With edge rows E = R^T Q, the
-        gradients of lambda_1..lambda_s are the rows of R^{-1} Q, one solve
-        per level.  A vertex has no edge, so its level is constant: no
+        its R are those of its unpadded rows.  A face's ``ok`` flag tests
+        its whole Q, pad rows included (see the comment below); R's diagonal
+        is exactly 0 on the pad columns, so the degeneracy floor skips them
+        (``own``).  With edge rows E = R^T Q, the gradients of
+        lambda_1..lambda_s are the rows of R^{-1} Q, one solve per level.  A vertex has no edge, so its level is constant: no
         tangents and the gradient -0.0 (minus an empty sum).
         """
         n, d = self.vertices.shape
@@ -249,9 +261,9 @@ class GeometricSimplex:
         levels = [_Level(tangents, gradients, _orthonormal(tangents), {})]
         if n == 1:
             return levels
-        apex, ends, own, block, bounds = _padded_faces(n)
+        apex, ends, own, bounds = _padded_faces(n)
         q, r = _orthonormal_rows(self.vertices[ends] - self.vertices[apex], own)
-        ok = _orthonormal(q, block)
+        ok = _orthonormal(q)  # Householder's reduced Q is orthonormal on the zero pad rows too, so Q is tested whole
         for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
             tangents = q[lo:hi, :s]
             grads = np.empty((hi - lo, s + 1, d))
@@ -283,16 +295,6 @@ class GeometricSimplex:
         rows[:, -1:] *= np.where(flip, -1.0, 1.0)[:, None, None]
         normals.flags.writeable = rows.flags.writeable = False
         return normals, rows, {}
-
-    @cached_property
-    def _nef(self) -> dict[tuple[int, int], tuple]:
-        """(f mask, e mask) -> (pairing ratio, frame_face, frame_tn, frame product or None), per face size built so far."""
-        return {}
-
-    @cached_property
-    def _tn(self) -> dict[int, _TnFrames]:
-        """Anchor mask -> the anchor's t-n frame record, per anchor read so far (``_tn_frames``)."""
-        return {}
 
     def full_simplex(self) -> AbstractSimplex:
         """The abstract simplex on this cell's vertex labels, built once with the cell."""
@@ -368,25 +370,23 @@ def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _padded_faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+def _padded_faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Every face of dimension 1..n - 1 of range(n), by dimension then lexicographic, as padded edge ends.
 
-    Returns (apex, ends, own, block, bounds): face j's edge rows are
+    Returns (apex, ends, own, bounds): face j's edge rows are
     v[ends[j]] - v[apex[j]], its vertices after the first and then its
     first vertex again, so the rows past its own s are exact zeros;
-    ``own[j]`` flags its s own rows and ``block[j]`` their s x s block of a
-    Gram matrix, and the faces of dimension s are rows bounds[s - 1] to
-    bounds[s].  The arrays are read-only.
+    ``own[j]`` flags its s own rows, and the faces of dimension s are rows
+    bounds[s - 1] to bounds[s].  The arrays are read-only.
     """
     faces = _face_index(n)[0][n:]
     ends = np.array([face[1:] + face[:1] * (n - len(face)) for face in faces], dtype=np.intp)
     apex = np.array([face[:1] for face in faces], dtype=np.intp)
     own = np.arange(n - 1) < np.array([len(face) - 1 for face in faces])[:, None]
-    block = own[:, :, None] & own[:, None, :]
     bounds = (0, *accumulate(comb(n, size) for size in range(2, n + 1)))
-    for a in (apex, ends, own, block):
+    for a in (apex, ends, own):
         a.flags.writeable = False
-    return apex, ends, own, block, bounds
+    return apex, ends, own, bounds
 
 
 def _orthonormal_rows(rows: np.ndarray, own: np.ndarray | bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -426,11 +426,6 @@ def _mask(T: GeometricSimplex, labels: tuple[int, ...], role: str = "") -> int:
 def _face(T: GeometricSimplex, face: tuple[int, ...]) -> int:
     """The level position of a face named by its labels; ValueError if T has no such face."""
     return _face_index(len(T.labels))[2][_mask(T, face)]
-
-
-def _masked_face(T: GeometricSimplex, mask: int) -> AbstractSimplex:
-    """The face on the labels at the positions a nonzero mask's bits name, one object per abstract simplex and mask."""
-    return T._full._faces[mask]
 
 
 def tangent_basis(T: GeometricSimplex, e: AbstractSimplex) -> np.ndarray:
@@ -614,7 +609,7 @@ def _fill_tn(T: GeometricSimplex, at: int) -> _TnFrames:
         _build_nef(T, len(T.labels))
     ratio, primal, dual, product = T._nef[key]
     if ratio > PAIRING_RTOL:
-        _check_pairing(_masked_face(T, at).vertices, T.labels, ratio)
+        _check_pairing(T._full._faces[at].vertices, T.labels, ratio)
     frames = np.stack((primal, dual))
     exps = np.frexp(np.abs(frames).max(axis=2, keepdims=True, initial=0.0))[1]
     scaled = np.ldexp(frames, -exps)

@@ -724,6 +724,37 @@ class TestEmbedding:
             assert (back - w_sub).norm() < 1e-12
 
 
+class TestFormChecks:
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_degree_outside_0_to_d(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"need 0 <= k <= d, got k={k}, d=3")):
+            AltForm(3, k, np.ones(1))
+
+    def test_wrong_coefficient_count(self):
+        with pytest.raises(ValueError, match=re.escape("expected 3 coefficients for (d, k) = (3, 2), got 2")):
+            AltForm(3, 2, np.ones(2))
+
+    def test_negation(self):
+        w = random_form(4, 2)
+        neg = -w
+        assert (neg.d, neg.k) == (4, 2) and np.array_equal(neg.coeffs, -w.coeffs)
+
+    @pytest.mark.parametrize("other", [(3, 2), (4, 1)])
+    def test_sum_and_difference_need_one_space(self, other):
+        a, b = random_form(3, 1), random_form(*other)
+        for op in (lambda: a + b, lambda: a - b):
+            with pytest.raises(ValueError, match=re.escape(f"form space mismatch: (3,1) vs ({other[0]},{other[1]})")):
+                op()
+
+    def test_frame_needs_a_2d_array(self):
+        with pytest.raises(ValueError, match=re.escape("frame vectors must form a 2-D array (rows = vectors)")):
+            Frame(np.array([1.0, 0.0, 0.0]))
+
+    def test_empty_wedge_needs_d(self):
+        with pytest.raises(ValueError, match=re.escape("ambient dimension needed for the empty wedge")):
+            wedge_all([])
+
+
 class TestErrorsNameTheirDimensions:
     def test_wedge(self):
         with pytest.raises(ValueError, match=re.escape("ambient dimension mismatch: d = 3 and d = 4")):

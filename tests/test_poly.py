@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from tnforms import poly
+from tnforms import combinatorics, poly
 from tnforms.combinatorics import AbstractSimplex, binomial, simplex, subsimplices
 from tnforms.poly import (
     MAX_DEGREE,
@@ -159,6 +159,11 @@ class TestLagrange:
         T = random_simplex(3, RNG)
         vals = _lagrange_values(T, 3, RNG.uniform(size=(5, 3)))
         assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-11
+
+    @pytest.mark.parametrize("dim", [0, 2])
+    def test_degree_zero_has_no_nodal_basis(self, dim):
+        with pytest.raises(ValueError, match=re.escape("nodal basis needs degree r >= 1")):
+            nodal_vandermonde(dim, 0)
 
 
 class TestBernstein:
@@ -347,6 +352,28 @@ class TestProductsAndConversions:
             restrict_lattice_index((1, 0, 0, 0), simplex(0, 2), simplex(0, 1, 2))
         with pytest.raises(ValueError, match=r"e=\(0, 3\) is not a face of the cell with labels \(0, 1, 2\)"):
             restrict_lattice_index((1, 0, 0), simplex(0, 3), simplex(0, 1, 2))
+
+    def test_a_large_cell_reads_its_labels_not_its_face_table(self, monkeypatch):
+        # a face table of 2^40 - 1 faces could not be built: the indices are read off the labels alone
+        def face_index(n):
+            raise AssertionError("the face table was read")
+
+        monkeypatch.setattr(combinatorics, "_face_index", face_index)
+        cell, e = AbstractSimplex(tuple(range(40))), simplex(3, 17)
+        alpha = embed_lattice_index((2, 5), e, cell)
+        assert alpha == tuple(2 if i == 3 else 5 if i == 17 else 0 for i in range(40))
+        assert restrict_lattice_index(alpha, e, cell) == (2, 5)
+        with pytest.raises(ValueError, match=r"\(2, 5, 1\) on labels \(3, 17\) does not embed in the labels \(0, 1, 2,"):
+            embed_lattice_index((2, 5, 1), e, cell)
+        with pytest.raises(ValueError, match=r"\(3, 40\) does not embed"):
+            embed_lattice_index((2, 5), simplex(3, 40), cell)
+        with pytest.raises(ValueError, match=r"has 39 entries, not one per label of \(0, 1, 2,"):
+            restrict_lattice_index(alpha[1:], e, cell)
+        with pytest.raises(ValueError, match=r"e=\(3, 40\) is not a face of the cell with labels \(0, 1, 2,"):
+            restrict_lattice_index(alpha, simplex(3, 40), cell)
+        with pytest.raises(ValueError, match=r"is positive outside the labels \(3, 17\) of e"):
+            restrict_lattice_index(alpha[:-1] + (1,), e, cell)
+        assert "_masks" not in vars(cell) and "_faces" not in vars(cell)
 
     @pytest.mark.parametrize("alpha,labels", [((1, 2, 3), (0, 2)), ((1,), (0, 2)), ((1, 2), (0, 4))])
     def test_embed_rejects_a_mismatch(self, alpha, labels):

@@ -6,10 +6,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tnforms import exterior
 from tnforms.combinatorics import AbstractSimplex, simplex, subsimplices
-from tnforms.errors import PAIRING_RTOL, DegenerateSimplexError
+from tnforms.errors import ORTHONORMAL_RTOL, PAIRING_RTOL, DegenerateSimplexError
 from tnforms.exterior import Frame, _orthonormal, compound
 from tnforms.simplex import (
     DEGENERACY_RTOL,
@@ -27,7 +28,7 @@ from tnforms.simplex import (
     surface_gradient,
     tangent_basis,
 )
-from tnforms.simplex import _check_pairing, _orthonormal_rows
+from tnforms.simplex import _check_pairing, _orthonormal_rows, _padded_faces
 
 RNG = np.random.default_rng(7)
 
@@ -406,6 +407,10 @@ class TestScaleAndSlivers:
         assert T.volume == pytest.approx(scale**d * unit.volume, rel=1e-12)
         assert np.isfinite(barycentric_gradients(T)).all()
         assert np.allclose(scale * barycentric_gradients(T), barycentric_gradients(unit), rtol=1e-11, atol=0)
+
+    def test_gram_schmidt_rejects_more_vectors_than_dimensions(self):
+        with pytest.raises(DegenerateSimplexError, match=re.escape("more vectors than dimensions in frame build")):
+            gram_schmidt(np.eye(3, 2))
 
     def test_gram_schmidt_floor_is_relative(self):
         rows = RNG.standard_normal((3, 5))
@@ -1022,7 +1027,30 @@ class TestFaceLookup:
         assert nef_frames(T, simplex(2, 5, 8), simplex(5)).normal_labels == (2, 8)
 
 
+class TestPaddedQ:
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([None, 1e-9, 1e-5, 1e-2]), st.data())
+    def test_every_padded_q_is_orthonormal_on_its_pad_rows_too(self, d, seed, relabel, flatness, data):
+        # the geometry pass tests each face's whole padded Q, so the pad rows must pass as its own rows do
+        v = random_simplex(d, np.random.default_rng(seed)).vertices
+        if flatness is not None and d >= 2:
+            v = _flatten_last_vertex(v, flatness)
+        v = np.ldexp(v, data.draw(st.integers(-(1000 // d), 1000 // d), label="j"))
+        T = GeometricSimplex(v, tuple(range(3, 3 + 2 * (d + 1), 2)) if relabel else None)
+        apex, ends, own, _ = _padded_faces(d + 1)
+        q, _ = _orthonormal_rows(T.vertices[ends] - T.vertices[apex], own)
+        gram = q @ np.swapaxes(q, -1, -2)
+        assert np.abs(gram - np.eye(d)).max() <= ORTHONORMAL_RTOL
+        own_block = own[:, :, None] & own[:, None, :]
+        masked = np.abs(gram - np.eye(d)).max(axis=(-2, -1), initial=0.0, where=own_block) <= ORTHONORMAL_RTOL
+        assert np.array_equal(_orthonormal(q), masked)
+        assert np.concatenate([level.ok for level in T._levels[1:]]).all()
+
+
 class TestOrientedSubframe:
+    def test_vertex_has_no_oriented_frame(self):
+        with pytest.raises(ValueError, match=re.escape("oriented frame needs a subsimplex of dimension >= 1")):
+            oriented_subframe(random_simplex(3, RNG), simplex(2))
+
     def test_counterclockwise_full_frame(self):
         T = GeometricSimplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         fr = oriented_subframe(T, simplex(0, 1, 2))
@@ -1321,6 +1349,12 @@ class TestCellConstruction:
     def test_no_vertices_rejected(self, labels, msg):
         with pytest.raises(ValueError, match=msg):
             GeometricSimplex(np.zeros((0, 2)), labels=labels)
+
+    def test_a_fresh_cell_holds_its_pair_dicts_and_builds_no_other_cache(self):
+        T = random_simplex(3, RNG)
+        assert vars(T)["_nef"] == {} and vars(T)["_tn"] == {}
+        assert not {"_levels", "_rows", "_facets"} & vars(T).keys()
+        assert vars(GeometricSimplex(T.vertices, (2, 4, 6, 8)))["_nef"] is not vars(T)["_nef"]
 
     def test_one_svd_per_candidate(self, monkeypatch):
         calls = []

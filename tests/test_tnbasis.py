@@ -35,7 +35,6 @@ from tnforms.simplex import (
     all_subsimplices,
     barycentric_gradients,
     _mask,
-    _masked_face,
     induced_facet_frame,
     nef_frames,
     random_simplex,
@@ -239,7 +238,7 @@ def _ref_hodge_coefficient(T, elem):
     primal, dual = _ref_frames(T, elem.e)
     (rows, partner_rows, partner_mask, tau), faces = _entry(T, elem, at)
     d, k = T.dim, len(rows)
-    partner = TnBasisElement(elem.e, _masked_face(T, faces[partner_mask]), tau, "primal")
+    partner = TnBasisElement(elem.e, T.full_simplex()._faces[faces[partner_mask]], tau, "primal")
     stacked = np.concatenate((dual.take(rows, axis=0), primal.take(partner_rows, axis=0)))
     exps = np.frexp(abs(stacked).max(axis=1, keepdims=True, initial=0.0))[1]
     stacked = np.ldexp(stacked, -exps)
@@ -598,7 +597,7 @@ class TestMaskTables:
                         want = _ref_row_index(el, labels)
                         assert tuple(rows.tolist()) == tuple(i - 1 for i in want)
                         assert tuple(partner_rows.tolist()) == tuple(i - 1 for i in complement(want, d))
-                        partner = TnBasisElement(e, _masked_face(T, faces[partner_mask]), tau)
+                        partner = TnBasisElement(e, T.full_simplex()._faces[faces[partner_mask]], tau)
                         assert _ref_row_index(partner, labels) == complement(want, d)
                         assert faces[partner_mask] == _mask(T, partner.f.vertices)
                         seen.add((el.f, el.sigma))
@@ -1076,6 +1075,15 @@ class TestPairing:
 
 
 class TestHodgeCoefficient:
+    def test_a_vanishing_denominator_is_a_degenerate_pairing(self, monkeypatch):
+        monkeypatch.setattr(tnbasis, "volume_coefficient", lambda form: 0.0)
+        T = random_simplex(3, np.random.default_rng(8))
+        el = decompose_altk(T, simplex(1), 2, "dual")[1]
+        where = re.escape(f"e=(1,), f={el.f.vertices}, sigma=(), d=3, k=2")
+        scaled = rf"0\.000e\+00 <= {DEGENERACY_RTOL} \* \d\.\d{{3}}e[+-]\d+, both times 2\^-?\d+"
+        with pytest.raises(ValueError, match=rf"^degenerate Hodge pairing at {where}: {scaled}$"):
+            hodge_coefficient(T, el)
+
     def test_planar_rotation(self):
         # star of t1-flat is t2-flat for the positively oriented reference frame
         T = reference_simplex(2)
