@@ -5,69 +5,51 @@ A :class:`GeometricSimplex` may be full-dimensional (a cell) or embedded
 named by its position mask, bit i for the cell's i-th label; faces are
 enumerated and named in :mod:`tnforms.combinatorics`, and callers such as
 the t-n bases hold masks as opaque keys.  The cell's faces are those of
-its abstract simplex (``full_simplex``): ``_mask`` reads that simplex's
-labels -> mask table, raising one ValueError for every query on labels
-the cell lacks, and callers read its mask -> face table ``_faces``
-directly, so default-labelled cells, which share one abstract simplex per
-vertex count, share every face object too.  The levels and the n-e-f pairs
-follow the label-free face order of ``combinatorics._face_index``, by
-size, then lexicographic.
+its abstract simplex (``full_simplex``) and its one face table: ``_mask``
+reads ``_masks``, raising one ValueError for every query on labels the
+cell lacks, and callers read ``_faces`` directly, so default-labelled
+cells, which share one abstract simplex per vertex count, share every face
+object too.  The levels and the n-e-f pairs follow the label-free face
+order of ``combinatorics._face_index``, by size, then lexicographic.
 
-Building a cell runs one SVD and a fixed number of array operations: the
-vertex copy, the column edge matrix, its largest |entry| and the SVD of
-the edges (see :class:`GeometricSimplex`).  The two pair dicts ``_nef``
-and ``_tn`` start empty with the cell; its three other caches, ``_levels``,
-``_rows`` and ``_facets``, are built on first use, so a candidate that
+Building a cell runs one SVD and a fixed number of array operations (see
+:class:`GeometricSimplex`, which also lays out its caches).  The caches
+other than the two pair dicts are built on first use, so a candidate that
 ``random_simplex`` throws away builds none of them.  ``random_simplex``
 builds each candidate on the same path, under one ``np.errstate`` per call.
 
-Every tangent and gradient is read from one record per face dimension s,
-a ``_Level`` of read-only stacks over the s-faces in that order, all built
-on first use by one batched QR (see ``_levels``).  The degeneracy floor
-tests a face's own diagonal entries of R only, the orthonormality flag the
-face's whole padded Q.  An entry depends only on the coordinates of the
-face's own vertices in ascending label order, so two cells sharing a face
-derive identical frames from it.  The cell's volume is the one fact read
-from its construction instead: the product of singular values the
-constructor checks for representability, over m!, so reading it runs no QR.
+Every tangent and gradient is read from one ``_Level`` per face dimension
+s, vertices (s = 0) included, all built on first use by one batched QR
+(see ``_levels``).  An entry depends only on the coordinates of the face's
+own vertices in ascending label order, so two cells sharing a face derive
+identical frames from it.  The cell's volume is the one fact read from its
+construction instead: the product of singular values the constructor
+checks for representability, over m!, so reading it runs no QR.
 
 The n-e-f frames of the face pairs e in f are built per face size |f|,
-every e in f (e = f included) at once.  A frame matrix holds e's |e| - 1
-tangents then its |f| - |e| normals, so one ``take`` from the cell's
-``_rows`` (every level's tangent rows, then its gradient rows) fills a
-(2, pairs, |f| - 1, d) array of the face and t-n frames.  The face normals
-are f's gradients of the vertices outside e; the t-n normal of such a
-vertex i is the gradient of lambda_i in e + i.  The pairs' masks and the
-gathers are a label-free table per (n, |f|), ``_nef_index``.  One stacked
-product, each face frame times its t-n frame transposed, and batched
-masked reductions of it give every pair's pairing ratio, all kept in the
-cell's ``_nef`` dict (see :class:`GeometricSimplex`), so every labelling
-takes one path and builds the same keys.  ``nef_frames`` reads f's and
-e's masks, then ``_nef``; on a miss ``_mask`` names labels outside the
-cell, containment of e in f is checked next, and otherwise f's size is
-built.  A t-n basis reads only |f| = d + 1, so sizes are built on first
-use, not all at once.
+every e in f (e = f included) at once (``_build_nef``).  A frame matrix
+holds e's |e| - 1 tangents then its |f| - |e| normals, so one ``take``
+from the cell's ``_rows`` fills the face and t-n frames of every pair.  The
+face normals are f's gradients of the vertices outside e; the t-n normal
+of such a vertex i is the gradient of lambda_i in e + i.  The pairs' masks
+and the gathers are a label-free table per (n, |f|), ``_nef_index``, so
+every labelling takes one path and builds the same ``_nef`` keys.
+``nef_frames`` reads f's and e's masks, then ``_nef``; on a miss ``_mask``
+names labels outside the cell, containment of e in f is checked next, and
+otherwise f's size is built.  A t-n basis reads only |f| = d + 1, so sizes
+are built on first use, not all at once.
 
-A t-n basis reads an anchor's frames through ``_tn_frames``, one read of
-the cell's ``_tn`` dict.  ``_fill_tn`` fills it on the anchor's first read
-from the (cell, anchor) entry of ``_nef``: per flavor, primal then dual,
-the frame matrix as stored, the same rows scaled by exact powers of two,
-read-only, and the rows' exponents as Python ints; then the entry's frame product
-M = primal . dual^T.  No t-n call multiplies frames, and an M that
-overflows warned once, when the n-e-f build took it.  The fill checks
-that the cell is full-dimensional, then runs ``_check_pairing``, before
-it builds or stores anything, so an embedded cell, or an anchor whose
-pairing fails, keeps no record and raises the same message on every
-call.  Rows are scaled per anchor read, not in ``_build_nef``, so frames
-no t-n basis reads cost nothing more.
+A t-n basis reads an anchor's ``_TnFrames`` record through ``_tn_frames``,
+one read of the cell's ``_tn``; ``_fill_tn`` fills it on the anchor's
+first read.  No t-n call multiplies frames, and an M that overflows warned
+once, when the n-e-f build took it.  Rows are scaled per anchor read, not
+in ``_build_nef``, so frames no t-n basis reads cost nothing more.
 
 A level also holds its faces' frames: the ``exterior._orthonormal`` flag of
 each face's tangent rows and the compound cache of the level's stack.  The
 frame of ``oriented_subframe`` is the stack's row at the face's position,
 unchecked and uncopied, sharing the level's cache.  The facet frames of
-``induced_facet_frame`` are the rows of the cell's ``_facets`` stack: the
-facet tangents with the last row negated where the cell's orientation asks
-it, beside the unit outward normals and the stack's own compound cache.
+``induced_facet_frame`` are the rows of the cell's ``_facets`` stack.
 Levels and frame sets are ``NamedTuple`` records (``_Level``,
 ``TnFrameSet``); ``nef_frames`` builds its set with ``tuple.__new__``,
 past the record's Python-level constructor.
@@ -167,9 +149,14 @@ class GeometricSimplex:
     - ``_nef`` maps (f mask, e mask) to the pair's pairing ratio, two
       read-only row views of its size's one frame array (face frame, t-n
       frame) and, when f is the cell, a read-only view of their product
-      (None otherwise), per face size built so far (``_build_nef``);
+      (None otherwise, so the sizes that only ``nef_frames`` reads make no
+      view of it), per face size built so far (``_build_nef``);
     - ``_tn`` maps an anchor's mask to its ``_TnFrames`` record, per anchor
       read so far (``_fill_tn``).
+
+    Three caches are built on first use: ``_levels``, one ``_Level`` per
+    face dimension; ``_rows``, the table the n-e-f frames gather; and
+    ``_facets``, the facet frames of ``induced_facet_frame``.
     """
 
     vertices: np.ndarray
@@ -244,27 +231,24 @@ class GeometricSimplex:
 
     @cached_property
     def _levels(self) -> list[_Level]:
-        """The level of the s-faces, per s, all from one batched QR.
+        """The level of the s-faces, per s = 0..m, all from one batched QR and one loop.
 
-        Every face of dimension 1..m has its s edge rows padded with zero
+        Every face, vertices included, has its s edge rows padded with zero
         rows to m; the first s rows of its Q and the leading s x s block of
         its R are those of its unpadded rows.  A face's ``ok`` flag tests
         its whole Q, pad rows included (see the comment below); R's diagonal
         is exactly 0 on the pad columns, so the degeneracy floor skips them
         (``own``).  With edge rows E = R^T Q, the gradients of
-        lambda_1..lambda_s are the rows of R^{-1} Q, one solve per level.  A vertex has no edge, so its level is constant: no
-        tangents and the gradient -0.0 (minus an empty sum).
+        lambda_1..lambda_s are the rows of R^{-1} Q, one solve per level.
+        A vertex's rows are all padding, so it gets no tangents and the
+        gradient -0.0 (minus an empty sum).
         """
         n, d = self.vertices.shape
-        tangents, gradients = np.empty((n, 0, d)), np.full((n, 1, d), -0.0)
-        tangents.flags.writeable = gradients.flags.writeable = False
-        levels = [_Level(tangents, gradients, _orthonormal(tangents), {})]
-        if n == 1:
-            return levels
         apex, ends, own, bounds = _padded_faces(n)
         q, r = _orthonormal_rows(self.vertices[ends] - self.vertices[apex], own)
         ok = _orthonormal(q)  # Householder's reduced Q is orthonormal on the zero pad rows too, so Q is tested whole
-        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+        levels = []
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             tangents = q[lo:hi, :s]
             grads = np.empty((hi - lo, s + 1, d))
             grads[:, 1:] = np.linalg.solve(r[lo:hi, :s, :s], tangents)
@@ -371,19 +355,20 @@ def barycentric_coordinates(T: GeometricSimplex, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _padded_faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Every face of dimension 1..n - 1 of range(n), by dimension then lexicographic, as padded edge ends.
+    """Every face of range(n), vertices included, by dimension then lexicographic, as padded edge ends.
 
     Returns (apex, ends, own, bounds): face j's edge rows are
     v[ends[j]] - v[apex[j]], its vertices after the first and then its
-    first vertex again, so the rows past its own s are exact zeros;
-    ``own[j]`` flags its s own rows, and the faces of dimension s are rows
-    bounds[s - 1] to bounds[s].  The arrays are read-only.
+    first vertex again, so the rows past its own s are exact zeros (all
+    n - 1 of a vertex's); ``own[j]`` flags its s own rows, and the faces of
+    dimension s are rows bounds[s] to bounds[s + 1].  The arrays are
+    read-only.
     """
-    faces = _face_index(n)[0][n:]
+    faces = _face_index(n)[0]
     ends = np.array([face[1:] + face[:1] * (n - len(face)) for face in faces], dtype=np.intp)
     apex = np.array([face[:1] for face in faces], dtype=np.intp)
     own = np.arange(n - 1) < np.array([len(face) - 1 for face in faces])[:, None]
-    bounds = (0, *accumulate(comb(n, size) for size in range(2, n + 1)))
+    bounds = (0, *accumulate(comb(n, size) for size in range(1, n + 1)))
     for a in (apex, ends, own):
         a.flags.writeable = False
     return apex, ends, own, bounds
@@ -543,14 +528,12 @@ def _nef_index(n: int, nf: int):
 
 
 def _build_nef(T: GeometricSimplex, nf: int):
-    """Fill the cell's ``_nef`` with every pair whose face has nf vertices: one gather, one frame product.
+    """Fill the cell's ``_nef`` (see :class:`GeometricSimplex`) with every pair whose face has nf vertices.
 
-    A pair's product is its face frame times its t-n frame transposed,
-    read-only.  Its ratio is the product's normal block's largest
+    One gather and one stacked product, each face frame times its t-n frame
+    transposed.  A pair's ratio is the product's normal block's largest
     off-diagonal |entry| over its least diagonal entry, inf when a diagonal
-    entry is <= 0.  Only the pairs on the cell itself keep their product,
-    which the t-n records read; smaller faces store None, so the sizes that
-    only ``nef_frames`` reads make no view of it.
+    entry is <= 0.
     """
     pairs, gather, off, diag = _nef_index(len(T.labels), nf)
     frames = T._rows.take(gather, axis=0)
@@ -594,13 +577,14 @@ def _tn_frames(T: GeometricSimplex, at: int) -> _TnFrames:
 
 
 def _fill_tn(T: GeometricSimplex, at: int) -> _TnFrames:
-    """Store the record of the anchor at ``at``, a face of T, from ``_nef``; raises, storing nothing, if T or e fails.
+    """Store the ``_TnFrames`` record of the anchor at ``at``, a face of T, from its (cell, e) ``_nef`` entry.
 
-    The record's product is the ``_nef`` entry's, so the fill multiplies no
-    frames.  T must be full-dimensional: an embedded cell raises before
-    anything is built.  A miss in ``_nef`` then builds the pairs of the
-    cell's own size, once, and a failing pairing raises ``nef_frames``'s
-    message for (T.full_simplex(), e).
+    T must be full-dimensional: an embedded cell raises before anything is
+    built.  A miss in ``_nef`` then builds the pairs of the cell's own
+    size, once, and a failing pairing raises ``nef_frames``'s message for
+    (T.full_simplex(), e).  Both checks run before anything is stored, so
+    an embedded cell, or an anchor whose pairing fails, keeps no record
+    and raises the same message on every call.
     """
     if T.dim != T.ambient_dim:
         raise ValueError(f"t-n bases need a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
@@ -627,10 +611,10 @@ def induced_facet_frame(T: GeometricSimplex, facet: AbstractSimplex) -> tuple[Fr
     the cell's facet stack, gated by its level's orthonormality flag: a
     negated row leaves the Gram matrix as it is.
     """
-    if T.dim < 2:
-        raise ValueError("induced facet frame needs ambient dimension >= 2")
     if T.dim != T.ambient_dim:
         raise ValueError(f"induced facet frame needs a full-dimensional cell, got dim {T.dim} in ambient dim {T.ambient_dim}")
+    if T.dim < 2:
+        raise ValueError("induced facet frame needs ambient dimension >= 2")
     if facet.dim != T.dim - 1:
         raise ValueError("facet must have codimension one")
     at = _face(T, facet.vertices)

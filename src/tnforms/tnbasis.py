@@ -7,14 +7,12 @@ two d x d frame matrices, those ``nef_frames(T, T.full_simplex(), e)``
 gives: e's s orthonormal tangents, then one normal per label outside e,
 ascending; the normals are the barycentric gradients (primal flavor) or
 the t-n vectors (dual flavor).  The cell keeps them in one record per
-anchor (``simplex._tn_frames``), filled on the anchor's first read: per
-flavor, in ``FLAVORS`` order, the stored rows of its n-e-f table, and the
-same rows scaled by exact powers of two with their exponents, which
-``hodge_coefficient`` takes its minors of, and the frame product
-M = primal . dual^T that the cell's n-e-f build took, whose k-th compound
-``pairing_matrix`` gathers.  The fill is where the cell is checked to be
-full-dimensional.  The four entry points that read frames read the record
-once per call, so nothing is stacked, rescaled or multiplied per call.
+anchor, a ``simplex._TnFrames`` (its docstring lays it out), read through
+``simplex._tn_frames``: ``hodge_coefficient`` takes its minors of the
+scaled rows, and ``pairing_matrix`` gathers the k-th compound of the
+product M.  The fill is where the cell is checked to be full-dimensional.
+The four entry points that read frames read the record once per call, so
+nothing is stacked, rescaled or multiplied per call.
 A basis k-form wedges k of the d rows, sigma's tangents and the normals
 of f minus e, so a basis is the k-th compound of the frame matrix, and
 which rows each element takes depends on s, d and k alone.
@@ -192,11 +190,10 @@ def pairing_matrix(T: GeometricSimplex, e: AbstractSimplex, k: int) -> np.ndarra
     """Gram matrix of the primal elements against the dual elements.
 
     Both families are k-th compounds of their frame matrices, so by
-    Cauchy-Binet the Gram matrix is the k-th compound of the d x d product
-    of the primal frame with the dual one, in element order: the product
-    the anchor's record holds, so no call multiplies frames.  That product
-    is block diagonal (the identity on e's tangents, the diagonal n-e-f
-    pairing on its normals), so the matrix is diagonal with nonzero
+    Cauchy-Binet the Gram matrix is the k-th compound of the product M of
+    the primal frame with the dual one, in element order: the product the
+    anchor's record holds (``simplex._TnFrames``), so no call multiplies
+    frames.  M is block diagonal, so the matrix is diagonal with nonzero
     diagonal: the two families are scaled dual bases.
     """
     at, (positions, _) = _anchor_table(T, e, k)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tnforms import exterior
-from tnforms.combinatorics import AbstractSimplex, simplex, subsimplices
+from tnforms.combinatorics import AbstractSimplex, _face_index, simplex, subsimplices
 from tnforms.errors import ORTHONORMAL_RTOL, PAIRING_RTOL, DegenerateSimplexError
 from tnforms.exterior import Frame, _orthonormal, compound
 from tnforms.simplex import (
@@ -838,7 +838,7 @@ class TestNefTable:
 
 
 def _single_pass_cells():
-    """Every d = 1..6 at scales 1e-14, 1 and 1e3, an embedded cell and a relabelled one."""
+    """Every d = 1..6 at scales 1e-14, 1 and 1e3, an embedded cell, a relabelled one and a lone vertex in R^0 and R^3."""
     cells = []
     for d in range(1, 7):
         unit = random_simplex(d, np.random.default_rng(400 + d)).vertices
@@ -846,6 +846,7 @@ def _single_pass_cells():
     rng = np.random.default_rng(12)
     cells.append(GeometricSimplex(rng.standard_normal((4, 6))))
     cells.append(GeometricSimplex(random_simplex(4, rng).vertices, labels=(1, 3, 4, 8, 11)))
+    cells += [GeometricSimplex(np.zeros((1, 0))), GeometricSimplex(np.array([[0.5, -2.0, 3.0]]))]
     return cells
 
 
@@ -870,7 +871,7 @@ def _assert_same_bits(got, ref):
 
 
 def _cell_id(T):
-    return f"d{T.dim}in{T.ambient_dim}-{T.labels[0]}-{np.abs(T.vertices).max():.0e}"
+    return f"d{T.dim}in{T.ambient_dim}-{T.labels[0]}-{np.abs(T.vertices).max(initial=0.0):.0e}"
 
 
 class TestSinglePassAgainstReference:
@@ -1012,11 +1013,11 @@ class TestFaceLookup:
     @pytest.mark.parametrize("d", range(7))
     def test_cells_on_one_abstract_simplex_share_their_faces(self, d):
         # default-labelled cells share one abstract simplex per vertex count, so
-        # every face, however it is asked for, is one object
+        # every face of its table is one object, and subsimplices lists equal faces
         a, b = random_simplex(d, np.random.default_rng(520 + d)), reference_simplex(d)
         faces = all_subsimplices(a)
         assert len(faces) == 2 ** (d + 1) - 1 and all(f is g for f, g in zip(faces, all_subsimplices(b), strict=True))
-        assert all(f is g for f, g in zip(faces, (g for s in range(d + 1) for g in subsimplices(b.full_simplex(), s))))
+        assert all(f == g for f, g in zip(faces, (g for s in range(d + 1) for g in subsimplices(b.full_simplex(), s))))
         relabelled = all_subsimplices(_spread(a))
         assert [f.vertices for f in relabelled] == [tuple(3 * i + 3 for i in f.vertices) for f in faces]
 
@@ -1044,6 +1045,15 @@ class TestPaddedQ:
         masked = np.abs(gram - np.eye(d)).max(axis=(-2, -1), initial=0.0, where=own_block) <= ORTHONORMAL_RTOL
         assert np.array_equal(_orthonormal(q), masked)
         assert np.concatenate([level.ok for level in T._levels[1:]]).all()
+
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_padded_faces_list_the_vertices_first(self, n):
+        # the vertices are level 0 of the one QR: every edge row is padding, so none is their own
+        apex, ends, own, bounds = _padded_faces(n)
+        assert bounds[:2] == (0, n) and bounds[-1] == len(apex) == 2**n - 1 and len(bounds) == n + 1
+        assert apex[:n, 0].tolist() == list(range(n)) and (ends[:n] == apex[:n]).all() and not own[:n].any()
+        assert own.sum(axis=1).tolist() == [len(face) - 1 for face in _face_index(n)[0]]
 
 
 class TestOrientedSubframe:
@@ -1156,6 +1166,10 @@ class TestFacetFrames:
             induced_facet_frame(embedded, simplex(0, 1))
         with pytest.raises(ValueError, match="facet must have codimension one"):
             induced_facet_frame(T, simplex(0, 1))
+        # full dimension is tested first, so a segment or a vertex in R^3 is told that, not the dimension floor
+        for v, name in ((np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]]), "dim 1"), (np.zeros((1, 3)), "dim 0")):
+            with pytest.raises(ValueError, match=f"^induced facet frame needs a full-dimensional cell, got {name} in ambient dim 3$"):
+                induced_facet_frame(GeometricSimplex(v), simplex(0))
         monkeypatch.setattr(exterior, "ORTHONORMAL_RTOL", -1.0)
         with pytest.raises(ValueError, match="frame vectors are not orthonormal"):
             induced_facet_frame(random_simplex(3, RNG), simplex(0, 1, 2))
